@@ -36,11 +36,11 @@ if [ "${GPUPM_SKIP_SANITIZE:-0}" != "1" ]; then
         obs_test_scoreboard obs_test_http_server \
         obs_test_flight_recorder obs_test_sampler \
         obs_test_profiler obs_test_tsdb obs_test_alerts \
-        core_test_scoreboard_io \
+        core_test_scoreboard_io common_test_json \
         gpupm_fuzz_smoke gpupm_cli gpupm_trace_check gpupm_bench_check \
         gpupm_scrape
     for t in build-asan/tests/core_test_* build-asan/tests/linalg_test_* \
-             build-asan/tests/obs_test_*; do
+             build-asan/tests/obs_test_* build-asan/tests/common_test_json; do
         [ -f "$t" ] && [ -x "$t" ] || continue
         echo "== sanitize: $t"
         "$t"
@@ -49,6 +49,14 @@ if [ "${GPUPM_SKIP_SANITIZE:-0}" != "1" ]; then
     # back as typed errors, never as crashes or sanitizer findings.
     echo "== sanitize: gpupm_fuzz_smoke"
     build-asan/tools/gpupm_fuzz_smoke
+    # Every JSON reader surface rejects a 200 000-deep nesting bomb
+    # with a typed error under ASan+UBSan too.
+    echo "== sanitize: JSON depth bomb"
+    cmake -DCLI=build-asan/tools/gpupm \
+          -DCHECK=build-asan/tools/gpupm_trace_check \
+          -DBENCH_CHECK=build-asan/tools/gpupm_bench_check \
+          -DWORK=build-asan/json_depth_work \
+          -P tests/json_depth_bomb_test.cmake
     # The traced measure->fit pipeline under ASan+UBSan: the tracer,
     # metrics registry and convergence observer run concurrently with
     # the whole stack, then the artifacts are structurally validated.

@@ -3,6 +3,8 @@
 #include <ctime>
 #include <mutex>
 
+#include "common/json.hh"
+
 #ifndef GPUPM_VERSION_STRING
 #define GPUPM_VERSION_STRING "unknown"
 #endif
@@ -26,34 +28,6 @@ namespace
 
 std::mutex g_device_mu;
 std::string g_device; // guarded by g_device_mu
-
-/** Minimal JSON string escaping; provenance values are short and
- *  controlled but a build type or device label must never be able to
- *  break the artifact's syntax. */
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\t': out += "\\t"; break;
-          case '\r': out += "\\r"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
-}
 
 } // namespace
 
@@ -93,12 +67,12 @@ provenanceDevice()
 std::string
 toJson(const Provenance &p)
 {
-    std::string out = "{\"version\":\"" + jsonEscape(p.version) +
-                      "\",\"build_type\":\"" + jsonEscape(p.build_type) +
-                      "\",\"git_sha\":\"" + jsonEscape(p.git_sha) +
-                      "\",\"compiler\":\"" + jsonEscape(p.compiler) +
-                      "\",\"device\":\"" + jsonEscape(p.device) +
-                      "\",\"timestamp\":\"" + jsonEscape(p.timestamp) +
+    std::string out = "{\"version\":\"" + json::escape(p.version) +
+                      "\",\"build_type\":\"" + json::escape(p.build_type) +
+                      "\",\"git_sha\":\"" + json::escape(p.git_sha) +
+                      "\",\"compiler\":\"" + json::escape(p.compiler) +
+                      "\",\"device\":\"" + json::escape(p.device) +
+                      "\",\"timestamp\":\"" + json::escape(p.timestamp) +
                       "\"}";
     return out;
 }

@@ -4,6 +4,7 @@
 #include <filesystem>
 #include <sstream>
 
+#include "common/json.hh"
 #include "common/logging.hh"
 #include "common/numio.hh"
 #include "core/faults.hh"
@@ -191,10 +192,8 @@ CampaignReport::toJson() const
         if (!first)
             os << ",";
         first = false;
-        std::string name;
-        for (char c : b.name)
-            name += (c == '"' || c == '\\') ? '_' : c;
-        os << "{\"name\":\"" << name << "\",\"retries\":" << b.retries
+        os << "{\"name\":\"" << json::escape(b.name)
+           << "\",\"retries\":" << b.retries
            << ",\"timeouts\":" << b.timeouts
            << ",\"call_failures\":" << b.call_failures
            << ",\"outliers_rejected\":" << b.outliers_rejected

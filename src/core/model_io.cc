@@ -4,12 +4,12 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
-#include <map>
 #include <sstream>
 #include <utility>
 #include <vector>
 
 #include "common/checksum.hh"
+#include "common/json.hh"
 #include "common/logging.hh"
 #include "common/numio.hh"
 #include "core/validate.hh"
@@ -412,284 +412,83 @@ parseCampaignPayload(const std::string &payload)
     return data;
 }
 
-// ---------------------------------------------------------------------
-// Campaign checkpoints: JSON, hand-rolled (no external dependencies).
-// The writer emits a fixed schema; the reader is a small
-// recursive-descent parser over general JSON, so checkpoints stay
-// readable by standard tooling (`tail -n +2 ck | jq .`) and edits by
-// such tooling stay readable by us.
-// ---------------------------------------------------------------------
+// -- JSON payloads (checkpoint, scoreboard) --------------------------
+// The writers emit a fixed schema; common/json reads it back as general
+// JSON, so checkpoints stay readable by standard tooling
+// (`tail -n +2 ck | jq .`) and edits by such tooling stay readable by
+// us. The accessors turn any schema mismatch into a ParseError.
 
-namespace json
+json::Value
+parseJson(const std::string &payload)
 {
-
-/** One parsed JSON value (tagged union over the JSON types). */
-struct Value
-{
-    enum class Type { Null, Bool, Number, String, Array, Object };
-
-    Type type = Type::Null;
-    bool boolean = false;
-    double number = 0.0;
-    std::string string;
-    std::vector<Value> array;
-    std::map<std::string, Value> object;
-
-    const Value &
-    at(const std::string &field) const
-    {
-        if (type != Type::Object)
-            failParse(IoErrc::ParseError,
-                      "checkpoint: expected object around '", field,
-                      "'");
-        auto it = object.find(field);
-        if (it == object.end())
-            failParse(IoErrc::ParseError,
-                      "checkpoint: missing field '", field, "'");
-        return it->second;
-    }
-
-    double
-    num() const
-    {
-        if (type != Type::Number)
-            failParse(IoErrc::ParseError,
-                      "checkpoint: expected a number");
-        return number;
-    }
-
-    long
-    integer() const
-    {
-        const double d = num();
-        if (!(d >= -9.2e18 && d <= 9.2e18))
-            failParse(IoErrc::ParseError,
-                      "checkpoint: integer field out of range");
-        return static_cast<long>(d);
-    }
-
-    const std::string &
-    str() const
-    {
-        if (type != Type::String)
-            failParse(IoErrc::ParseError,
-                      "checkpoint: expected a string");
-        return string;
-    }
-
-    const std::vector<Value> &
-    arr() const
-    {
-        if (type != Type::Array)
-            failParse(IoErrc::ParseError,
-                      "checkpoint: expected an array");
-        return array;
-    }
-};
-
-/** Recursive-descent JSON parser (throws ParseFail on bad input). */
-class Parser
-{
-  public:
-    explicit Parser(const std::string &text) : text_(text) {}
-
-    Value
-    parse()
-    {
-        Value v = parseValue();
-        skipSpace();
-        if (pos_ != text_.size())
-            failParse(IoErrc::ParseError,
-                      "checkpoint: trailing characters at offset ",
-                      pos_);
-        return v;
-    }
-
-  private:
-    /** Fuzzed "[[[[[..." must not overflow the parser's stack. */
-    static constexpr int kMaxDepth = 64;
-
-    void
-    skipSpace()
-    {
-        while (pos_ < text_.size() &&
-               (text_[pos_] == ' ' || text_[pos_] == '\t' ||
-                text_[pos_] == '\n' || text_[pos_] == '\r'))
-            ++pos_;
-    }
-
-    char
-    peek()
-    {
-        skipSpace();
-        if (pos_ >= text_.size())
-            failParse(IoErrc::ParseError,
-                      "checkpoint: unexpected end of input");
-        return text_[pos_];
-    }
-
-    void
-    expect(char c)
-    {
-        if (peek() != c)
-            failParse(IoErrc::ParseError, "checkpoint: expected '",
-                      c, "' at offset ", pos_, ", got '",
-                      text_[pos_], "'");
-        ++pos_;
-    }
-
-    bool
-    consume(char c)
-    {
-        if (pos_ < text_.size() && peek() == c) {
-            ++pos_;
-            return true;
-        }
-        return false;
-    }
-
-    void
-    expectWord(std::string_view word)
-    {
-        if (text_.compare(pos_, word.size(), word) != 0)
-            failParse(IoErrc::ParseError,
-                      "checkpoint: bad literal at offset ", pos_);
-        pos_ += word.size();
-    }
-
-    std::string
-    parseString()
-    {
-        expect('"');
-        std::string s;
-        while (true) {
-            if (pos_ >= text_.size())
-                failParse(IoErrc::ParseError,
-                          "checkpoint: unterminated string");
-            const char c = text_[pos_++];
-            if (c == '"')
-                return s;
-            if (c == '\\') {
-                if (pos_ >= text_.size())
-                    failParse(IoErrc::ParseError,
-                              "checkpoint: unterminated escape");
-                const char e = text_[pos_++];
-                switch (e) {
-                  case '"': s += '"'; break;
-                  case '\\': s += '\\'; break;
-                  case '/': s += '/'; break;
-                  case 'n': s += '\n'; break;
-                  case 't': s += '\t'; break;
-                  case 'r': s += '\r'; break;
-                  default:
-                    failParse(IoErrc::ParseError,
-                              "checkpoint: unsupported escape '\\",
-                              e, "'");
-                }
-            } else {
-                s += c;
-            }
-        }
-    }
-
-    double
-    parseNumber()
-    {
-        const std::size_t start = pos_;
-        while (pos_ < text_.size()) {
-            const char c = text_[pos_];
-            if ((c >= '0' && c <= '9') || c == '+' || c == '-' ||
-                c == '.' || c == 'e' || c == 'E')
-                ++pos_;
-            else
-                break;
-        }
-        const std::string_view tok =
-                std::string_view(text_).substr(start, pos_ - start);
-        double v = 0.0;
-        if (tok.empty() || !numio::parseDouble(tok, v) ||
-            !std::isfinite(v))
-            failParse(IoErrc::ParseError,
-                      "checkpoint: bad number at offset ", start);
-        return v;
-    }
-
-    Value
-    parseValue()
-    {
-        if (++depth_ > kMaxDepth)
-            failParse(IoErrc::ParseError,
-                      "checkpoint: nesting deeper than ", kMaxDepth,
-                      " levels");
-        const char c = peek();
-        Value v;
-        if (c == '{') {
-            ++pos_;
-            v.type = Value::Type::Object;
-            if (!consume('}')) {
-                do {
-                    skipSpace();
-                    std::string field = parseString();
-                    expect(':');
-                    v.object.emplace(std::move(field), parseValue());
-                } while (consume(','));
-                expect('}');
-            }
-        } else if (c == '[') {
-            ++pos_;
-            v.type = Value::Type::Array;
-            if (!consume(']')) {
-                do {
-                    v.array.push_back(parseValue());
-                } while (consume(','));
-                expect(']');
-            }
-        } else if (c == '"') {
-            v.type = Value::Type::String;
-            v.string = parseString();
-        } else if (c == 't') {
-            expectWord("true");
-            v.type = Value::Type::Bool;
-            v.boolean = true;
-        } else if (c == 'f') {
-            expectWord("false");
-            v.type = Value::Type::Bool;
-        } else if (c == 'n') {
-            expectWord("null");
-        } else {
-            v.type = Value::Type::Number;
-            v.number = parseNumber();
-        }
-        --depth_;
-        return v;
-    }
-
-    const std::string &text_;
-    std::size_t pos_ = 0;
-    int depth_ = 0;
-};
-
-void
-putNumber(std::ostringstream &os, double x)
-{
-    os << numio::formatDouble(x);
+    json::Value root;
+    json::Error err;
+    if (!json::parse(payload, root, err))
+        failParse(IoErrc::ParseError, err.message());
+    return root;
 }
 
-void
-putString(std::ostringstream &os, const std::string &s)
+const json::Value &
+at(const json::Value &obj, const char *field)
 {
-    os << '"';
-    for (char c : s) {
-        switch (c) {
-          case '"': os << "\\\""; break;
-          case '\\': os << "\\\\"; break;
-          case '\n': os << "\\n"; break;
-          case '\t': os << "\\t"; break;
-          case '\r': os << "\\r"; break;
-          default: os << c;
-        }
-    }
-    os << '"';
+    if (obj.kind != json::Value::Kind::Object)
+        failParse(IoErrc::ParseError, "expected object around '", field,
+                  "'");
+    const json::Value *v = obj.find(field);
+    if (!v)
+        failParse(IoErrc::ParseError, "missing field '", field, "'");
+    return *v;
+}
+
+double
+num(const json::Value &v)
+{
+    if (v.kind != json::Value::Kind::Number)
+        failParse(IoErrc::ParseError, "expected a number");
+    return v.number;
+}
+
+long
+integer(const json::Value &v)
+{
+    const double d = num(v);
+    if (!(d >= -9.2e18 && d <= 9.2e18))
+        failParse(IoErrc::ParseError, "integer field out of range");
+    return static_cast<long>(d);
+}
+
+int
+intOf(const json::Value &v, const char *what)
+{
+    const long x = integer(v);
+    if (x < -2147483647L || x > 2147483647L)
+        failParse(IoErrc::ParseError, what, " out of range");
+    return static_cast<int>(x);
+}
+
+const std::string &
+str(const json::Value &v)
+{
+    if (v.kind != json::Value::Kind::String)
+        failParse(IoErrc::ParseError, "expected a string");
+    return v.str;
+}
+
+const std::vector<json::Value> &
+arr(const json::Value &v)
+{
+    if (v.kind != json::Value::Kind::Array)
+        failParse(IoErrc::ParseError, "expected an array");
+    return v.array;
+}
+
+gpu::FreqConfig
+configOf(const json::Value &v)
+{
+    const auto &pair = arr(v);
+    if (pair.size() != 2)
+        failParse(IoErrc::ParseError, "a config is a [core, mem] pair");
+    return {intOf(pair[0], "core clock"), intOf(pair[1], "mem clock")};
 }
 
 void
@@ -699,208 +498,168 @@ putConfig(std::ostringstream &os, const gpu::FreqConfig &cfg)
        << std::to_string(cfg.mem_mhz) << "]";
 }
 
-gpu::FreqConfig
-configOf(const Value &v)
-{
-    if (v.arr().size() != 2)
-        failParse(IoErrc::ParseError,
-                  "checkpoint: a config is a [core, mem] pair");
-    const long core = v.arr()[0].integer();
-    const long mem = v.arr()[1].integer();
-    if (core < -2147483647L || core > 2147483647L ||
-        mem < -2147483647L || mem > 2147483647L)
-        failParse(IoErrc::ParseError,
-                  "checkpoint: clock value out of range");
-    return {static_cast<int>(core), static_cast<int>(mem)};
-}
-
-} // namespace json
-
 CampaignCheckpoint
 parseCheckpointPayload(const std::string &payload)
 {
-    const json::Value root = json::Parser(payload).parse();
-    if (root.at("format").str() != "gpupm-checkpoint" ||
-        root.at("version").integer() != 1)
+    const json::Value root = parseJson(payload);
+    if (str(at(root, "format")) != "gpupm-checkpoint" ||
+        integer(at(root, "version")) != 1)
         failParse(IoErrc::VersionMismatch,
                   "not a gpupm campaign checkpoint (or unsupported "
                   "checkpoint schema version)");
 
     CampaignCheckpoint ck;
-    const double seed = root.at("seed").num();
+    const double seed = num(at(root, "seed"));
     if (!(seed >= 0.0 && seed < 18446744073709551616.0))
-        failParse(IoErrc::ParseError, "checkpoint: bad seed");
+        failParse(IoErrc::ParseError, "bad seed");
     ck.seed = static_cast<std::uint64_t>(seed);
-    ck.device = deviceKindOf(root.at("device").integer());
-    ck.reference = json::configOf(root.at("reference"));
-    if (root.at("configs").arr().size() > kMaxCount)
-        failParse(IoErrc::ParseError,
-                  "checkpoint: implausible configuration count");
-    for (const auto &v : root.at("configs").arr())
-        ck.configs.push_back(json::configOf(v));
-    for (const auto &v : root.at("benchmarks").arr())
-        ck.benchmark_names.push_back(v.str());
+    ck.device = deviceKindOf(integer(at(root, "device")));
+    ck.reference = configOf(at(root, "reference"));
+    if (arr(at(root, "configs")).size() > kMaxCount)
+        failParse(IoErrc::ParseError, "implausible configuration count");
+    for (const auto &v : arr(at(root, "configs")))
+        ck.configs.push_back(configOf(v));
+    for (const auto &v : arr(at(root, "benchmarks")))
+        ck.benchmark_names.push_back(str(v));
 
     const std::size_t nb = ck.benchmark_names.size();
     const std::size_t nc = ck.configs.size();
     if (nb > kMaxCount || (nb != 0 && nc > kMaxCells / nb))
-        failParse(IoErrc::ParseError,
-                  "checkpoint: implausible campaign size");
+        failParse(IoErrc::ParseError, "implausible campaign size");
 
-    for (const auto &v : root.at("utils_done").arr())
-        ck.utils_done.push_back(v.num() != 0.0 ? 1 : 0);
+    for (const auto &v : arr(at(root, "utils_done")))
+        ck.utils_done.push_back(num(v) != 0.0 ? 1 : 0);
     if (ck.utils_done.size() != nb)
-        failParse(IoErrc::ParseError,
-                  "checkpoint: utils_done size mismatch");
+        failParse(IoErrc::ParseError, "utils_done size mismatch");
 
-    for (const auto &row : root.at("utils").arr()) {
-        if (row.arr().size() != gpu::kNumComponents)
-            failParse(IoErrc::ParseError,
-                      "checkpoint: bad utilization row");
+    for (const auto &row : arr(at(root, "utils"))) {
+        if (arr(row).size() != gpu::kNumComponents)
+            failParse(IoErrc::ParseError, "bad utilization row");
         gpu::ComponentArray u{};
         for (std::size_t i = 0; i < gpu::kNumComponents; ++i)
-            u[i] = row.arr()[i].num();
+            u[i] = num(row.array[i]);
         ck.utils.push_back(u);
     }
     if (ck.utils.size() != nb)
-        failParse(IoErrc::ParseError,
-                  "checkpoint: utils size mismatch");
+        failParse(IoErrc::ParseError, "utils size mismatch");
 
-    for (const auto &row : root.at("power_done").arr()) {
+    for (const auto &row : arr(at(root, "power_done"))) {
         std::vector<char> flags;
-        for (const auto &v : row.arr())
-            flags.push_back(v.num() != 0.0 ? 1 : 0);
+        for (const auto &v : arr(row))
+            flags.push_back(num(v) != 0.0 ? 1 : 0);
         if (flags.size() != nc)
             failParse(IoErrc::ParseError,
-                      "checkpoint: power_done row size mismatch");
+                      "power_done row size mismatch");
         ck.power_done.push_back(std::move(flags));
     }
     if (ck.power_done.size() != nb)
-        failParse(IoErrc::ParseError,
-                  "checkpoint: power_done size mismatch");
+        failParse(IoErrc::ParseError, "power_done size mismatch");
 
-    for (const auto &row : root.at("power_w").arr()) {
+    for (const auto &row : arr(at(root, "power_w"))) {
         std::vector<double> vals;
-        for (const auto &v : row.arr())
-            vals.push_back(v.num());
+        for (const auto &v : arr(row))
+            vals.push_back(num(v));
         if (vals.size() != nc)
-            failParse(IoErrc::ParseError,
-                      "checkpoint: power row size mismatch");
+            failParse(IoErrc::ParseError, "power row size mismatch");
         ck.power_w.push_back(std::move(vals));
     }
     if (ck.power_w.size() != nb)
-        failParse(IoErrc::ParseError,
-                  "checkpoint: power size mismatch");
+        failParse(IoErrc::ParseError, "power size mismatch");
 
-    const json::Value &r = root.at("report");
-    ck.report.cells_total = r.at("cells_total").integer();
-    ck.report.cells_done = r.at("cells_done").integer();
-    ck.report.cells_resumed = r.at("cells_resumed").integer();
-    ck.report.cells_failed = r.at("cells_failed").integer();
-    ck.report.faults_injected = r.at("faults_injected").integer();
-    ck.report.totals.attempts = r.at("attempts").integer();
-    ck.report.totals.retries = r.at("retries").integer();
-    ck.report.totals.timeouts = r.at("timeouts").integer();
-    ck.report.totals.call_failures = r.at("call_failures").integer();
+    const json::Value &r = at(root, "report");
+    ck.report.cells_total = integer(at(r, "cells_total"));
+    ck.report.cells_done = integer(at(r, "cells_done"));
+    ck.report.cells_resumed = integer(at(r, "cells_resumed"));
+    ck.report.cells_failed = integer(at(r, "cells_failed"));
+    ck.report.faults_injected = integer(at(r, "faults_injected"));
+    ck.report.totals.attempts = integer(at(r, "attempts"));
+    ck.report.totals.retries = integer(at(r, "retries"));
+    ck.report.totals.timeouts = integer(at(r, "timeouts"));
+    ck.report.totals.call_failures = integer(at(r, "call_failures"));
     ck.report.totals.corrupt_samples =
-            r.at("corrupt_samples").integer();
+            integer(at(r, "corrupt_samples"));
     ck.report.totals.outliers_rejected =
-            r.at("outliers_rejected").integer();
+            integer(at(r, "outliers_rejected"));
     ck.report.totals.quarantined_calls =
-            r.at("quarantined_calls").integer();
-    ck.report.totals.backoff_total_s = r.at("backoff_total_s").num();
-    for (const auto &v : r.at("quarantined").arr())
-        ck.report.quarantined.push_back(json::configOf(v));
-    for (const auto &v : r.at("benchmark_reports").arr()) {
+            integer(at(r, "quarantined_calls"));
+    ck.report.totals.backoff_total_s = num(at(r, "backoff_total_s"));
+    for (const auto &v : arr(at(r, "quarantined")))
+        ck.report.quarantined.push_back(configOf(v));
+    for (const auto &v : arr(at(r, "benchmark_reports"))) {
         BenchmarkReport br;
-        br.name = v.at("name").str();
-        br.retries = v.at("retries").integer();
-        br.call_failures = v.at("call_failures").integer();
-        br.timeouts = v.at("timeouts").integer();
-        br.outliers_rejected = v.at("outliers_rejected").integer();
-        br.corrupt_samples = v.at("corrupt_samples").integer();
-        br.faults_injected = v.at("faults_injected").integer();
+        br.name = str(at(v, "name"));
+        br.retries = integer(at(v, "retries"));
+        br.call_failures = integer(at(v, "call_failures"));
+        br.timeouts = integer(at(v, "timeouts"));
+        br.outliers_rejected = integer(at(v, "outliers_rejected"));
+        br.corrupt_samples = integer(at(v, "corrupt_samples"));
+        br.faults_injected = integer(at(v, "faults_injected"));
         ck.report.benchmarks.push_back(std::move(br));
     }
     if (ck.report.benchmarks.size() != nb)
-        failParse(IoErrc::ParseError,
-                  "checkpoint: benchmark report size mismatch");
+        failParse(IoErrc::ParseError, "benchmark report size mismatch");
     return ck;
 }
 
 // -- Scoreboard payload (JSON, schema gpupm_scoreboard_version 1) ----
 
-int
-intOf(const json::Value &v, const char *what)
-{
-    const long x = v.integer();
-    if (x < -2147483647L || x > 2147483647L)
-        failParse(IoErrc::ParseError, "scoreboard: ", what,
-                  " out of range");
-    return static_cast<int>(x);
-}
-
 obs::ScoreStats
 scoreStatsOf(const json::Value &v)
 {
     obs::ScoreStats st;
-    const long n = v.at("samples").integer();
+    const long n = integer(at(v, "samples"));
     if (n < 0 || static_cast<std::size_t>(n) > kMaxCells)
-        failParse(IoErrc::ParseError,
-                  "scoreboard: implausible sample count ", n);
+        failParse(IoErrc::ParseError, "implausible sample count ", n);
     st.samples = n;
-    st.mae_pct = v.at("mae_pct").num();
-    st.rmse_w = v.at("rmse_w").num();
-    st.max_err_pct = v.at("max_err_pct").num();
-    st.mean_measured_w = v.at("mean_measured_w").num();
+    st.mae_pct = num(at(v, "mae_pct"));
+    st.rmse_w = num(at(v, "rmse_w"));
+    st.max_err_pct = num(at(v, "max_err_pct"));
+    st.mean_measured_w = num(at(v, "mean_measured_w"));
     return st;
 }
 
 obs::Scoreboard
 parseScoreboardPayload(const std::string &payload)
 {
-    const json::Value root = json::Parser(payload).parse();
-    if (root.at("gpupm_scoreboard_version").integer() != 1)
+    const json::Value root = parseJson(payload);
+    if (integer(at(root, "gpupm_scoreboard_version")) != 1)
         failParse(IoErrc::VersionMismatch,
                   "unsupported scoreboard schema version (this build "
                   "reads version 1)");
 
     obs::Scoreboard sb;
-    const json::Value &prov = root.at("provenance");
-    sb.provenance.version = prov.at("version").str();
-    sb.provenance.build_type = prov.at("build_type").str();
-    sb.provenance.device = prov.at("device").str();
-    sb.provenance.timestamp = prov.at("timestamp").str();
+    const json::Value &prov = at(root, "provenance");
+    sb.provenance.version = str(at(prov, "version"));
+    sb.provenance.build_type = str(at(prov, "build_type"));
+    sb.provenance.device = str(at(prov, "device"));
+    sb.provenance.timestamp = str(at(prov, "timestamp"));
     // Optional: scoreboards written before the build-info extension
     // carry neither field.
-    const auto git = prov.object.find("git_sha");
-    if (git != prov.object.end())
-        sb.provenance.git_sha = git->second.str();
-    const auto cxx = prov.object.find("compiler");
-    if (cxx != prov.object.end())
-        sb.provenance.compiler = cxx->second.str();
+    if (const json::Value *git = prov.find("git_sha"))
+        sb.provenance.git_sha = str(*git);
+    if (const json::Value *cxx = prov.find("compiler"))
+        sb.provenance.compiler = str(*cxx);
 
     sb.device = static_cast<int>(
-            deviceKindOf(root.at("device").integer()));
-    sb.device_name = root.at("device_name").str();
-    sb.reference = json::configOf(root.at("reference"));
-    sb.overall = scoreStatsOf(root.at("summary"));
+            deviceKindOf(integer(at(root, "device"))));
+    sb.device_name = str(at(root, "device_name"));
+    sb.reference = configOf(at(root, "reference"));
+    sb.overall = scoreStatsOf(at(root, "summary"));
 
-    const auto &apps = root.at("per_app").arr();
+    const auto &apps = arr(at(root, "per_app"));
     if (apps.size() > kMaxCount)
-        failParse(IoErrc::ParseError,
-                  "scoreboard: implausible per-app row count");
+        failParse(IoErrc::ParseError, "implausible per-app row count");
     for (const auto &v : apps)
-        sb.per_app.push_back({v.at("app").str(), scoreStatsOf(v)});
+        sb.per_app.push_back({str(at(v, "app")), scoreStatsOf(v)});
 
-    const auto &cfgs = root.at("per_config").arr();
+    const auto &cfgs = arr(at(root, "per_config"));
     if (cfgs.size() > kMaxCount)
         failParse(IoErrc::ParseError,
-                  "scoreboard: implausible per-config row count");
+                  "implausible per-config row count");
     for (const auto &v : cfgs)
         sb.per_config.push_back(
-                {gpu::FreqConfig{intOf(v.at("core_mhz"), "core clock"),
-                                 intOf(v.at("mem_mhz"), "mem clock")},
+                {gpu::FreqConfig{intOf(at(v, "core_mhz"), "core clock"),
+                                 intOf(at(v, "mem_mhz"), "mem clock")},
                  scoreStatsOf(v)});
 
     for (const auto &[key, out] :
@@ -908,51 +667,46 @@ parseScoreboardPayload(const std::string &payload)
                   "core_marginal", &sb.core_marginal},
           std::pair<const char *, std::vector<obs::MarginalScore> *>{
                   "mem_marginal", &sb.mem_marginal}}) {
-        const auto &rows = root.at(key).arr();
+        const auto &rows = arr(at(root, key));
         if (rows.size() > kMaxCount)
             failParse(IoErrc::ParseError,
-                      "scoreboard: implausible marginal row count");
+                      "implausible marginal row count");
         for (const auto &v : rows)
-            out->push_back({intOf(v.at("mhz"), "marginal clock"),
+            out->push_back({intOf(at(v, "mhz"), "marginal clock"),
                             scoreStatsOf(v)});
     }
 
-    const auto &bases = root.at("baselines").arr();
+    const auto &bases = arr(at(root, "baselines"));
     if (bases.size() > kMaxCount)
-        failParse(IoErrc::ParseError,
-                  "scoreboard: implausible baseline count");
+        failParse(IoErrc::ParseError, "implausible baseline count");
     for (const auto &v : bases)
         sb.baselines.push_back(
-                {v.at("name").str(), v.at("mae_pct").num()});
+                {str(at(v, "name")), num(at(v, "mae_pct"))});
 
     // Raw residuals are optional: golden scoreboards are summary-only.
-    const auto it = root.object.find("samples");
-    if (it != root.object.end()) {
-        const auto &rows = it->second.arr();
+    if (const json::Value *samples = root.find("samples")) {
+        const auto &rows = arr(*samples);
         if (rows.size() > kMaxCells)
             failParse(IoErrc::ParseError,
-                      "scoreboard: implausible residual count");
+                      "implausible residual count");
         for (const auto &v : rows) {
             obs::ResidualSample s;
-            s.app = v.at("app").str();
-            s.cfg = {intOf(v.at("core_mhz"), "core clock"),
-                     intOf(v.at("mem_mhz"), "mem clock")};
-            s.measured_w = v.at("measured_w").num();
-            s.predicted_w = v.at("predicted_w").num();
-            s.constant_w = v.at("constant_w").num();
-            const auto &comp = v.at("component_w").arr();
+            s.app = str(at(v, "app"));
+            s.cfg = {intOf(at(v, "core_mhz"), "core clock"),
+                     intOf(at(v, "mem_mhz"), "mem clock")};
+            s.measured_w = num(at(v, "measured_w"));
+            s.predicted_w = num(at(v, "predicted_w"));
+            s.constant_w = num(at(v, "constant_w"));
+            const auto &comp = arr(at(v, "component_w"));
             if (comp.size() != gpu::kNumComponents)
                 failParse(IoErrc::ParseError,
-                          "scoreboard: bad component vector size ",
-                          comp.size());
+                          "bad component vector size ", comp.size());
             for (std::size_t i = 0; i < gpu::kNumComponents; ++i)
-                s.component_w[i] = comp[i].num();
-            const auto bw = v.object.find("baseline_w");
-            if (v.type == json::Value::Type::Object &&
-                bw != v.object.end())
-                for (const auto &b : bw->second.arr())
-                    s.baseline_w.emplace_back(b.at("name").str(),
-                                              b.at("w").num());
+                s.component_w[i] = num(comp[i]);
+            if (const json::Value *bw = v.find("baseline_w"))
+                for (const auto &b : arr(*bw))
+                    s.baseline_w.emplace_back(str(at(b, "name")),
+                                              num(at(b, "w")));
             sb.samples.push_back(std::move(s));
         }
     }
@@ -990,7 +744,16 @@ parseWithPolicy(const std::string &text, FileKind want,
                           " file: no version or checksum to verify");
             payload = text;
         }
-        T value = parse_payload(payload);
+        // Payload errors name the artifact: "scoreboard: missing
+        // field 'provenance'".
+        T value = [&] {
+            try {
+                return parse_payload(payload);
+            } catch (const ParseFail &f) {
+                failParse(f.status.code, fileKindName(want), ": ",
+                          f.status.message);
+            }
+        }();
         if (opts.validate) {
             GPUPM_TRACE_SPAN("io", "io.validate");
             const ValidationReport report = validate(value);
@@ -1256,10 +1019,6 @@ loadTrainingData(const std::string &path)
 std::string
 serializeCampaignCheckpoint(const CampaignCheckpoint &ck)
 {
-    using json::putConfig;
-    using json::putNumber;
-    using json::putString;
-
     std::ostringstream os;
     os << "{\n";
     os << "\"format\":\"gpupm-checkpoint\",\n\"version\":1,\n";
@@ -1278,7 +1037,7 @@ serializeCampaignCheckpoint(const CampaignCheckpoint &ck)
     for (std::size_t i = 0; i < ck.benchmark_names.size(); ++i) {
         if (i)
             os << ",";
-        putString(os, ck.benchmark_names[i]);
+        os << '"' << json::escape(ck.benchmark_names[i]) << '"';
     }
     os << "],\n\"utils_done\":[";
     for (std::size_t i = 0; i < ck.utils_done.size(); ++i)
@@ -1289,7 +1048,7 @@ serializeCampaignCheckpoint(const CampaignCheckpoint &ck)
         for (std::size_t i = 0; i < gpu::kNumComponents; ++i) {
             if (i)
                 os << ",";
-            putNumber(os, ck.utils[b][i]);
+            os << numio::formatDouble(ck.utils[b][i]);
         }
         os << "]";
     }
@@ -1306,7 +1065,7 @@ serializeCampaignCheckpoint(const CampaignCheckpoint &ck)
         for (std::size_t c = 0; c < ck.power_w[b].size(); ++c) {
             if (c)
                 os << ",";
-            putNumber(os, ck.power_w[b][c]);
+            os << numio::formatDouble(ck.power_w[b][c]);
         }
         os << "]";
     }
@@ -1326,8 +1085,8 @@ serializeCampaignCheckpoint(const CampaignCheckpoint &ck)
        << ",";
     os << "\"quarantined_calls\":" << r.totals.quarantined_calls
        << ",";
-    os << "\"backoff_total_s\":";
-    putNumber(os, r.totals.backoff_total_s);
+    os << "\"backoff_total_s\":"
+       << numio::formatDouble(r.totals.backoff_total_s);
     os << ",\n\"quarantined\":[";
     for (std::size_t i = 0; i < r.quarantined.size(); ++i) {
         if (i)
@@ -1338,8 +1097,7 @@ serializeCampaignCheckpoint(const CampaignCheckpoint &ck)
     for (std::size_t b = 0; b < r.benchmarks.size(); ++b) {
         const BenchmarkReport &br = r.benchmarks[b];
         os << (b ? ",\n{" : "\n{");
-        os << "\"name\":";
-        putString(os, br.name);
+        os << "\"name\":\"" << json::escape(br.name) << '"';
         os << ",\"retries\":" << br.retries;
         os << ",\"call_failures\":" << br.call_failures;
         os << ",\"timeouts\":" << br.timeouts;

@@ -5,6 +5,7 @@
 #include <map>
 #include <sstream>
 
+#include "common/json.hh"
 #include "common/logging.hh"
 #include "common/numio.hh"
 #include "gpu/components.hh"
@@ -66,35 +67,12 @@ ValidationReport::summary() const
     return os.str();
 }
 
-namespace
-{
-
-void
-putJsonString(std::ostringstream &os, const std::string &s)
-{
-    os << '"';
-    for (char c : s) {
-        switch (c) {
-          case '"': os << "\\\""; break;
-          case '\\': os << "\\\\"; break;
-          case '\n': os << "\\n"; break;
-          case '\t': os << "\\t"; break;
-          case '\r': os << "\\r"; break;
-          default: os << c;
-        }
-    }
-    os << '"';
-}
-
-} // namespace
-
 std::string
 ValidationReport::toJson() const
 {
     std::ostringstream os;
-    os << "{\"subject\":";
-    putJsonString(os, subject);
-    os << ",\"ok\":" << (ok() ? "true" : "false");
+    os << "{\"subject\":\"" << json::escape(subject);
+    os << "\",\"ok\":" << (ok() ? "true" : "false");
     os << ",\"errors\":" << numio::formatLong(
             static_cast<long>(errorCount()));
     os << ",\"warnings\":" << numio::formatLong(
@@ -104,11 +82,9 @@ ValidationReport::toJson() const
         if (i)
             os << ",";
         os << "{\"severity\":\"" << valSeverityName(issues[i].severity)
-           << "\",\"code\":";
-        putJsonString(os, issues[i].code);
-        os << ",\"message\":";
-        putJsonString(os, issues[i].message);
-        os << "}";
+           << "\",\"code\":\"" << json::escape(issues[i].code)
+           << "\",\"message\":\"" << json::escape(issues[i].message)
+           << "\"}";
     }
     os << "]}\n";
     return os.str();

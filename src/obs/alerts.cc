@@ -5,6 +5,7 @@
 #include <limits>
 #include <sstream>
 
+#include "common/json.hh"
 #include "common/numio.hh"
 #include "obs/standard.hh"
 #include "obs/trace.hh"
@@ -18,31 +19,6 @@ namespace
 {
 
 constexpr std::size_t kHistoryCap = 16;
-
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\t': out += "\\t"; break;
-          case '\r': out += "\\r"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
-}
 
 std::string
 jsonNumberOrNull(double v)
@@ -219,7 +195,7 @@ AlertEngine::transition(RuleState &rs, AlertState to,
     if (sink_) {
         std::ostringstream os;
         os << "{\"event\":\"alert\",\"rule\":\""
-           << jsonEscape(rs.rule.name) << "\",\"state\":\""
+           << json::escape(rs.rule.name) << "\",\"state\":\""
            << alertStateName(to) << "\",\"t_us\":" << now_us
            << ",\"value\":" << jsonNumberOrNull(rs.last_value)
            << ",\"threshold\":"
@@ -338,7 +314,7 @@ AlertEngine::renderJson(std::int64_t now_us) const
         if (!first)
             os << ",";
         first = false;
-        os << "\"" << jsonEscape(rs.rule.name) << "\"";
+        os << "\"" << json::escape(rs.rule.name) << "\"";
     }
     os << "],\"rules\":[";
     first = true;
@@ -346,9 +322,9 @@ AlertEngine::renderJson(std::int64_t now_us) const
         if (!first)
             os << ",";
         first = false;
-        os << "{\"name\":\"" << jsonEscape(rs.rule.name)
+        os << "{\"name\":\"" << json::escape(rs.rule.name)
            << "\",\"kind\":\"" << kindName(rs.rule.kind)
-           << "\",\"series\":\"" << jsonEscape(rs.rule.series)
+           << "\",\"series\":\"" << json::escape(rs.rule.series)
            << "\",\"op\":\""
            << (rs.rule.op == AlertOp::Gt ? ">" : "<")
            << "\",\"threshold\":"

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <sstream>
 
+#include "common/json.hh"
 #include "common/logging.hh"
 #include "common/numio.hh"
 #include "obs/trace.hh"
@@ -11,36 +12,6 @@ namespace gpupm
 {
 namespace obs
 {
-
-namespace
-{
-
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\t': out += "\\t"; break;
-          case '\r': out += "\\r"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
-}
-
-} // namespace
 
 FlightRecorder::FlightRecorder(std::size_t capacity)
     : epoch_(std::chrono::steady_clock::now())
@@ -126,9 +97,9 @@ FlightRecorder::renderJson() const
             os << ",";
         os << "\n{\"seq\":" << r.seq << ",\"ts_us\":" << r.ts_us
            << ",\"dur_us\":" << r.dur_us << ",\"kind\":\""
-           << jsonEscape(r.kind) << "\",\"name\":\""
-           << jsonEscape(r.name) << "\",\"detail\":\""
-           << jsonEscape(r.detail) << "\",\"trace_id\":\""
+           << json::escape(r.kind) << "\",\"name\":\""
+           << json::escape(r.name) << "\",\"detail\":\""
+           << json::escape(r.detail) << "\",\"trace_id\":\""
            << traceIdHex(r.trace_id) << "\"}";
     }
     os << "]}\n";

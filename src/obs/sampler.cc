@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <limits>
 #include <sstream>
 
+#include "common/json.hh"
 #include "common/logging.hh"
 #include "common/numio.hh"
 #include "obs/alerts.hh"
@@ -18,36 +18,6 @@ namespace gpupm
 {
 namespace obs
 {
-
-namespace
-{
-
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\t': out += "\\t"; break;
-          case '\r': out += "\\r"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
-}
-
-} // namespace
 
 Sampler::Sampler(SampleProbe probe,
                  std::vector<SchedulePoint> schedule,
@@ -350,7 +320,7 @@ Sampler::logEvent(const MonitorSample &s, double probe_seconds)
     r.predicted_w = s.predicted_w;
     std::ostringstream os;
     os << "{\"tick\":" << ticks_.load(std::memory_order_relaxed)
-       << ",\"app\":\"" << jsonEscape(s.app)
+       << ",\"app\":\"" << json::escape(s.app)
        << "\",\"core_mhz\":" << s.cfg.core_mhz
        << ",\"mem_mhz\":" << s.cfg.mem_mhz << ",\"measured_w\":"
        << numio::formatDouble(s.measured_w) << ",\"predicted_w\":"

@@ -165,6 +165,29 @@ TEST(ScoreboardIo, WrongVersionIsAVersionMismatch)
     EXPECT_EQ(res.error().code, model::IoErrc::VersionMismatch);
 }
 
+TEST(ScoreboardIo, PayloadErrorsNameTheirArtifact)
+{
+    // A scoreboard without its provenance block.
+    std::string raw = handScoreboard().toJson(false);
+    const auto from = raw.find(",\n\"provenance\":");
+    const auto to = raw.find(",\n\"device\":");
+    ASSERT_NE(from, std::string::npos);
+    ASSERT_NE(to, std::string::npos);
+    raw.erase(from, to - from);
+    auto sb = model::tryParseScoreboard(raw);
+    ASSERT_FALSE(sb.ok());
+    EXPECT_EQ(sb.error().code, model::IoErrc::ParseError);
+    EXPECT_EQ(sb.error().message,
+              "scoreboard: missing field 'provenance'");
+
+    // The same defect in a checkpoint names the checkpoint.
+    auto ck = model::tryParseCampaignCheckpoint(
+            "{\"format\":\"gpupm-checkpoint\",\"version\":1}");
+    ASSERT_FALSE(ck.ok());
+    EXPECT_EQ(ck.error().code, model::IoErrc::ParseError);
+    EXPECT_EQ(ck.error().message, "checkpoint: missing field 'seed'");
+}
+
 TEST(ScoreboardIo, GarbageIsATypedParseError)
 {
     auto res = model::tryParseScoreboard("not a scoreboard");

@@ -8,6 +8,7 @@
 
 #include <algorithm>
 
+#include "common/json.hh"
 #include "core/validate.hh"
 
 namespace
@@ -299,6 +300,25 @@ TEST(ValidationReport, SummaryAndJsonShapes)
     const auto j = r.toJson();
     EXPECT_NE(j.find("\"ok\":false"), std::string::npos);
     EXPECT_NE(j.find("\\\"x\\\""), std::string::npos); // escaping
+}
+
+TEST(ValidationReport, JsonWithControlBytesParsesBack)
+{
+    model::ValidationReport r;
+    r.subject = "model";
+    std::string message = "version '";
+    for (char c = 0x01; c < 0x20; ++c)
+        message += c;
+    message += "'";
+    r.addError("version-bad", message);
+
+    json::Value doc;
+    json::Error err;
+    ASSERT_TRUE(json::parse(r.toJson(), doc, err)) << err.message();
+    const json::Value *issues = doc.find("issues");
+    ASSERT_NE(issues, nullptr);
+    ASSERT_EQ(issues->array.size(), 1u);
+    EXPECT_EQ(issues->array[0].find("message")->str, message);
 }
 
 } // namespace

@@ -39,24 +39,21 @@
  * gate whose golden vanished must fail loudly, never skip.
  */
 
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <string>
 #include <vector>
 
+#include "common/json.hh"
 #include "core/model_io.hh"
-#include "json_lite.hh"
 #include "obs/scoreboard.hh"
 
 namespace
 {
 
 using namespace gpupm;
-using jsonlite::JsonParser;
-using jsonlite::JsonValue;
-using jsonlite::readFile;
+using json::Value;
 
 /** Parsed `cpu` attribution block of a bench telemetry file. */
 struct CpuBlock
@@ -107,84 +104,79 @@ readable(const std::string &path)
     std::error_code ec;
     if (!std::filesystem::is_regular_file(path, ec) || ec)
         return false;
-    std::string text;
-    return readFile(path, text);
+    return model::tryReadFileText(path).ok();
 }
 
 /** Load + structurally validate one bench telemetry file. */
 bool
 loadBenchRun(const std::string &path, BenchRun &run)
 {
-    std::string text;
-    if (!readFile(path, text)) {
+    const auto text = model::tryReadFileText(path);
+    if (!text.ok()) {
         std::fprintf(stderr, "%s: cannot read file\n", path.c_str());
         return false;
     }
-    JsonValue root;
-    std::string err;
-    if (!JsonParser(text).parse(root, err)) {
+    Value root;
+    json::Error err;
+    if (!json::parse(text.value(), root, err)) {
         std::fprintf(stderr, "%s: invalid JSON: %s\n", path.c_str(),
-                     err.c_str());
+                     err.message().c_str());
         return false;
     }
     auto bad = [&](const std::string &what) {
         std::fprintf(stderr, "%s: %s\n", path.c_str(), what.c_str());
         return false;
     };
-    if (root.kind != JsonValue::Kind::Object)
+    if (root.kind != Value::Kind::Object)
         return bad("top level is not an object");
-    const JsonValue *ver = root.find("gpupm_bench_version");
-    if (!ver || ver->kind != JsonValue::Kind::Number ||
+    const Value *ver = root.find("gpupm_bench_version");
+    if (!ver || ver->kind != Value::Kind::Number ||
         ver->number != 1.0)
         return bad("missing or unsupported gpupm_bench_version");
-    const JsonValue *name = root.find("name");
-    if (!name || name->kind != JsonValue::Kind::String ||
+    const Value *name = root.find("name");
+    if (!name || name->kind != Value::Kind::String ||
         name->str.empty())
         return bad("missing name");
     run.name = name->str;
-    const JsonValue *prov = root.find("provenance");
-    if (!prov || prov->kind != JsonValue::Kind::Object)
+    const Value *prov = root.find("provenance");
+    if (!prov || prov->kind != Value::Kind::Object)
         return bad("missing provenance object");
     for (const char *key :
          {"version", "build_type", "device", "timestamp"}) {
-        const JsonValue *f = prov->find(key);
-        if (!f || f->kind != JsonValue::Kind::String)
+        const Value *f = prov->find(key);
+        if (!f || f->kind != Value::Kind::String)
             return bad(std::string("provenance missing '") + key +
                        "'");
     }
-    const JsonValue *wall = root.find("wall_ms");
-    if (!wall || wall->kind != JsonValue::Kind::Number ||
-        !std::isfinite(wall->number) || wall->number < 0)
+    const Value *wall = root.find("wall_ms");
+    if (!wall || wall->kind != Value::Kind::Number || wall->number < 0)
         return bad("missing or implausible wall_ms");
     run.wall_ms = wall->number;
-    const JsonValue *phases = root.find("phases_ms");
-    if (!phases || phases->kind != JsonValue::Kind::Object)
+    const Value *phases = root.find("phases_ms");
+    if (!phases || phases->kind != Value::Kind::Object)
         return bad("missing phases_ms object");
     for (const auto &kv : phases->object)
-        if (kv.second.kind != JsonValue::Kind::Number ||
-            !std::isfinite(kv.second.number) || kv.second.number < 0)
+        if (kv.second.kind != Value::Kind::Number || kv.second.number < 0)
             return bad("implausible phase duration '" + kv.first +
                        "'");
-    const JsonValue *stats = root.find("stats");
-    if (!stats || stats->kind != JsonValue::Kind::Object)
+    const Value *stats = root.find("stats");
+    if (!stats || stats->kind != Value::Kind::Object)
         return bad("missing stats object");
     for (const auto &kv : stats->object) {
-        if (kv.second.kind != JsonValue::Kind::Number ||
-            !std::isfinite(kv.second.number))
-            return bad("non-finite stat '" + kv.first + "'");
+        if (kv.second.kind != Value::Kind::Number)
+            return bad("non-numeric stat '" + kv.first + "'");
         run.stats.emplace_back(kv.first, kv.second.number);
     }
     // The `cpu` block (sampling-profiler summary) is optional — older
     // goldens predate it — but when present it must be well-formed so
     // `profile` gates never compare garbage.
-    const JsonValue *cpu = root.find("cpu");
+    const Value *cpu = root.find("cpu");
     if (cpu) {
-        if (cpu->kind != JsonValue::Kind::Object)
+        if (cpu->kind != Value::Kind::Object)
             return bad("cpu block is not an object");
         auto num = [&](const char *key, double &out) {
-            const JsonValue *f = cpu->find(key);
-            if (!f || f->kind != JsonValue::Kind::Number ||
-                !std::isfinite(f->number) || f->number < 0)
+            const Value *f = cpu->find(key);
+            if (!f || f->kind != Value::Kind::Number || f->number < 0)
                 return false;
             out = f->number;
             return true;
@@ -194,16 +186,16 @@ loadBenchRun(const std::string &path, BenchRun &run)
             !num("attributed_pct", run.cpu.attributed_pct))
             return bad("cpu block missing samples/dropped/"
                        "attributed_pct");
-        const JsonValue *cats = cpu->find("categories");
-        if (!cats || cats->kind != JsonValue::Kind::Object)
+        const Value *cats = cpu->find("categories");
+        if (!cats || cats->kind != Value::Kind::Object)
             return bad("cpu block missing categories object");
         for (const auto &kv : cats->object) {
-            if (kv.second.kind != JsonValue::Kind::Object)
+            if (kv.second.kind != Value::Kind::Object)
                 return bad("cpu category '" + kv.first +
                            "' is not an object");
-            const JsonValue *share = kv.second.find("share_pct");
-            if (!share || share->kind != JsonValue::Kind::Number ||
-                !std::isfinite(share->number) || share->number < 0)
+            const Value *share = kv.second.find("share_pct");
+            if (!share || share->kind != Value::Kind::Number ||
+                share->number < 0)
                 return bad("cpu category '" + kv.first +
                            "' missing share_pct");
             run.cpu.shares.emplace_back(kv.first, share->number);

@@ -80,6 +80,7 @@
 #include <vector>
 
 #include "baselines/baselines.hh"
+#include "common/json.hh"
 #include "common/logging.hh"
 #include "common/numio.hh"
 #include "common/provenance.hh"
@@ -91,7 +92,6 @@
 #include "core/predictor.hh"
 #include "core/validate.hh"
 #include "fleet/supervisor.hh"
-#include "json_lite.hh"
 #include "obs/alerts.hh"
 #include "obs/convergence.hh"
 #include "obs/flight_recorder.hh"
@@ -595,23 +595,6 @@ reportLoadFailure(const model::IoStatus &status)
 
 // -- validate --------------------------------------------------------
 
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    for (char c : s) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\t': out += "\\t"; break;
-          case '\r': out += "\\r"; break;
-          default: out += c;
-        }
-    }
-    return out;
-}
-
 /** Outcome of checking one file: either a load failure or a report. */
 struct FileCheck
 {
@@ -625,15 +608,12 @@ FileCheck
 checkFile(const std::string &path, const model::LoadOptions &opts)
 {
     FileCheck fc;
-    std::ifstream in(path, std::ios::binary);
-    if (!in) {
-        fc.load_error = {model::IoErrc::IoError,
-                         "cannot open '" + path + "' for reading"};
+    const auto read = model::tryReadFileText(path);
+    if (!read.ok()) {
+        fc.load_error = read.error();
         return fc;
     }
-    std::ostringstream os;
-    os << in.rdbuf();
-    const std::string text = os.str();
+    const std::string &text = read.value();
 
     const auto kind = model::detectFileKind(text);
     if (!kind.ok()) {
@@ -719,7 +699,7 @@ cmdValidate(const std::vector<std::string> &paths,
             rc = 1;
         if (flags.json) {
             std::string line = "{\"file\":\"" +
-                               jsonEscape(paths[i]) + "\"";
+                               json::escape(paths[i]) + "\"";
             if (!fc.kind.empty())
                 line += ",\"kind\":\"" + fc.kind + "\"";
             if (fc.loaded) {
@@ -733,7 +713,7 @@ cmdValidate(const std::vector<std::string> &paths,
                 line += std::string(
                         model::ioErrcName(fc.load_error.code));
                 line += "\",\"message\":\"" +
-                        jsonEscape(fc.load_error.message) + "\"}";
+                        json::escape(fc.load_error.message) + "\"}";
             }
             line += "}";
             std::printf("%s%s", i ? "," : "", line.c_str());
@@ -1293,14 +1273,17 @@ std::optional<double>
 driftEnvelopeFromGolden(const std::string &path,
                         const std::string &device)
 {
-    std::string text;
-    if (!jsonlite::readFile(path, text))
+    const auto text = model::tryReadFileText(path);
+    if (!text.ok()) {
+        std::fprintf(stderr, "drift golden: %s\n",
+                     text.error().message.c_str());
         return std::nullopt;
-    jsonlite::JsonValue root;
-    std::string err;
-    if (!jsonlite::JsonParser(text).parse(root, err)) {
+    }
+    json::Value root;
+    json::Error err;
+    if (!json::parse(text.value(), root, err)) {
         std::fprintf(stderr, "drift golden '%s': %s\n", path.c_str(),
-                     err.c_str());
+                     err.message().c_str());
         return std::nullopt;
     }
     const auto *stats = root.find("stats");
@@ -1310,8 +1293,7 @@ driftEnvelopeFromGolden(const std::string &path,
         return std::nullopt;
     }
     const auto *mae = stats->find("mae_pct_" + device);
-    if (!mae ||
-        mae->kind != jsonlite::JsonValue::Kind::Number) {
+    if (!mae || mae->kind != json::Value::Kind::Number) {
         std::fprintf(stderr,
                      "drift golden '%s': no mae_pct_%s stat\n",
                      path.c_str(), device.c_str());
@@ -1695,7 +1677,7 @@ cmdMonitor(const std::string &device, const CliFlags &flags)
            << jsonFiniteOr(sampler.lastSampleAgeSeconds(), "-1")
            << ",\"firing\":[";
         for (std::size_t i = 0; i < firing.size(); ++i)
-            os << (i ? "," : "") << "\"" << jsonEscape(firing[i])
+            os << (i ? "," : "") << "\"" << json::escape(firing[i])
                << "\"";
         os << "],\"provenance\":"
            << common::toJson(common::collectProvenance()) << "}\n";
@@ -2194,14 +2176,14 @@ cmdTraces(const std::string &device, const CliFlags &flags)
             const auto &t = traces[i];
             os << (i ? ",\n" : "\n") << "{\"trace_id\":\""
                << obs::traceIdHex(t.trace_id) << "\",\"root\":\""
-               << jsonEscape(t.root_name) << "\",\"cat\":\""
-               << jsonEscape(t.root_cat) << "\",\"error\":"
+               << json::escape(t.root_name) << "\",\"cat\":\""
+               << json::escape(t.root_cat) << "\",\"error\":"
                << (t.error ? "true" : "false") << ",\"spans\":[";
             for (std::size_t k = 0; k < t.spans.size(); ++k) {
                 const auto &s = t.spans[k];
                 os << (k ? "," : "") << "{\"name\":\""
-                   << jsonEscape(s.name) << "\",\"cat\":\""
-                   << jsonEscape(s.cat) << "\",\"span_id\":\""
+                   << json::escape(s.name) << "\",\"cat\":\""
+                   << json::escape(s.cat) << "\",\"span_id\":\""
                    << obs::traceIdHex(s.span_id) << "\"";
                 if (s.parent_span_id)
                     os << ",\"parent_span_id\":\""
@@ -2213,9 +2195,9 @@ cmdTraces(const std::string &device, const CliFlags &flags)
                     for (std::size_t a = 0; a < s.args.size(); ++a) {
                         if (a)
                             os << ",";
-                        os << "\"" << jsonEscape(s.args[a].first)
+                        os << "\"" << json::escape(s.args[a].first)
                            << "\":\""
-                           << jsonEscape(s.args[a].second) << "\"";
+                           << json::escape(s.args[a].second) << "\"";
                     }
                     os << "}";
                 }

@@ -6,10 +6,13 @@
  * back as a typed error, never as a crash, an assertion abort, an OOM
  * from a fuzzed size field, or a sanitizer finding. This tool applies
  * N seeded mutations (truncation, bit flips, byte stomps, splices,
- * "nan" smuggling, deletions, garbage) to golden copies of all three
- * file formats — both the v2 envelope and the legacy payload form —
- * and feeds every mutant to the matching try* parser and to
- * detectFileKind. Any exception escaping the typed API fails the run.
+ * "nan" smuggling, deletions, garbage, nesting bombs) to golden copies
+ * of every reader surface — the model_io formats in both the v2
+ * envelope and the legacy payload form, fleet shard checkpoints, and
+ * the shared JSON reader on bench telemetry, Chrome trace and
+ * /api/traces documents — and feeds every mutant to the matching
+ * reader and to detectFileKind. Any exception escaping the typed API
+ * fails the run.
  *
  * Runs as a plain test and, via scripts/reproduce_all.sh, under the
  * ASan+UBSan build. Fully deterministic: fixed seed, no time or
@@ -21,10 +24,15 @@
 #include <string>
 #include <vector>
 
+#include "common/json.hh"
+#include "common/provenance.hh"
 #include "common/random.hh"
 #include "core/model_io.hh"
 #include "core/validate.hh"
+#include "fleet/shard_io.hh"
 #include "obs/scoreboard.hh"
+#include "obs/trace.hh"
+#include "obs/trace_store.hh"
 
 namespace
 {
@@ -128,11 +136,79 @@ goldenScoreboard()
                                         std::move(samples));
 }
 
+/** A bench telemetry document in the BENCH_<name>.json schema. */
+std::string
+goldenBenchJson(const std::string &provenance)
+{
+    return "{\"gpupm_bench_version\":1,\n\"name\":\"fig7_validation\","
+           "\n\"provenance\":" + provenance +
+           ",\n\"wall_ms\":887.667375,\n\"phases_ms\":{\"estimator\":"
+           "767.951,\"sim\":29.365},\n\"cpu\":{\"samples\":212,"
+           "\"dropped\":0,\"attributed_pct\":97.64,\"categories\":{"
+           "\"estimator\":{\"samples\":188,\"share_pct\":88.68}}},\n"
+           "\"stats\":{\"mae_pct_titanx\":5.476810819336169}}\n";
+}
+
+/** A span with args through the Chrome-trace exporter. */
+std::string
+goldenChromeTrace(const std::string &provenance)
+{
+    obs::TraceEvent span;
+    span.name = "fuzz.root";
+    span.cat = "cli";
+    span.dur_us = 40;
+    span.trace_id = span.span_id = 0x1234;
+    span.args = {{"path", "a \"quoted\"\\path\n"}, {"bytes", "42"}};
+    auto &tracer = obs::Tracer::global();
+    tracer.enable();
+    tracer.record(span);
+    std::string doc = tracer.renderChromeTrace();
+    tracer.disable();
+    tracer.clear();
+    // Pin the run's own provenance so every run fuzzes the same bytes.
+    doc.erase(doc.rfind(",\"provenance\":"));
+    return doc + ",\"provenance\":" + provenance + "}\n";
+}
+
+/** An /api/traces response over two stored traces. */
+std::string
+goldenTraceStoreJson()
+{
+    obs::TraceStore store;
+    for (const std::uint64_t id : {0x1234u, 0x5678u}) {
+        obs::StoredSpan span;
+        span.name = "monitor.tick";
+        span.cat = "monitor";
+        span.span_id = id;
+        span.args = {{"note", "tab\there"}};
+        store.offer({.trace_id = id,
+                     .root_name = span.name,
+                     .root_cat = span.cat,
+                     .error = id == 0x5678u,
+                     .spans = {span}});
+    }
+    return store.renderJson(obs::TraceQuery{});
+}
+
+/** A two-device shard result: one healthy device, one failed. */
+fleet::ShardResult
+goldenShardResult()
+{
+    fleet::ShardResult result;
+    result.index = 0;
+    result.outcomes.resize(2);
+    result.outcomes[0].ok = true;
+    result.outcomes[0].stats.mae_pct = 7.25;
+    result.outcomes[1].fail = fleet::DeviceFailKind::CorruptData;
+    result.outcomes[1].message = "campaign produced non-finite samples";
+    return result;
+}
+
 std::string
 mutate(const std::string &orig, Rng &rng)
 {
     std::string s = orig;
-    switch (rng.next() % 7) {
+    switch (rng.next() % 8) {
       case 0: // truncate
         s = s.substr(0, rng.next() % (s.size() + 1));
         break;
@@ -180,6 +256,17 @@ mutate(const std::string &orig, Rng &rng)
                      static_cast<char>(rng.next() % 256));
         }
         break;
+      case 7: { // nesting bomb: openers just around the cap or far past
+        const std::size_t depth =
+                rng.next() % 2 ? json::kMaxDepth - 2 + rng.next() % 5
+                               : 100000;
+        const char *opener = rng.next() % 2 ? "[" : "{\"k\":";
+        std::string bomb;
+        for (std::size_t i = 0; i < depth; ++i)
+            bomb += opener;
+        s.insert(rng.next() % (s.size() + 1), bomb);
+        break;
+      }
     }
     return s;
 }
@@ -268,6 +355,38 @@ main()
     const auto parse_scoreboard = [](const std::string &t) {
         return model::tryParseScoreboard(t);
     };
+    // The shared JSON reader and the shard loader have no validate
+    // step; parsing is all there is to fuzz.
+    const auto parse_json = [](const std::string &t)
+            -> model::IoExpected<bool> {
+        json::Value doc;
+        json::Error err;
+        if (!json::parse(t, doc, err))
+            return model::IoStatus{model::IoErrc::ParseError,
+                                   err.message()};
+        return true;
+    };
+    const auto no_checks = [](const auto &) {
+        return model::ValidationReport{};
+    };
+    const fleet::FleetOptions fleet_opts;
+    fleet::ShardSpec shard;
+    shard.devices.resize(2);
+    const auto parse_shard = [&](const std::string &t) {
+        return fleet::tryParseShardResult(t, fleet_opts, shard);
+    };
+    // Mutated payloads re-wrapped in a valid envelope get past the
+    // CRC check to the payload parser.
+    const auto parse_shard_payload = [&](const std::string &t) {
+        return parse_shard(
+                model::wrapEnvelope(model::FileKind::FleetShard, t));
+    };
+    const auto shard_text =
+            fleet::serializeShardResult(goldenShardResult(), fleet_opts,
+                                        shard);
+    common::Provenance prov;
+    prov.timestamp = "2026-01-01T00:00:00Z";
+    const auto prov_json = common::toJson(prov);
 
     int rc = 0;
     rc |= fuzzFormat("model.v2", model_text, parse_model,
@@ -286,5 +405,16 @@ main()
                      parse_scoreboard, model::validateScoreboard);
     rc |= fuzzFormat("scoreboard.legacy", legacy_scoreboard,
                      parse_scoreboard, model::validateScoreboard);
+    rc |= fuzzFormat("fleetshard.v2", shard_text, parse_shard,
+                     no_checks);
+    rc |= fuzzFormat("fleetshard.payload",
+                     shard_text.substr(shard_text.find('\n') + 1),
+                     parse_shard_payload, no_checks);
+    rc |= fuzzFormat("json.bench", goldenBenchJson(prov_json),
+                     parse_json, no_checks);
+    rc |= fuzzFormat("json.chrome_trace", goldenChromeTrace(prov_json),
+                     parse_json, no_checks);
+    rc |= fuzzFormat("json.api_traces", goldenTraceStoreJson(),
+                     parse_json, no_checks);
     return rc;
 }

@@ -46,17 +46,30 @@
 #include <utility>
 #include <vector>
 
+#include "common/json.hh"
 #include "common/numio.hh"
 #include "common/table.hh"
-#include "json_lite.hh"
 
 namespace
 {
 
 using namespace gpupm;
-using jsonlite::JsonParser;
-using jsonlite::JsonValue;
-using jsonlite::readFile;
+using json::Value;
+
+/** Slurp a file; diagnoses open failures on stderr. */
+bool
+readFile(const std::string &path, std::string &out)
+{
+    std::ifstream in(path, std::ios::binary);
+    if (!in) {
+        std::fprintf(stderr, "cannot open '%s'\n", path.c_str());
+        return false;
+    }
+    std::ostringstream os;
+    os << in.rdbuf();
+    out = os.str();
+    return true;
+}
 
 // -- trace -----------------------------------------------------------
 
@@ -97,50 +110,50 @@ loadTrace(const std::string &path, std::vector<Span> &spans)
     std::string text;
     if (!readFile(path, text))
         return false;
-    JsonValue root;
-    std::string err;
-    if (!JsonParser(text).parse(root, err)) {
+    Value root;
+    json::Error err;
+    if (!json::parse(text, root, err)) {
         std::fprintf(stderr, "%s: invalid JSON: %s\n", path.c_str(),
-                     err.c_str());
+                     err.message().c_str());
         return false;
     }
-    if (root.kind != JsonValue::Kind::Object) {
+    if (root.kind != Value::Kind::Object) {
         std::fprintf(stderr, "%s: top level is not an object\n",
                      path.c_str());
         return false;
     }
-    const JsonValue *events = root.find("traceEvents");
-    if (!events || events->kind != JsonValue::Kind::Array) {
+    const Value *events = root.find("traceEvents");
+    if (!events || events->kind != Value::Kind::Array) {
         std::fprintf(stderr, "%s: missing traceEvents array\n",
                      path.c_str());
         return false;
     }
     for (std::size_t i = 0; i < events->array.size(); ++i) {
-        const JsonValue &ev = events->array[i];
+        const Value &ev = events->array[i];
         auto bad = [&](const char *what) {
             std::fprintf(stderr, "%s: event %zu: %s\n", path.c_str(),
                          i, what);
             return false;
         };
-        if (ev.kind != JsonValue::Kind::Object)
+        if (ev.kind != Value::Kind::Object)
             return bad("not an object");
-        const JsonValue *name = ev.find("name");
-        const JsonValue *cat = ev.find("cat");
-        const JsonValue *ph = ev.find("ph");
-        const JsonValue *ts = ev.find("ts");
-        const JsonValue *dur = ev.find("dur");
-        if (!name || name->kind != JsonValue::Kind::String ||
+        const Value *name = ev.find("name");
+        const Value *cat = ev.find("cat");
+        const Value *ph = ev.find("ph");
+        const Value *ts = ev.find("ts");
+        const Value *dur = ev.find("dur");
+        if (!name || name->kind != Value::Kind::String ||
             name->str.empty())
             return bad("missing name");
-        if (!cat || cat->kind != JsonValue::Kind::String ||
+        if (!cat || cat->kind != Value::Kind::String ||
             cat->str.empty())
             return bad("missing cat");
         if (!ph || ph->str != "X")
             return bad("phase is not 'X' (complete event)");
-        if (!ts || ts->kind != JsonValue::Kind::Number ||
+        if (!ts || ts->kind != Value::Kind::Number ||
             !(ts->number >= 0))
             return bad("bad ts");
-        if (!dur || dur->kind != JsonValue::Kind::Number ||
+        if (!dur || dur->kind != Value::Kind::Number ||
             !(dur->number >= 0))
             return bad("bad dur");
         Span span;
@@ -149,18 +162,18 @@ loadTrace(const std::string &path, std::vector<Span> &spans)
         span.dur = dur->number;
         // Correlation IDs travel as 16-hex-digit strings; a span
         // either carries a (trace, span) pair or neither.
-        const JsonValue *tid_v = ev.find("trace_id");
-        const JsonValue *sid_v = ev.find("span_id");
-        const JsonValue *pid_v = ev.find("parent_span_id");
+        const Value *tid_v = ev.find("trace_id");
+        const Value *sid_v = ev.find("span_id");
+        const Value *pid_v = ev.find("parent_span_id");
         if (tid_v || sid_v || pid_v) {
-            if (!tid_v || tid_v->kind != JsonValue::Kind::String ||
+            if (!tid_v || tid_v->kind != Value::Kind::String ||
                 !(span.trace_id = parseHexId(tid_v->str)))
                 return bad("bad trace_id");
-            if (!sid_v || sid_v->kind != JsonValue::Kind::String ||
+            if (!sid_v || sid_v->kind != Value::Kind::String ||
                 !(span.span_id = parseHexId(sid_v->str)))
                 return bad("bad span_id");
             if (pid_v) {
-                if (pid_v->kind != JsonValue::Kind::String ||
+                if (pid_v->kind != Value::Kind::String ||
                     !(span.parent_span_id = parseHexId(pid_v->str)))
                     return bad("bad parent_span_id");
             }
