@@ -128,11 +128,14 @@ mape(const std::vector<double> &pred, const std::vector<double> &meas)
  *
  * Without either flag the reporter is inert. Construct it first thing
  * in main() so the wall-clock and the profile cover the whole run.
+ * `profiler` selects the sampling mode: a short single-threaded,
+ * CPU-bound run gets more samples by wall clock (DESIGN.md §13).
  */
 class BenchReporter
 {
   public:
-    BenchReporter(int argc, char **argv, std::string name)
+    BenchReporter(int argc, char **argv, std::string name,
+                  obs::ProfilerOptions profiler = {})
         : name_(std::move(name)),
           start_(std::chrono::steady_clock::now())
     {
@@ -152,7 +155,7 @@ class BenchReporter
             obs::Tracer::global().enable();
         if (!path_.empty() || !profile_path_.empty()) {
             std::string err;
-            if (obs::Profiler::global().start({}, &err))
+            if (obs::Profiler::global().start(profiler, &err))
                 profiling_ = true;
             else
                 gpupm::warn("cpu profiler unavailable: ", err);

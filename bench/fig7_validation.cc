@@ -17,8 +17,14 @@
 int
 main(int argc, char **argv)
 {
+    // Sampled by wall clock: the run is single-threaded and CPU-bound,
+    // and CPU-time sampling is capped by the kernel tick (DESIGN.md
+    // §13), too few samples to gate category shares on.
+    gpupm::obs::ProfilerOptions wall_clock;
+    wall_clock.wall = true;
     gpupm::bench::BenchReporter bench_report(argc, argv,
-                                             "fig7_validation");
+                                             "fig7_validation",
+                                             wall_clock);
     using namespace gpupm;
     using bench::fitDevice;
 

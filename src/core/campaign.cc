@@ -518,6 +518,8 @@ measureApp(const sim::PhysicalGpu &board,
            const CampaignOptions &opts)
 {
     GPUPM_ASSERT(!demand.empty(), "cannot measure an empty kernel");
+    GPUPM_TRACE_SPAN_NAMED(span, "campaign", "campaign.app");
+    span.arg("app", demand.name);
     const gpu::DeviceDescriptor &desc = board.descriptor();
 
     AppMeasurement m;

@@ -9,6 +9,7 @@
 #include "gpu/components.hh"
 #include "linalg/isotonic.hh"
 #include "linalg/lstsq.hh"
+#include "linalg/quartic.hh"
 #include "obs/standard.hh"
 #include "obs/trace.hh"
 
@@ -19,7 +20,6 @@ namespace model
 
 using gpu::Component;
 using gpu::componentIndex;
-using linalg::Matrix;
 using linalg::Vector;
 
 namespace
@@ -38,34 +38,6 @@ constexpr std::array<Component, 6> kCoreComponents = {
     Component::Int, Component::SP, Component::DP,
     Component::SF, Component::Shared, Component::L2,
 };
-
-/** Golden-section minimization of a unimodal 1-D function. */
-template <typename F>
-double
-minimize1d(F f, double lo, double hi, int iters = 80)
-{
-    constexpr double phi = 0.6180339887498949;
-    double a = lo, b = hi;
-    double x1 = b - phi * (b - a);
-    double x2 = a + phi * (b - a);
-    double f1 = f(x1), f2 = f(x2);
-    for (int i = 0; i < iters; ++i) {
-        if (f1 < f2) {
-            b = x2;
-            x2 = x1;
-            f2 = f1;
-            x1 = b - phi * (b - a);
-            f1 = f(x1);
-        } else {
-            a = x1;
-            x1 = x2;
-            f1 = f2;
-            x2 = a + phi * (b - a);
-            f2 = f(x2);
-        }
-    }
-    return 0.5 * (a + b);
-}
 
 } // namespace
 
@@ -94,6 +66,11 @@ ModelEstimator::ModelEstimator(EstimatorOptions opts) : opts_(opts)
     GPUPM_ASSERT(opts_.max_iterations >= 1, "need >= 1 iteration");
     GPUPM_ASSERT(opts_.v_min > 0.0 && opts_.v_max > opts_.v_min,
                  "bad voltage search range");
+    GPUPM_ASSERT(opts_.ridge >= 0.0, "negative ridge ", opts_.ridge);
+    // A non-positive weight would make the coefficient Gram indefinite.
+    GPUPM_ASSERT(opts_.idle_row_weight > 0.0,
+                 "idle row weight must be positive, got ",
+                 opts_.idle_row_weight);
 }
 
 namespace
@@ -118,14 +95,13 @@ ModelEstimator::fitCoefficients(
         const std::vector<std::size_t> &config_subset,
         linalg::LstsqDiagnostics *diag) const
 {
-    const std::size_t nb = data.utils.size();
-    Matrix a(nb * config_subset.size(), kNumFeatures);
-    Vector rhs(nb * config_subset.size());
-
-    std::size_t row = 0;
-    for (std::size_t b = 0; b < nb; ++b) {
-        const double rw = std::sqrt(
-                isIdleRow(data.utils[b]) ? opts_.idle_row_weight : 1.0);
+    // One pass over the cells accumulates the weighted 11x11 normal
+    // equations; both solvers work on those alone.
+    linalg::NormalEquations ne(kNumFeatures);
+    std::array<double, kNumFeatures> row;
+    for (std::size_t b = 0; b < data.utils.size(); ++b) {
+        const double w =
+                isIdleRow(data.utils[b]) ? opts_.idle_row_weight : 1.0;
         for (std::size_t ci : config_subset) {
             const gpu::FreqConfig &cfg = data.configs[ci];
             const VoltagePair &v = voltages[ci];
@@ -134,32 +110,27 @@ ModelEstimator::fitCoefficients(
             const double vc2fc = v.core * v.core * fc;
             const double vm2fm = v.mem * v.mem * fm;
 
-            a(row, kFeatBeta0) = rw * v.core;
-            a(row, kFeatBeta1) = rw * vc2fc;
-            a(row, kFeatBeta2) = rw * v.mem;
-            a(row, kFeatBeta3) = rw * vm2fm;
-            for (std::size_t k = 0; k < kCoreComponents.size(); ++k) {
-                const std::size_t u =
-                        componentIndex(kCoreComponents[k]);
-                a(row, kFeatOmega + k) = rw * vc2fc * data.utils[b][u];
-            }
-            a(row, kFeatOmega + kCoreComponents.size()) =
-                    rw * vm2fm *
-                    data.utils[b][componentIndex(Component::Dram)];
-            rhs[row] = rw * data.power_w[b][ci];
-            ++row;
+            row[kFeatBeta0] = v.core;
+            row[kFeatBeta1] = vc2fc;
+            row[kFeatBeta2] = v.mem;
+            row[kFeatBeta3] = vm2fm;
+            for (std::size_t k = 0; k < kCoreComponents.size(); ++k)
+                row[kFeatOmega + k] =
+                        vc2fc *
+                        data.utils[b][componentIndex(kCoreComponents[k])];
+            row[kFeatOmega + kCoreComponents.size()] =
+                    vm2fm * data.utils[b][componentIndex(Component::Dram)];
+            ne.addRow(row.data(), data.power_w[b][ci], w);
         }
     }
 
+    // The pivoted Cholesky of the Gram gives the rank and condition,
+    // and the signed fit's basic solution.
+    const linalg::GramCholesky chol = linalg::choleskyPivoted(ne.gram());
     if (diag)
-        *diag = linalg::designDiagnostics(a);
-
-    Vector x;
-    if (opts_.nonnegative) {
-        x = linalg::nnlsRidge(a, rhs, opts_.ridge);
-    } else {
-        x = linalg::leastSquares(a, rhs);
-    }
+        *diag = chol.diagnostics();
+    const Vector x = opts_.nonnegative ? linalg::nnls(ne, opts_.ridge)
+                                       : chol.solve(ne.atb);
 
     ModelParams p;
     p.beta0 = x[kFeatBeta0];
@@ -196,6 +167,37 @@ ModelEstimator::fitVoltages(const TrainingData &data,
                      data.utils[b][componentIndex(Component::Dram)];
     }
 
+    // With the coefficients fixed, a configuration's weighted SSE
+    // Σ w_b (P_b - β0·vc - vc²·fc·A_b - β2·vm - vm²·fm·B_b)² is a
+    // polynomial in (vc, vm) whose coefficients are weighted moments of
+    // A_b, B_b and P_b. Those of A and B alone are shared by every
+    // configuration.
+    std::vector<double> w(nb);
+    double sw = 0.0, swa = 0.0, swb = 0.0, swaa = 0.0, swbb = 0.0,
+           swab = 0.0;
+    for (std::size_t b = 0; b < nb; ++b) {
+        w[b] = isIdleRow(data.utils[b]) ? opts_.idle_row_weight : 1.0;
+        sw += w[b];
+        swa += w[b] * core_agg[b];
+        swb += w[b] * mem_agg[b];
+        swaa += w[b] * core_agg[b] * core_agg[b];
+        swbb += w[b] * mem_agg[b] * mem_agg[b];
+        swab += w[b] * core_agg[b] * mem_agg[b];
+    }
+
+    // One coordinate step. Along one axis x (clock f, static
+    // coefficient β, aggregate G_b) the residual is q_b - β·x - f·G_b·x²
+    // with q_b fixed, so the SSE is the quartic
+    //   f²ΣwG²·x⁴ + 2βfΣwG·x³ + (β²Σw - 2fΣwqG)·x² - 2βΣwq·x + const
+    // and the step is its exact minimizer on [v_min, v_max].
+    const auto axis_step = [&](double beta, double f, double swq,
+                               double swqg, double swg, double swgg) {
+        return linalg::argminQuartic(
+                {0.0, -2.0 * beta * swq, beta * beta * sw - 2.0 * f * swqg,
+                 2.0 * beta * f * swg, f * f * swgg},
+                opts_.v_min, opts_.v_max);
+    };
+
     std::vector<VoltagePair> v(nc);
 
     for (std::size_t ci = 0; ci < nc; ++ci) {
@@ -205,33 +207,26 @@ ModelEstimator::fitVoltages(const TrainingData &data,
         const double fc = 1e-3 * cfg.core_mhz;
         const double fm = 1e-3 * cfg.mem_mhz;
 
-        const auto config_sse = [&](double vc, double vm) {
-            double s = 0.0;
-            for (std::size_t b = 0; b < nb; ++b) {
-                const double pred = params.beta0 * vc +
-                                    vc * vc * fc * core_agg[b] +
-                                    params.beta2 * vm +
-                                    vm * vm * fm * mem_agg[b];
-                const double r = data.power_w[b][ci] - pred;
-                const double w = isIdleRow(data.utils[b])
-                                         ? opts_.idle_row_weight
-                                         : 1.0;
-                s += w * r * r;
-            }
-            return s;
-        };
+        double swp = 0.0, swap = 0.0, swbp = 0.0;
+        for (std::size_t b = 0; b < nb; ++b) {
+            const double wp = w[b] * data.power_w[b][ci];
+            swp += wp;
+            swap += wp * core_agg[b];
+            swbp += wp * mem_agg[b];
+        }
 
-        // Coordinate descent over the (vc, vm) quartic, warm-started
-        // from the previous outer iterate.
+        // Coordinate descent, warm-started from the previous outer
+        // iterate; q_b is P_b less the other domain's terms.
         double vc = start[ci].core, vm = start[ci].mem;
         for (int round = 0; round < 4; ++round) {
-            vc = minimize1d(
-                    [&](double x) { return config_sse(x, vm); },
-                    opts_.v_min, opts_.v_max);
+            const double ms = params.beta2 * vm, mt = fm * vm * vm;
+            vc = axis_step(params.beta0, fc, swp - ms * sw - mt * swb,
+                           swap - ms * swa - mt * swab, swa, swaa);
             if (opts_.fit_mem_voltage) {
-                vm = minimize1d(
-                        [&](double x) { return config_sse(vc, x); },
-                        opts_.v_min, opts_.v_max);
+                const double cs = params.beta0 * vc, ct = fc * vc * vc;
+                vm = axis_step(params.beta2, fm,
+                               swp - cs * sw - ct * swa,
+                               swbp - cs * swb - ct * swab, swb, swbb);
             }
         }
         v[ci] = {vc, vm};
@@ -529,16 +524,26 @@ ModelEstimator::tryEstimate(const TrainingData &data) const
             it_span.arg("iteration", numio::formatLong(it + 1));
             // Step 2: voltages given coefficients.
             const std::vector<VoltagePair> prev_v = voltages;
-            voltages = fitVoltages(data, params, voltages, ref_ci);
+            {
+                GPUPM_TRACE_SPAN("estimator", "estimator.step2");
+                voltages = fitVoltages(data, params, voltages, ref_ci);
+            }
             if (!finiteVoltages(voltages))
                 return fail(numerical_failure("fitting voltages"));
             // Step 3: coefficients given voltages, all configs.
-            params = fitCoefficients(data, voltages, all, &diag);
+            {
+                GPUPM_TRACE_SPAN("estimator", "estimator.step3");
+                params = fitCoefficients(data, voltages, all, &diag);
+            }
             if (!finiteParams(params))
                 return fail(
                         numerical_failure("fitting coefficients"));
 
-            const double s = sse(data, params, voltages);
+            double s;
+            {
+                GPUPM_TRACE_SPAN("estimator", "estimator.sse");
+                s = sse(data, params, voltages);
+            }
             if (!std::isfinite(s))
                 return fail(numerical_failure("evaluating the fit"));
             const double prev = res.sse_history.back();

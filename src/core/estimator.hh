@@ -13,11 +13,13 @@
  *
  *  1. initialize X assuming V̄ = 1 on the reference configuration and
  *     two perturbed configurations (Eq. 11);
- *  2. per configuration, fit (V̄core, V̄mem) with the monotonicity
- *     constraint V̄(f1) >= V̄(f2) for f1 > f2 (Eq. 12, enforced by
- *     pool-adjacent-violators);
+ *  2. per configuration, fit (V̄core, V̄mem) by exact coordinate steps
+ *     (each is the global minimizer of a quartic built from weighted
+ *     moment sums) with the monotonicity constraint V̄(f1) >= V̄(f2)
+ *     for f1 > f2 (Eq. 12, enforced by pool-adjacent-violators);
  *  3. refit X by (non-negative, lightly ridged) least squares over all
- *     configurations with the voltages fixed;
+ *     configurations with the voltages fixed, solved on the 11x11
+ *     normal equations;
  *  4. iterate 2-3 until the fit converges or an iteration cap is hit
  *     (the paper observes convergence in < 50 iterations).
  */
@@ -58,7 +60,9 @@ struct TrainingData
     configIndex(const gpu::FreqConfig &cfg) const;
 };
 
-/** Estimation options (defaults reproduce the paper's setup). */
+/** Estimation options (defaults reproduce the paper's setup). The
+ *  ModelEstimator constructor panics on max_iterations < 1, a bad
+ *  voltage range, a negative ridge or a non-positive idle weight. */
 struct EstimatorOptions
 {
     int max_iterations = 50;
@@ -133,7 +137,7 @@ struct EstimationResult
      * Numerical-conditioning diagnostics of the final coefficient
      * design matrix (normal-equation conditioning is the square of
      * this): pivot-ratio condition estimate and effective rank from
-     * the column-pivoted QR.
+     * the pivoted Cholesky of its Gram (linalg::GramCholesky).
      */
     double condition_number = 0.0;
     std::size_t design_rank = 0;

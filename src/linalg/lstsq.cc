@@ -129,11 +129,10 @@ factorize(const Matrix &a, const Vector &b, double rcond)
 
 /** Read rank/condition diagnostics off a finished factorization. */
 LstsqDiagnostics
-diagnosticsOf(const QrPivot &qr, std::size_t m, std::size_t n)
+diagnosticsOf(const QrPivot &qr)
 {
     LstsqDiagnostics d;
     d.rank = qr.rank;
-    d.rank_deficient = qr.rank < std::min(m, n);
     if (qr.rank > 0) {
         const double top = std::abs(qr.r(0, 0));
         const double bottom = std::abs(qr.r(qr.rank - 1, qr.rank - 1));
@@ -153,7 +152,7 @@ leastSquares(const Matrix &a, const Vector &b, double rcond,
     const std::size_t n = a.cols();
     QrPivot qr = factorize(a, b, rcond);
     if (diag)
-        *diag = diagnosticsOf(qr, a.rows(), n);
+        *diag = diagnosticsOf(qr);
 
     // Back-substitute over the leading rank-by-rank triangle.
     Vector y(n, 0.0);
@@ -170,43 +169,154 @@ leastSquares(const Matrix &a, const Vector &b, double rcond,
     return x;
 }
 
-LstsqDiagnostics
-designDiagnostics(const Matrix &a, double rcond)
+void
+NormalEquations::addRow(const double *a, double b, double w)
 {
-    const Vector zero(a.rows(), 0.0);
-    const QrPivot qr = factorize(a, zero, rcond);
-    return diagnosticsOf(qr, a.rows(), a.cols());
+    const std::size_t n = atb.size();
+    for (std::size_t i = 0; i < n; ++i) {
+        const double wa = w * a[i];
+        double *row = &upper(i, 0);
+        for (std::size_t j = i; j < n; ++j)
+            row[j] += wa * a[j];
+        atb[i] += wa * b;
+    }
+    btb += w * b * b;
+}
+
+Matrix
+NormalEquations::gram() const
+{
+    Matrix g = upper;
+    for (std::size_t i = 1; i < g.rows(); ++i)
+        for (std::size_t j = 0; j < i; ++j)
+            g(i, j) = g(j, i);
+    return g;
+}
+
+NormalEquations
+NormalEquations::of(const Matrix &a, const Vector &b)
+{
+    GPUPM_ASSERT(b.size() == a.rows(), "rhs dimension ", b.size(),
+                 " != rows ", a.rows());
+    NormalEquations ne(a.cols());
+    for (std::size_t r = 0; r < a.rows(); ++r)
+        ne.addRow(a.row(r).data().data(), b[r]);
+    return ne;
+}
+
+GramCholesky
+choleskyPivoted(const Matrix &gram, double rcond)
+{
+    const std::size_t n = gram.rows();
+    GPUPM_ASSERT(n >= 1 && gram.cols() == n, "Gram matrix must be "
+                 "square and non-empty, got ", gram.rows(), "x",
+                 gram.cols());
+
+    // Right-looking factorization in place: after step k, column k
+    // below the diagonal holds L and the trailing block the Schur
+    // complement, whose diagonal is the remaining squared column norms.
+    GramCholesky f;
+    f.l = gram;
+    Matrix &s = f.l;
+    f.perm.resize(n);
+    std::iota(f.perm.begin(), f.perm.end(), std::size_t{0});
+
+    double first_pivot = 0.0;
+    for (std::size_t k = 0; k < n; ++k) {
+        std::size_t best = k;
+        for (std::size_t c = k + 1; c < n; ++c)
+            if (s(c, c) > s(best, best))
+                best = c;
+        if (best != k) {
+            for (std::size_t r = 0; r < n; ++r)
+                std::swap(s(r, k), s(r, best));
+            for (std::size_t c = 0; c < n; ++c)
+                std::swap(s(k, c), s(best, c));
+            std::swap(f.perm[k], f.perm[best]);
+        }
+
+        const double d = s(k, k);
+        if (k == 0)
+            first_pivot = d;
+        if (d <= rcond * first_pivot)
+            break; // numerically rank-deficient from here on
+
+        const double lkk = std::sqrt(d);
+        s(k, k) = lkk;
+        for (std::size_t r = k + 1; r < n; ++r)
+            s(r, k) /= lkk;
+        for (std::size_t c = k + 1; c < n; ++c)
+            for (std::size_t r = c; r < n; ++r) {
+                s(r, c) -= s(r, k) * s(c, k);
+                s(c, r) = s(r, c);
+            }
+        f.rank = k + 1;
+    }
+    return f;
+}
+
+LstsqDiagnostics
+GramCholesky::diagnostics() const
+{
+    LstsqDiagnostics d;
+    d.rank = rank;
+    if (rank > 0)
+        d.condition = l(0, 0) / l(rank - 1, rank - 1);
+    return d;
 }
 
 Vector
-nnls(const Matrix &a, const Vector &b, std::size_t max_iter)
+GramCholesky::solve(const Vector &atb) const
 {
-    const std::size_t m = a.rows();
-    const std::size_t n = a.cols();
-    GPUPM_ASSERT(b.size() == m, "nnls rhs dimension mismatch");
+    const std::size_t n = perm.size();
+    GPUPM_ASSERT(atb.size() == n, "rhs dimension ", atb.size(),
+                 " != Gram order ", n);
+
+    // L y = P atb, then Lᵀ z = y, over the leading rank columns.
+    Vector y(rank, 0.0);
+    for (std::size_t i = 0; i < rank; ++i) {
+        double s = atb[perm[i]];
+        for (std::size_t c = 0; c < i; ++c)
+            s -= l(i, c) * y[c];
+        y[i] = s / l(i, i);
+    }
+    Vector x(n, 0.0);
+    for (std::size_t i = rank; i-- > 0;) {
+        double s = y[i];
+        for (std::size_t r = i + 1; r < rank; ++r)
+            s -= l(r, i) * x[perm[r]];
+        x[perm[i]] = s / l(i, i);
+    }
+    return x;
+}
+
+Vector
+nnls(const NormalEquations &ne, double ridge, std::size_t max_iter)
+{
+    GPUPM_ASSERT(ridge >= 0.0, "negative ridge ", ridge);
+    const std::size_t n = ne.atb.size();
     if (max_iter == 0)
         max_iter = 3 * n + 30;
 
-    // Lawson–Hanson: grow an active (positive) set P greedily by the
-    // most positive gradient of the residual, solving the free LS
-    // subproblem on P each step and stepping back to the boundary when
-    // a coefficient would go negative.
+    Matrix g = ne.gram();
+    for (std::size_t j = 0; j < n; ++j)
+        g(j, j) += ridge;
+    const double tol = 1e-10 * (1.0 + std::sqrt(ne.btb));
+
     std::vector<bool> in_p(n, false);
     Vector x(n, 0.0);
-
-    const Matrix at = a.transposed();
-    const double tol = 1e-10 * (1.0 + b.norm());
-
     for (std::size_t outer = 0; outer < max_iter; ++outer) {
-        // w = A^T (b - A x)
-        Vector resid = b - a * x;
-        Vector w = at * resid;
-
+        // Most positive gradient Aᵀb - G x outside P.
         std::size_t best = n;
         double best_w = tol;
         for (std::size_t j = 0; j < n; ++j) {
-            if (!in_p[j] && w[j] > best_w) {
-                best_w = w[j];
+            if (in_p[j])
+                continue;
+            double w = ne.atb[j];
+            for (std::size_t c = 0; c < n; ++c)
+                w -= g(j, c) * x[c];
+            if (w > best_w) {
+                best_w = w;
                 best = j;
             }
         }
@@ -221,11 +331,14 @@ nnls(const Matrix &a, const Vector &b, std::size_t max_iter)
                 if (in_p[j])
                     p.push_back(j);
 
-            Matrix ap(m, p.size());
-            for (std::size_t r = 0; r < m; ++r)
+            Matrix gp(p.size(), p.size());
+            Vector bp(p.size());
+            for (std::size_t r = 0; r < p.size(); ++r) {
                 for (std::size_t c = 0; c < p.size(); ++c)
-                    ap(r, c) = a(r, p[c]);
-            Vector z = leastSquares(ap, b);
+                    gp(r, c) = g(p[r], p[c]);
+                bp[r] = ne.atb[p[r]];
+            }
+            const Vector z = choleskyPivoted(gp).solve(bp);
 
             bool all_positive = true;
             for (double v : z.data())
@@ -259,27 +372,6 @@ nnls(const Matrix &a, const Vector &b, std::size_t max_iter)
         }
     }
     return x;
-}
-
-Vector
-nnlsRidge(const Matrix &a, const Vector &b, double ridge)
-{
-    GPUPM_ASSERT(ridge >= 0.0, "negative ridge ", ridge);
-    if (ridge == 0.0)
-        return nnls(a, b);
-    const std::size_t m = a.rows();
-    const std::size_t n = a.cols();
-    Matrix aug(m + n, n);
-    Vector rhs(m + n, 0.0);
-    for (std::size_t r = 0; r < m; ++r) {
-        for (std::size_t c = 0; c < n; ++c)
-            aug(r, c) = a(r, c);
-        rhs[r] = b[r];
-    }
-    const double s = std::sqrt(ridge);
-    for (std::size_t j = 0; j < n; ++j)
-        aug(m + j, j) = s;
-    return nnls(aug, rhs);
 }
 
 double

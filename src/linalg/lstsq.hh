@@ -3,13 +3,19 @@
  * Linear least-squares solvers.
  *
  * The Sec. III-D estimator alternates two least-squares subproblems; the
- * coefficient fit (steps 1 and 3) uses either unconstrained QR least
- * squares or non-negative least squares (the physical coefficients
- * β0, β1, ωi are capacitance/leakage aggregates and cannot be negative).
+ * coefficient fit (steps 1 and 3) has 11 unknowns over thousands of
+ * (microbenchmark, configuration) cells, so it accumulates the 11x11
+ * normal equations once and solves there: either the unconstrained
+ * basic solution or non-negative least squares (the physical
+ * coefficients β0, β1, ωi are capacitance/leakage aggregates and
+ * cannot be negative). The dense QR solver serves the small baseline
+ * regressions.
  */
 
 #ifndef GPUPM_LINALG_LSTSQ_HH
 #define GPUPM_LINALG_LSTSQ_HH
+
+#include <vector>
 
 #include "matrix.hh"
 
@@ -20,18 +26,18 @@ namespace linalg
 
 /**
  * Numerical-conditioning diagnostics of a design matrix, read off the
- * column-pivoted QR factorization: the effective rank at the rcond
- * cutoff and the ratio of the largest to the smallest accepted pivot
- * magnitude — a cheap, order-of-magnitude estimate of the 2-norm
- * condition number (the normal equations square it). Estimation-layer
- * guardrails use these to reject under-identified systems and to
- * report how trustworthy the fitted coefficients are.
+ * column-pivoted QR factorization (or the pivoted Cholesky of its
+ * Gram, whose pivots are the squared QR pivots): the effective rank at
+ * the rcond cutoff and the ratio of the largest to the smallest
+ * accepted pivot magnitude — a cheap, order-of-magnitude estimate of
+ * the 2-norm condition number (the normal equations square it).
+ * Estimation-layer guardrails use these to reject under-identified
+ * systems and to report how trustworthy the fitted coefficients are.
  */
 struct LstsqDiagnostics
 {
     std::size_t rank = 0;      ///< numerical rank at the rcond cutoff
     double condition = 0.0;    ///< |pivot_1| / |pivot_rank| estimate
-    bool rank_deficient = false; ///< rank < min(rows, cols)
 };
 
 /**
@@ -53,30 +59,79 @@ Vector leastSquares(const Matrix &a, const Vector &b,
                     LstsqDiagnostics *diag = nullptr);
 
 /**
- * Rank and condition diagnostics of a design matrix without solving
- * (one pivoted-QR factorization pass).
+ * The normal equations of the weighted least-squares problem
+ * min_x Σ_r w_r (a_r·x - b_r)^2, accumulated one row at a time: the
+ * Gram AᵀWA, the moment AᵀWb and bᵀWb. Building them costs O(n²) per
+ * row and solving on them O(n³), independent of the row count.
  */
-LstsqDiagnostics designDiagnostics(const Matrix &a,
-                                   double rcond = 1e-12);
+struct NormalEquations
+{
+    explicit NormalEquations(std::size_t n)
+        : upper(n, n), atb(n, 0.0)
+    {}
+
+    /** Add the row a[0..n) with target b and weight w > 0. */
+    void addRow(const double *a, double b, double w = 1.0);
+
+    /** The normal equations of a dense system (unit weights). */
+    static NormalEquations of(const Matrix &a, const Vector &b);
+
+    /** The symmetric Gram AᵀWA, mirrored from `upper`. */
+    Matrix gram() const;
+
+    Matrix upper;     ///< AᵀWA on and above the diagonal (rest 0)
+    Vector atb;       ///< AᵀWb
+    double btb = 0.0; ///< bᵀWb
+};
 
 /**
- * Solve min_x ||A x - b||_2 subject to x >= 0 (Lawson–Hanson active-set
- * NNLS).
+ * Pivoted Cholesky P G Pᵀ = L Lᵀ of a symmetric positive semi-definite
+ * Gram matrix G = AᵀA. Each step takes the largest remaining diagonal
+ * of the Schur complement — the largest remaining squared column norm
+ * of A — so the pivot order and the pivots d_k are those of A's
+ * column-pivoted QR, with d_k = r_kk². The factorization stops at the
+ * first pivot d_k <= rcond·d_1: the default 1e-14 sits above the
+ * round-off that forming G leaves on an exactly dependent column
+ * (about 1e-16·d_1) and corresponds to |r_kk| <= 1e-7·|r_11|.
+ */
+struct GramCholesky
+{
+    /** L in the lower triangle of the leading rank columns; the rest
+     *  is factorization workspace. */
+    Matrix l;
+    std::vector<std::size_t> perm; ///< pivot order: perm[k] = column
+    std::size_t rank = 0;
+
+    /** Rank and sqrt(d_1 / d_rank) condition estimate. */
+    LstsqDiagnostics diagnostics() const;
+
+    /**
+     * Basic solution of G x = atb: the leading rank-by-rank system in
+     * pivot order, every trailing coefficient zero (the same basic
+     * solution leastSquares gives on A).
+     */
+    Vector solve(const Vector &atb) const;
+};
+
+/** Factor a Gram matrix; see GramCholesky. */
+GramCholesky choleskyPivoted(const Matrix &gram, double rcond = 1e-14);
+
+/**
+ * Solve min_x ||A x - b||_2^2 + ridge·||x||_2^2 subject to x >= 0 on
+ * the normal equations (Lawson–Hanson active set, normal-equation
+ * form): grow the passive set P by the most positive gradient
+ * Aᵀb - (AᵀA + ridge·I) x, solve the free subproblem on P by pivoted
+ * Cholesky of (AᵀA + ridge·I)_PP, and step back to the boundary when a
+ * coefficient would go negative. A small ridge keeps the alternating
+ * fit stable when microbenchmark utilizations are nearly collinear.
  *
- * @param a  m-by-n design matrix.
- * @param b  right-hand side of dimension m.
- * @param max_iter  iteration cap (0 means 3*n).
+ * @param ne  normal equations of the system.
+ * @param ridge  Tikhonov weight, >= 0 (panics otherwise).
+ * @param max_iter  iteration cap (0 means 3*n + 30).
  * @return  non-negative solution vector of dimension n.
  */
-Vector nnls(const Matrix &a, const Vector &b, std::size_t max_iter = 0);
-
-/**
- * Solve min_x ||A x - b||_2 + ridge * ||x||_2 with x >= 0, by augmenting
- * the system with sqrt(ridge)*I rows. A small ridge keeps the
- * alternating fit stable when microbenchmark utilizations are nearly
- * collinear.
- */
-Vector nnlsRidge(const Matrix &a, const Vector &b, double ridge);
+Vector nnls(const NormalEquations &ne, double ridge = 0.0,
+            std::size_t max_iter = 0);
 
 /** Residual sum of squares ||A x - b||^2. */
 double residualSumSquares(const Matrix &a, const Vector &x,

@@ -251,6 +251,16 @@ TEST(Estimator, InvalidOptionsPanic)
     model::EstimatorOptions bad_v;
     bad_v.v_min = -1.0;
     EXPECT_THROW(model::ModelEstimator{bad_v}, std::logic_error);
+    model::EstimatorOptions bad_ridge;
+    bad_ridge.ridge = -1e-3;
+    EXPECT_THROW(model::ModelEstimator{bad_ridge}, std::logic_error);
+    // A non-positive row weight would make the coefficient Gram
+    // indefinite.
+    for (double w : {0.0, -8.0}) {
+        model::EstimatorOptions bad_w;
+        bad_w.idle_row_weight = w;
+        EXPECT_THROW(model::ModelEstimator{bad_w}, std::logic_error);
+    }
 }
 
 TEST(Estimator, ConfigIndexLookups)

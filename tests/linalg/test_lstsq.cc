@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "common/random.hh"
 #include "linalg/lstsq.hh"
 
@@ -12,7 +14,9 @@ namespace
 {
 
 using gpupm::Rng;
+using gpupm::linalg::LstsqDiagnostics;
 using gpupm::linalg::Matrix;
+using gpupm::linalg::NormalEquations;
 using gpupm::linalg::Vector;
 
 TEST(LeastSquares, ExactSquareSystem)
@@ -81,12 +85,19 @@ TEST(LeastSquares, DimensionMismatchPanics)
     EXPECT_THROW(gpupm::linalg::leastSquares(a, b), std::logic_error);
 }
 
+/** NNLS on the normal equations of a dense system. */
+Vector
+nnlsOf(const Matrix &a, const Vector &b, double ridge = 0.0)
+{
+    return gpupm::linalg::nnls(NormalEquations::of(a, b), ridge);
+}
+
 TEST(Nnls, MatchesUnconstrainedWhenInterior)
 {
     Matrix a = {{1.0, 0.0}, {0.0, 1.0}, {1.0, 1.0}};
     Vector b = {1.0, 2.0, 3.0};
     Vector u = gpupm::linalg::leastSquares(a, b);
-    Vector n = gpupm::linalg::nnls(a, b);
+    Vector n = nnlsOf(a, b);
     ASSERT_GT(u[0], 0.0);
     ASSERT_GT(u[1], 0.0);
     EXPECT_NEAR(n[0], u[0], 1e-8);
@@ -99,7 +110,7 @@ TEST(Nnls, ClampsNegativeComponent)
     // return 0 there.
     Matrix a = {{1.0, 1.0}, {1.0, 1.0}, {0.0, 1.0}};
     Vector b = {1.0, 1.0, -2.0};
-    Vector n = gpupm::linalg::nnls(a, b);
+    Vector n = nnlsOf(a, b);
     EXPECT_GE(n[0], 0.0);
     EXPECT_GE(n[1], 0.0);
     EXPECT_DOUBLE_EQ(n[1], 0.0);
@@ -109,7 +120,7 @@ TEST(Nnls, AllZeroWhenRhsNegative)
 {
     Matrix a = {{1.0}, {1.0}};
     Vector b = {-1.0, -2.0};
-    Vector n = gpupm::linalg::nnls(a, b);
+    Vector n = nnlsOf(a, b);
     EXPECT_DOUBLE_EQ(n[0], 0.0);
 }
 
@@ -131,7 +142,7 @@ TEST_P(NnlsProperty, NonNegativeAndBounded)
             a(r, c) = rng.normal();
         b[r] = rng.normal();
     }
-    Vector x = gpupm::linalg::nnls(a, b);
+    Vector x = nnlsOf(a, b);
     for (std::size_t c = 0; c < n; ++c)
         EXPECT_GE(x[c], 0.0);
     const double rss_nnls = gpupm::linalg::residualSumSquares(a, x, b);
@@ -156,7 +167,7 @@ TEST(NnlsRidge, ShrinksDegenerateSplit)
         a(r, 1) = 1.0;
         b[r] = 4.0;
     }
-    Vector x = gpupm::linalg::nnlsRidge(a, b, 1e-6);
+    Vector x = nnlsOf(a, b, 1e-6);
     EXPECT_NEAR(x[0] + x[1], 4.0, 1e-3);
     EXPECT_NEAR(x[0], x[1], 1e-3);
 }
@@ -165,7 +176,7 @@ TEST(NnlsRidge, ZeroRidgeDelegates)
 {
     Matrix a = {{1.0, 0.0}, {0.0, 1.0}};
     Vector b = {1.0, 2.0};
-    Vector x = gpupm::linalg::nnlsRidge(a, b, 0.0);
+    Vector x = nnlsOf(a, b, 0.0);
     EXPECT_NEAR(x[0], 1.0, 1e-9);
     EXPECT_NEAR(x[1], 2.0, 1e-9);
 }
@@ -174,8 +185,103 @@ TEST(NnlsRidge, NegativeRidgePanics)
 {
     Matrix a(1, 1);
     Vector b(1);
-    EXPECT_THROW(gpupm::linalg::nnlsRidge(a, b, -1.0),
-                 std::logic_error);
+    EXPECT_THROW(nnlsOf(a, b, -1.0), std::logic_error);
+}
+
+TEST(NormalEquations, WeightedRowsMatchScaledDenseSystem)
+{
+    // Weight w on a row is the row scaled by sqrt(w) in the dense form.
+    Rng rng(9);
+    Matrix a(15, 4), scaled(15, 4);
+    Vector b(15), sb(15);
+    NormalEquations ne(4);
+    for (std::size_t r = 0; r < 15; ++r) {
+        const double w = 0.5 + rng.uniform() * 8.0;
+        for (std::size_t c = 0; c < 4; ++c) {
+            a(r, c) = rng.normal();
+            scaled(r, c) = std::sqrt(w) * a(r, c);
+        }
+        b[r] = rng.normal();
+        sb[r] = std::sqrt(w) * b[r];
+        ne.addRow(&a(r, 0), b[r], w);
+    }
+    const NormalEquations dense = NormalEquations::of(scaled, sb);
+    const Matrix got = ne.gram(), want = dense.gram();
+    for (std::size_t i = 0; i < 4; ++i) {
+        for (std::size_t j = 0; j < 4; ++j) {
+            EXPECT_NEAR(got(i, j), want(i, j), 1e-12);
+            EXPECT_EQ(got(i, j), got(j, i));
+        }
+        EXPECT_NEAR(ne.atb[i], dense.atb[i], 1e-12);
+    }
+    EXPECT_NEAR(ne.btb, sb.dot(sb), 1e-12);
+}
+
+TEST(GramCholesky, SolveMatchesQrOnFullRankSystems)
+{
+    for (int seed = 1; seed <= 10; ++seed) {
+        Rng rng(seed);
+        const std::size_t m = 20 + rng.below(10);
+        const std::size_t n = 2 + rng.below(9);
+        Matrix a(m, n);
+        Vector b(m);
+        for (std::size_t r = 0; r < m; ++r) {
+            for (std::size_t c = 0; c < n; ++c)
+                a(r, c) = rng.normal() * static_cast<double>(c + 1);
+            b[r] = rng.normal();
+        }
+        LstsqDiagnostics qr_diag;
+        const Vector want =
+                gpupm::linalg::leastSquares(a, b, 1e-12, &qr_diag);
+        const NormalEquations ne = NormalEquations::of(a, b);
+        const auto chol = gpupm::linalg::choleskyPivoted(ne.gram());
+        const Vector got = chol.solve(ne.atb);
+        for (std::size_t c = 0; c < n; ++c)
+            EXPECT_NEAR(got[c], want[c], 1e-9) << "seed " << seed;
+        // The Gram pivots are the squared QR pivots.
+        const LstsqDiagnostics d = chol.diagnostics();
+        EXPECT_EQ(d.rank, qr_diag.rank);
+        EXPECT_NEAR(d.condition, qr_diag.condition,
+                    1e-9 * qr_diag.condition);
+    }
+}
+
+TEST(GramCholesky, BasicSolutionZerosTheSameColumnAsQr)
+{
+    // Columns 0 and 2 are identical (the β0/β2 pair of the estimator's
+    // V̄ = 1 initialization): both solvers keep the first pivoted of
+    // the pair and zero the other.
+    Rng rng(21);
+    Matrix a(30, 4);
+    Vector b(30);
+    for (std::size_t r = 0; r < 30; ++r) {
+        const double w = 1.0 + rng.uniform();
+        a(r, 0) = w;
+        a(r, 1) = w * rng.uniform();
+        a(r, 2) = w;
+        a(r, 3) = w * rng.uniform() * 3.0;
+        b[r] = 50.0 + rng.normal();
+    }
+    LstsqDiagnostics qr_diag;
+    const Vector want = gpupm::linalg::leastSquares(a, b, 1e-12, &qr_diag);
+    const NormalEquations ne = NormalEquations::of(a, b);
+    const auto chol = gpupm::linalg::choleskyPivoted(ne.gram());
+    const Vector got = chol.solve(ne.atb);
+    EXPECT_EQ(qr_diag.rank, 3u);
+    EXPECT_EQ(chol.diagnostics().rank, 3u);
+    for (std::size_t c = 0; c < 4; ++c) {
+        EXPECT_EQ(got[c] == 0.0, want[c] == 0.0) << "column " << c;
+        EXPECT_NEAR(got[c], want[c], 1e-8 * (1.0 + std::abs(want[c])));
+    }
+}
+
+TEST(GramCholesky, ZeroGramHasRankZero)
+{
+    const auto chol = gpupm::linalg::choleskyPivoted(Matrix(3, 3));
+    EXPECT_EQ(chol.rank, 0u);
+    const Vector x = chol.solve(Vector{1.0, 2.0, 3.0});
+    for (std::size_t c = 0; c < 3; ++c)
+        EXPECT_EQ(x[c], 0.0);
 }
 
 } // namespace
