@@ -93,8 +93,9 @@ TEST(FlightRecorder, ConcurrentWritersLoseNothingButTheOldest)
     // once, in ascending order.
     std::set<std::int64_t> seqs;
     for (std::size_t i = 0; i < snap.size(); ++i) {
-        if (i > 0)
+        if (i > 0) {
             EXPECT_EQ(snap[i].seq, snap[i - 1].seq + 1);
+        }
         seqs.insert(snap[i].seq);
     }
     EXPECT_EQ(seqs.size(), fr.capacity());
