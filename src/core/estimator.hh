@@ -22,11 +22,16 @@
  *     normal equations;
  *  4. iterate 2-3 until the fit converges or an iteration cap is hit
  *     (the paper observes convergence in < 50 iterations).
+ *
+ * Steps 1-3 work on per-fit sufficient statistics (FitStatistics), so
+ * an iteration costs O(configurations) whatever the suite size; only
+ * the exact SSE that decides convergence visits every cell.
  */
 
 #ifndef GPUPM_CORE_ESTIMATOR_HH
 #define GPUPM_CORE_ESTIMATOR_HH
 
+#include <array>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -146,6 +151,65 @@ struct EstimationResult
 /** Value-or-typed-error result of a fit. */
 using FitResult = Expected<EstimationResult, FitError>;
 
+/**
+ * Sufficient statistics of the Sec. III-D fit, built in one pass over
+ * the (microbenchmark, configuration) cells.
+ *
+ * Every coefficient feature of Eqs. 5-7 is a configuration scalar —
+ * V̄c, V̄c²fc, V̄m or V̄m²fm — times one entry of the microbenchmark
+ * vector ũ_b = (1, U_INT, ..., U_L2, U_DRAM). With the idle-row
+ * weights w_b, the statistics are M = Σ_b w_b ũ_b ũ_bᵀ and, per
+ * configuration, r_c = Σ_b w_b P_bc ũ_b and q_c = Σ_b w_b P_bc². A
+ * weighted Gram entry of steps 1/3 is then an entry of M times a sum
+ * over configurations of two configuration scalars, AᵀWb a sum of
+ * scaled r_c and bᵀWb a sum of q_c. The step-2 moments are quadratic
+ * forms in M and dot products with r_c.
+ */
+class FitStatistics
+{
+  public:
+    /** Entries of ũ_b: 1, then the components in gpu::Component order. */
+    static constexpr std::size_t kDim = 1 + gpu::kNumComponents;
+    /** Coefficients: β0..β3, then ω in gpu::Component order. */
+    static constexpr std::size_t kNumFeatures = 4 + gpu::kNumComponents;
+
+    /** One pass over `data`; idle rows weigh `idle_row_weight`. */
+    FitStatistics(const TrainingData &data, double idle_row_weight);
+
+    /**
+     * The weighted normal equations of the coefficient fit over the
+     * configurations in `subset` at `voltages`, written into `ne`
+     * (order kNumFeatures): what NormalEquations::addRow gives over
+     * those cells, in O(|subset|).
+     */
+    void normalEquations(const std::vector<VoltagePair> &voltages,
+                         const std::vector<std::size_t> &subset,
+                         linalg::NormalEquations &ne) const;
+
+    /**
+     * The weighted moments of step 2 at fixed coefficients. A_b =
+     * β1 + Σ_core ω·U and B_b = β3 + ω_DRAM·U_DRAM are a
+     * microbenchmark's core and memory aggregates, P_bc its power.
+     */
+    struct VoltageMoments
+    {
+        /** Σw, ΣwA, ΣwB, ΣwA², ΣwB², ΣwAB over the microbenchmarks. */
+        double sw = 0.0, swa = 0.0, swb = 0.0, swaa = 0.0, swbb = 0.0,
+               swab = 0.0;
+        /** Per configuration: ΣwP, ΣwAP, ΣwBP. */
+        std::vector<double> swp, swap, swbp;
+    };
+
+    /** The step-2 moments at `p` into `out`, reusing its storage. */
+    void voltageMoments(const ModelParams &p, VoltageMoments &out) const;
+
+  private:
+    std::array<std::array<double, kDim>, kDim> m_{}; ///< M
+    std::vector<std::array<double, kDim>> r_;          ///< r_c
+    std::vector<double> q_;                           ///< q_c
+    std::vector<double> fc_, fm_;                     ///< clocks, GHz
+};
+
 /** The iterative heuristic estimator. */
 class ModelEstimator
 {
@@ -164,24 +228,6 @@ class ModelEstimator
     EstimationResult estimate(const TrainingData &data) const;
 
   private:
-    /** Steps 1/3: coefficient fit with voltages fixed. */
-    ModelParams fitCoefficients(
-            const TrainingData &data,
-            const std::vector<VoltagePair> &voltages,
-            const std::vector<std::size_t> &config_subset,
-            linalg::LstsqDiagnostics *diag = nullptr) const;
-
-    /** Step 2: per-configuration voltage fit + monotonic projection,
-     *  warm-started from the previous iterate. */
-    std::vector<VoltagePair> fitVoltages(
-            const TrainingData &data, const ModelParams &params,
-            const std::vector<VoltagePair> &start,
-            std::size_t ref_ci) const;
-
-    /** Total squared error of a (params, voltages) pair. */
-    double sse(const TrainingData &data, const ModelParams &params,
-               const std::vector<VoltagePair> &voltages) const;
-
     EstimatorOptions opts_;
 };
 

@@ -1,6 +1,7 @@
 #include "quartic.hh"
 
 #include <cmath>
+#include <limits>
 #include <utility>
 
 #include "common/logging.hh"
@@ -11,7 +12,8 @@ namespace linalg
 {
 
 double
-argminQuartic(const std::array<double, 5> &c, double lo, double hi)
+argminQuartic(const std::array<double, 5> &c, double lo, double hi,
+              double hint)
 {
     GPUPM_ASSERT(lo <= hi, "empty interval [", lo, ", ", hi, "]");
     const auto q = [&](double x) {
@@ -23,6 +25,16 @@ argminQuartic(const std::array<double, 5> &c, double lo, double hi)
     };
     const auto d2q = [&](double x) {
         return (12.0 * c[4] * x + 6.0 * c[3]) * x + 2.0 * c[2];
+    };
+    // Rounding bound of dq(x): 8ε times the Horner sum of its terms'
+    // magnitudes.
+    const auto dq_noise = [&](double x) {
+        const double ax = std::abs(x);
+        const double mag =
+                ((4.0 * std::abs(c[4]) * ax + 3.0 * std::abs(c[3])) * ax +
+                 2.0 * std::abs(c[2])) * ax +
+                std::abs(c[1]);
+        return 8.0 * std::numeric_limits<double>::epsilon() * mag;
     };
 
     double best = lo, best_q = q(lo);
@@ -68,11 +80,12 @@ argminQuartic(const std::array<double, 5> &c, double lo, double hi)
         if (neg_at_p == (dq(r) < 0.0))
             continue; // q' keeps its sign: no root on this piece
         // Newton inside the shrinking bracket [p, r], bisecting
-        // whenever a step would leave it.
-        double x = 0.5 * (p + r);
+        // whenever a step would leave it, until q'(x) is rounding
+        // noise.
+        double x = hint > p && hint < r ? hint : 0.5 * (p + r);
         for (int it = 0; it < 200; ++it) {
             const double fx = dq(x);
-            if (fx == 0.0)
+            if (std::abs(fx) <= dq_noise(x))
                 break;
             ((fx < 0.0) == neg_at_p ? p : r) = x;
             double next = x - fx / d2q(x);
