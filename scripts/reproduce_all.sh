@@ -28,7 +28,7 @@ if [ "${GPUPM_SKIP_SANITIZE:-0}" != "1" ]; then
     cmake -B build-asan -G Ninja -DGPUPM_SANITIZE=ON
     cmake --build build-asan --target \
         core_test_metrics core_test_power_model core_test_estimator \
-        core_test_estimator_reference \
+        core_test_estimator_reference core_test_estimator_stats \
         core_test_campaign core_test_faults core_test_resilient \
         core_test_model_io core_test_validate linalg_test_matrix \
         linalg_test_lstsq linalg_test_quartic linalg_test_isotonic \
