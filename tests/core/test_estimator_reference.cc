@@ -516,7 +516,9 @@ TEST(EstimatorReference, SignedInitializationZerosTheSameCoefficient)
     LstsqDiagnostics qr;
     const Vector want = linalg::leastSquares(a, rhs, 1e-12, &qr);
     const auto ne = linalg::NormalEquations::of(a, rhs);
-    const auto chol = linalg::choleskyPivoted(ne.gram());
+    linalg::GramCholesky chol;
+    ne.gram(chol.l);
+    chol.factor();
     const Vector got = chol.solve(ne.atb);
 
     ASSERT_EQ(qr.rank, kNumFeatures - 1);
