@@ -476,6 +476,7 @@ Registry::reset()
 {
     std::lock_guard<std::mutex> lock(mu_);
     metrics_.clear();
+    generation_.fetch_add(1, std::memory_order_release);
 }
 
 } // namespace obs

@@ -3,8 +3,11 @@
  * Process-wide metrics registry.
  *
  * Counters (monotonic), gauges (set-to-latest) and histograms (fixed
- * bucket layouts chosen at registration) with lock-free hot paths;
- * the registry renders them as Prometheus text exposition format
+ * bucket layouts chosen at registration). Updates are relaxed atomics
+ * (CAS loops for the doubles) and take no lock. Looking a metric up by
+ * name locks the registry, so the unlabelled standard accessors
+ * (standard.hh) do it once per registry generation. The registry
+ * renders them as Prometheus text exposition format
  * (`gpupm metrics`, `--metrics-out`) and as JSON (`gpupm metrics
  * --json`). Metric names follow the Prometheus conventions:
  * `gpupm_<subsystem>_<what>[_total|_seconds|...]` — the standard
@@ -186,8 +189,17 @@ class Registry
     /** Write renderPrometheus() to a file; false on I/O failure. */
     bool writePrometheus(const std::string &path) const;
 
-    /** Drop every metric (tests only; references die with them). */
+    /**
+     * Drop every metric (tests only; references die with them) and
+     * bump generation(), so cached handles re-resolve.
+     */
     void reset();
+
+    /** Starts at 1; every reset() adds one. */
+    std::uint64_t generation() const
+    {
+        return generation_.load(std::memory_order_acquire);
+    }
 
   private:
     enum class Kind { Counter, Gauge, Histogram };
@@ -208,6 +220,7 @@ class Registry
     mutable std::mutex mu_;
     /** family name -> label body -> child (one "" child when bare). */
     std::map<std::string, std::map<std::string, Entry>> metrics_;
+    std::atomic<std::uint64_t> generation_{1};
 };
 
 } // namespace obs

@@ -7,6 +7,12 @@
  * catalog can be pre-registered (registerStandardMetrics) before a
  * dump — a `gpupm metrics` run or a `--metrics-out` file always shows
  * the full schema, with zeros for paths that did not run.
+ *
+ * An unlabelled accessor registers its metric on first use and again
+ * only after Registry::reset(); every other call is a few atomic
+ * loads, with no lock, map lookup or string. The labelled accessors
+ * (HTTP, alerts, fleet arch) and buildInfo() look up by name on every
+ * call.
  */
 
 #ifndef GPUPM_OBS_STANDARD_HH

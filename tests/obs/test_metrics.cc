@@ -1,8 +1,9 @@
 /**
  * @file
  * Tests of the metrics registry: counter/gauge/histogram semantics,
- * idempotent registration, the Prometheus and JSON renderings, and a
- * multi-threaded increment smoke test (the hot paths are lock-free).
+ * idempotent registration, the Prometheus and JSON renderings, a
+ * multi-threaded increment smoke test (updates take no lock), and the
+ * standard accessors' cached handles across Registry::reset().
  */
 
 #include <gtest/gtest.h>
@@ -115,6 +116,9 @@ TEST_F(MetricsTest, ConcurrentIncrementsAreNotLost)
                 h.observe((t % 4) * 0.25);
                 // Concurrent (idempotent) registration too.
                 reg.counter("t_conc_total", "concurrency smoke");
+                // A standard accessor: every thread races to resolve
+                // its cached handle on first use.
+                obs::simKernelExecutionsTotal().inc();
             }
         });
     }
@@ -123,6 +127,8 @@ TEST_F(MetricsTest, ConcurrentIncrementsAreNotLost)
     EXPECT_DOUBLE_EQ(c.value(),
                      static_cast<double>(kThreads) * kIters);
     EXPECT_DOUBLE_EQ(h.count(),
+                     static_cast<double>(kThreads) * kIters);
+    EXPECT_DOUBLE_EQ(obs::simKernelExecutionsTotal().value(),
                      static_cast<double>(kThreads) * kIters);
 }
 
@@ -239,6 +245,34 @@ TEST_F(MetricsTest, QuantileTextAndJsonAgree)
     EXPECT_NEAR(promValue("0.5"), h.quantileEstimate(0.50), 1e-6);
     EXPECT_NEAR(promValue("0.95"), h.quantileEstimate(0.95), 1e-6);
     EXPECT_NEAR(promValue("0.99"), h.quantileEstimate(0.99), 1e-6);
+}
+
+TEST_F(MetricsTest, StandardAccessorFollowsRegistryReset)
+{
+    auto &reg = obs::Registry::global();
+    obs::campaignCellsDoneTotal().inc(2);
+    obs::simKernelTimeSeconds().observe(0.5);
+    EXPECT_NE(reg.renderPrometheus().find(
+                      "gpupm_campaign_cells_done_total 2"),
+              std::string::npos);
+
+    // After a reset the registry is empty until something registers;
+    // the accessors then count into the new registry.
+    reg.reset();
+    EXPECT_EQ(reg.size(), 0u);
+    obs::campaignCellsDoneTotal().inc(3);
+    obs::simKernelTimeSeconds().observe(0.5);
+    ASSERT_EQ(reg.size(), 2u); // a stale handle would dangle below
+    EXPECT_DOUBLE_EQ(obs::campaignCellsDoneTotal().value(), 3.0);
+    EXPECT_DOUBLE_EQ(obs::simKernelTimeSeconds().count(), 1.0);
+    const std::string text = reg.renderPrometheus();
+    EXPECT_NE(text.find("gpupm_campaign_cells_done_total 3"),
+              std::string::npos);
+    EXPECT_NE(text.find("gpupm_sim_kernel_time_seconds_count 1"),
+              std::string::npos);
+    EXPECT_EQ(&obs::campaignCellsDoneTotal(),
+              &reg.counter("gpupm_campaign_cells_done_total",
+                           "Measurement cells completed"));
 }
 
 TEST_F(MetricsTest, StandardCatalogPreRegistersEverything)
