@@ -60,7 +60,7 @@ runTrainingCampaign(MeasurementBackend &backend,
 
     GPUPM_TRACE_SPAN_NAMED(span, "campaign", "campaign.training");
     span.arg("device", desc.name);
-    span.arg("benchmarks", numio::formatLong((long)suite.size()));
+    span.arg("benchmarks", (long)suite.size());
 
     TrainingData data;
     data.device = desc.kind;
@@ -243,8 +243,8 @@ runResilientTrainingCampaign(
     GPUPM_TRACE_SPAN_NAMED(span, "campaign",
                            "campaign.training-resilient");
     span.arg("device", desc.name);
-    span.arg("benchmarks", numio::formatLong((long)nb));
-    span.arg("configs", numio::formatLong((long)nc));
+    span.arg("benchmarks", (long)nb);
+    span.arg("configs", (long)nc);
 
     ResilientBackend shield(backend, opts.resilience);
     const auto *injector =

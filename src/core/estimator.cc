@@ -5,7 +5,6 @@
 #include <map>
 
 #include "common/logging.hh"
-#include "common/numio.hh"
 #include "gpu/components.hh"
 #include "linalg/isotonic.hh"
 #include "linalg/lstsq.hh"
@@ -499,10 +498,8 @@ FitResult
 ModelEstimator::tryEstimate(const TrainingData &data) const
 {
     GPUPM_TRACE_SPAN_NAMED(fit_span, "estimator", "estimator.fit");
-    fit_span.arg("benchmarks", numio::formatLong(
-                                       (long)data.utils.size()));
-    fit_span.arg("configs", numio::formatLong(
-                                    (long)data.configs.size()));
+    fit_span.arg("benchmarks", (long)data.utils.size());
+    fit_span.arg("configs", (long)data.configs.size());
 
     const auto fail = [&](FitError err) -> FitResult {
         obs::estimatorFitFailuresTotal().inc();
@@ -637,7 +634,7 @@ ModelEstimator::tryEstimate(const TrainingData &data) const
         for (int it = 0; it < opts_.max_iterations; ++it) {
             GPUPM_TRACE_SPAN_NAMED(it_span, "estimator",
                                    "estimator.iteration");
-            it_span.arg("iteration", numio::formatLong(it + 1));
+            it_span.arg("iteration", (long)it + 1);
             // Step 2: voltages given coefficients.
             prev_v = voltages;
             {
@@ -693,7 +690,7 @@ ModelEstimator::tryEstimate(const TrainingData &data) const
     obs::estimatorLastIterations().set(res.iterations);
     obs::estimatorLastRmseW().set(res.rmse_w);
     obs::estimatorLastCondition().set(res.condition_number);
-    fit_span.arg("iterations", numio::formatLong(res.iterations));
+    fit_span.arg("iterations", (long)res.iterations);
     fit_span.arg("converged", res.converged ? "true" : "false");
     if (opts_.observer)
         opts_.observer->onDone(res.converged, res.iterations);

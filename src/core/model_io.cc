@@ -289,7 +289,7 @@ tryWriteFile(const std::string &path, const std::string &text)
 {
     GPUPM_TRACE_SPAN_NAMED(span, "io", "io.write");
     span.arg("path", path);
-    span.arg("bytes", numio::formatLong((long)text.size()));
+    span.arg("bytes", (long)text.size());
     std::ofstream out(path, std::ios::binary);
     if (!out) {
         obs::ioSaveFailuresTotal().inc();
@@ -780,7 +780,7 @@ loadWithPolicy(const std::string &path, FileKind want,
 {
     GPUPM_TRACE_SPAN_NAMED(span, "io", "io.load");
     span.arg("path", path);
-    span.arg("kind", std::string(fileKindName(want)));
+    span.arg("kind", fileKindName(want));
     auto text = tryReadFile(path);
     if (!text.ok()) {
         obs::ioLoadFailuresTotal().inc();

@@ -177,9 +177,11 @@ ResilientBackend::tryProfileKernel(const sim::KernelDemand &kernel,
                                    const gpu::FreqConfig &cfg)
 {
     GPUPM_TRACE_SPAN_NAMED(span, "backend", "backend.profile");
-    span.arg("kernel", kernel.name);
-    span.arg("config", numio::formatLong(cfg.core_mhz) + "/" +
-                               numio::formatLong(cfg.mem_mhz));
+    if (span.armed()) {
+        span.arg("kernel", kernel.name);
+        span.arg("config", numio::formatLong(cfg.core_mhz) + "/" +
+                                   numio::formatLong(cfg.mem_mhz));
+    }
     std::vector<cupti::RawMetrics> collections;
     Status last{MeasureErrc::Transient, "no collection succeeded"};
     for (int r = 0; r < opts_.profile_repetitions; ++r) {
@@ -218,9 +220,11 @@ ResilientBackend::tryMeasurePower(const sim::KernelDemand &kernel,
                                   double min_duration_s)
 {
     GPUPM_TRACE_SPAN_NAMED(span, "backend", "backend.power");
-    span.arg("kernel", kernel.name);
-    span.arg("config", numio::formatLong(cfg.core_mhz) + "/" +
-                               numio::formatLong(cfg.mem_mhz));
+    if (span.armed()) {
+        span.arg("kernel", kernel.name);
+        span.arg("config", numio::formatLong(cfg.core_mhz) + "/" +
+                                   numio::formatLong(cfg.mem_mhz));
+    }
     const int reps =
             std::max(repetitions, opts_.min_valid_repetitions);
     std::vector<nvml::PowerMeasurement> runs;
@@ -288,8 +292,9 @@ ResilientBackend::tryMeasureIdlePower(const gpu::FreqConfig &cfg,
                                       int repetitions)
 {
     GPUPM_TRACE_SPAN_NAMED(span, "backend", "backend.idle-power");
-    span.arg("config", numio::formatLong(cfg.core_mhz) + "/" +
-                               numio::formatLong(cfg.mem_mhz));
+    if (span.armed())
+        span.arg("config", numio::formatLong(cfg.core_mhz) + "/" +
+                                   numio::formatLong(cfg.mem_mhz));
     const int reps =
             std::max(repetitions, opts_.min_valid_repetitions);
     std::vector<double> samples;

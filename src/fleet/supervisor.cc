@@ -117,8 +117,8 @@ struct FleetRun
         // marked error on any failed attempt so chaos casualties are
         // tail-kept by the trace store.
         GPUPM_TRACE_SPAN_NAMED(shard_span, "fleet", "fleet.shard");
-        shard_span.arg("shard", std::to_string(shard.index));
-        shard_span.arg("attempt", std::to_string(attempt + 1));
+        shard_span.arg("shard", (long)shard.index);
+        shard_span.arg("attempt", (long)attempt + 1);
         const std::string ck_path =
                 opts.checkpoint_dir.empty()
                         ? std::string()
@@ -335,9 +335,8 @@ runFleetCampaign(const FleetOptions &opts,
         // into a single trace when this root closes after wait().
         GPUPM_TRACE_SPAN_NAMED(campaign_span, "fleet",
                                "fleet.campaign");
-        campaign_span.arg("devices",
-                          std::to_string(devices.size()));
-        campaign_span.arg("shards", std::to_string(shards.size()));
+        campaign_span.arg("devices", (long)devices.size());
+        campaign_span.arg("shards", (long)shards.size());
 
         WorkStealingPool pool(threads);
         Watchdog watchdog;

@@ -63,6 +63,17 @@ copyBounded(char (&dst)[N], const char *src)
     dst[i] = '\0';
 }
 
+/** The same for a span name, which need not be NUL-terminated. */
+template <std::size_t N>
+void
+copyBounded(char (&dst)[N], std::string_view src)
+{
+    std::size_t i = 0;
+    for (; i < src.size() && i + 1 < N; ++i)
+        dst[i] = src[i];
+    dst[i] = '\0';
+}
+
 std::uint64_t
 currentTid()
 {
@@ -129,7 +140,7 @@ formatPct(double v)
 std::atomic<bool> Profiler::context_enabled_{false};
 
 void
-profilerPushSpan(const char *cat, const char *name)
+profilerPushSpan(const char *cat, std::string_view name)
 {
     SpanCtx &ctx = g_span_ctx;
     const int d = ctx.depth;

@@ -47,6 +47,7 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 /**
@@ -225,7 +226,7 @@ class Profiler
  * Profiler::contextEnabled(). `cat` must be a string literal (it is
  * not copied on push; the handler copies bytes out on sample).
  */
-void profilerPushSpan(const char *cat, const char *name);
+void profilerPushSpan(const char *cat, std::string_view name);
 void profilerPopSpan();
 
 } // namespace obs

@@ -183,8 +183,7 @@ Sampler::tickOnce(std::size_t index, std::int64_t t_us)
     GPUPM_TRACE_SPAN_NAMED(tick_span, "monitor", "monitor.tick");
     tick_span.arg("app", pt.app);
     tick_span.arg("tick",
-                  numio::formatLong(
-                          ticks_.load(std::memory_order_relaxed) + 1));
+                  (long)ticks_.load(std::memory_order_relaxed) + 1);
     const auto start = std::chrono::steady_clock::now();
     MonitorSample s;
     {

@@ -280,10 +280,10 @@ Tracer::writeChromeTrace(const std::string &path) const
     return static_cast<bool>(out);
 }
 
-SpanGuard::SpanGuard(const char *cat, std::string name)
+SpanGuard::SpanGuard(const char *cat, std::string_view name)
 {
     if (Profiler::contextEnabled()) {
-        profilerPushSpan(cat, name.c_str());
+        profilerPushSpan(cat, name);
         ctx_pushed_ = true;
     }
     Tracer &t = Tracer::global();
@@ -291,7 +291,7 @@ SpanGuard::SpanGuard(const char *cat, std::string name)
         return;
     armed_ = true;
     ev_.cat = cat;
-    ev_.name = std::move(name);
+    ev_.name = name;
     ev_.tid = t.threadOrdinal();
     ev_.span_id = t.mintId();
     saved_ctx_ = g_trace_ctx;
@@ -324,11 +324,19 @@ SpanGuard::~SpanGuard()
 }
 
 void
-SpanGuard::arg(std::string key, std::string value)
+SpanGuard::arg(std::string_view key, std::string_view value)
 {
     if (!armed_)
         return;
-    ev_.args.emplace_back(std::move(key), std::move(value));
+    ev_.args.emplace_back(key, value);
+}
+
+void
+SpanGuard::arg(std::string_view key, long value)
+{
+    if (!armed_)
+        return;
+    ev_.args.emplace_back(key, numio::formatLong(value));
 }
 
 void

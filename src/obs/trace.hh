@@ -7,9 +7,11 @@
  * of work; the global Tracer collects one complete event ("ph":"X")
  * per span and exports them as Chrome trace-event JSON, loadable in
  * chrome://tracing and Perfetto. The tracer is off by default: a
- * disabled SpanGuard reads one relaxed atomic in its constructor and
- * does nothing else, so instrumentation can stay in hot paths
- * permanently.
+ * disabled SpanGuard reads two relaxed atomics (tracer and profiler)
+ * in its constructor and copies, formats and allocates nothing, so
+ * instrumentation can stay in hot paths permanently. Call sites that
+ * format an arg test armed() first; arg() itself copies only when
+ * armed.
  *
  * Correlation (DESIGN.md §15): every armed span carries a 64-bit
  * span ID minted from a seeded splitmix64 counter (deterministic
@@ -44,6 +46,7 @@
 #include <map>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -210,14 +213,19 @@ class Tracer
 class SpanGuard
 {
   public:
-    SpanGuard(const char *cat, std::string name);
+    /** `name` is copied only when the guard arms. */
+    SpanGuard(const char *cat, std::string_view name);
     ~SpanGuard();
 
     SpanGuard(const SpanGuard &) = delete;
     SpanGuard &operator=(const SpanGuard &) = delete;
 
-    /** Annotate the span ("args" in the exported JSON). */
-    void arg(std::string key, std::string value);
+    /**
+     * Annotate the span ("args" in the exported JSON). Copies nothing
+     * when the span is not armed; the numeric form formats only then.
+     */
+    void arg(std::string_view key, std::string_view value);
+    void arg(std::string_view key, long value);
 
     /** Flag the span (and so its trace) as an error for tail-keep. */
     void markError();

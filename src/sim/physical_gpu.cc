@@ -126,9 +126,11 @@ PhysicalGpu::execute(const KernelDemand &demand,
     GPUPM_ASSERT(desc_.supports(cfg), "unsupported config (",
                  cfg.core_mhz, ", ", cfg.mem_mhz, ") on ", desc_.name);
     GPUPM_TRACE_SPAN_NAMED(span, "sim", "sim.execute");
-    span.arg("device", desc_.name);
-    span.arg("config", numio::formatLong(cfg.core_mhz) + "/" +
-                               numio::formatLong(cfg.mem_mhz));
+    if (span.armed()) {
+        span.arg("device", desc_.name);
+        span.arg("config", numio::formatLong(cfg.core_mhz) + "/" +
+                                   numio::formatLong(cfg.mem_mhz));
+    }
     ExecutionProfile prof = perf_.execute(desc_, demand, cfg);
     obs::simKernelExecutionsTotal().inc();
     obs::simKernelTimeSeconds().observe(prof.time_s);
