@@ -95,26 +95,29 @@ Device::sampleSensor(double true_power_w)
     return std::max(0.0, std::round(noisy * 1000.0) / 1000.0);
 }
 
-gpu::FreqConfig
-Device::effectiveClocksFor(const sim::KernelDemand &demand) const
+Device::Fallback
+Device::powerLimitFallback(const sim::KernelDemand &demand) const
 {
     const gpu::DeviceDescriptor &desc = board_.descriptor();
-    gpu::FreqConfig cfg = clocks_;
+    Fallback f;
+    f.effective = clocks_;
     // Walk down the core table until the true power respects TDP
-    // (the driver's automatic fallback observed in Fig. 9).
+    // (the driver's automatic fallback observed in Fig. 9). When even
+    // the lowest level violates it, the board throttles there: the
+    // walk ends on that level's run.
     auto it = std::find(desc.core_freqs_mhz.rbegin(),
-                        desc.core_freqs_mhz.rend(), cfg.core_mhz);
+                        desc.core_freqs_mhz.rend(), clocks_.core_mhz);
     GPUPM_ASSERT(it != desc.core_freqs_mhz.rend(),
                  "current core clock not in table");
     for (; it != desc.core_freqs_mhz.rend(); ++it) {
-        cfg.core_mhz = *it;
-        const auto prof = board_.execute(demand, cfg);
-        if (board_.truePower(prof, cfg).total_w <= power_limit_w_)
-            return cfg;
+        f.effective.core_mhz = *it;
+        f.profile = board_.execute(demand, f.effective);
+        f.true_power_w =
+                board_.truePower(f.profile, f.effective).total_w;
+        if (f.true_power_w <= power_limit_w_)
+            break;
     }
-    // Even the lowest level violates TDP; the board throttles there.
-    cfg.core_mhz = desc.core_freqs_mhz.front();
-    return cfg;
+    return f;
 }
 
 PowerMeasurement
@@ -128,14 +131,14 @@ Device::measureKernelPower(const sim::KernelDemand &demand,
 
     const gpu::DeviceDescriptor &desc = board_.descriptor();
 
+    // The walk's last run is the kernel at the effective clocks; the
+    // model draws no randomness, so running it again would return the
+    // same profile.
+    const Fallback f = powerLimitFallback(demand);
     PowerMeasurement m;
-    m.effective = effectiveClocksFor(demand);
+    m.effective = f.effective;
     m.tdp_limited = m.effective.core_mhz != clocks_.core_mhz;
-
-    const sim::ExecutionProfile prof =
-            board_.execute(demand, m.effective);
-    m.kernel_time_s = prof.time_s;
-    const double true_power = board_.truePower(prof, m.effective).total_w;
+    m.kernel_time_s = f.profile.time_s;
 
     // Pick the repetition count so the run lasts at least
     // min_duration_s at the *fastest* configuration (Sec. V-A), so the
@@ -146,7 +149,7 @@ Device::measureKernelPower(const sim::KernelDemand &demand,
             board_.execute(demand, fastest).time_s;
     const auto reps = static_cast<int>(
             std::ceil(min_duration_s / std::max(t_fastest, 1e-9)));
-    m.run_duration_s = prof.time_s * reps;
+    m.run_duration_s = f.profile.time_s * reps;
 
     const double refresh_s = refreshPeriodMs() / 1000.0;
     m.samples_per_run = std::max(
@@ -157,7 +160,7 @@ Device::measureKernelPower(const sim::KernelDemand &demand,
     for (int r = 0; r < repetitions; ++r) {
         stats::Accumulator acc;
         for (int s = 0; s < m.samples_per_run; ++s)
-            acc.add(sampleSensor(true_power));
+            acc.add(sampleSensor(f.true_power_w));
         run_means.push_back(acc.mean());
     }
     m.power_w = stats::median(run_means);

@@ -114,7 +114,9 @@ class Device
      * Measure the average power of a kernel at the current clocks,
      * following the paper's methodology (repeat to >= min_duration at
      * the fastest configuration, average samples, median of
-     * repetitions).
+     * repetitions). Runs the simulated kernel once per step of the TDP
+     * fallback walk and once at the fastest configuration: twice when
+     * the requested clocks respect the power limit.
      */
     PowerMeasurement measureKernelPower(const sim::KernelDemand &demand,
                                         int repetitions = 10,
@@ -122,14 +124,6 @@ class Device
 
     /** Average idle power at the current clocks (awake, no kernel). */
     double measureIdlePower(int samples = 20);
-
-    /**
-     * Core clock actually applied when running the demand at the
-     * requested clocks: the highest table entry at or below the request
-     * whose true power respects TDP.
-     */
-    gpu::FreqConfig effectiveClocksFor(const sim::KernelDemand &demand)
-            const;
 
     /**
      * Reset the sensor-noise stream to the state a freshly
@@ -141,6 +135,21 @@ class Device
     void reseed(std::uint64_t seed);
 
   private:
+    /** Where the board's TDP fallback settles for one kernel. */
+    struct Fallback
+    {
+        gpu::FreqConfig effective;    ///< clocks actually applied
+        sim::ExecutionProfile profile; ///< the kernel run at them
+        double true_power_w = 0.0;    ///< its noise-free power
+    };
+
+    /**
+     * Walk down the core table from the requested clocks to the
+     * highest entry whose true power respects the power limit (the
+     * lowest entry when none does), running the kernel once per step.
+     */
+    Fallback powerLimitFallback(const sim::KernelDemand &demand) const;
+
     /** One noisy instantaneous sensor reading of a true power. */
     double sampleSensor(double true_power_w);
 

@@ -1,12 +1,25 @@
 /**
  * @file
  * Tests of the NVML-style host facade: clock control, sampled power
- * measurement, TDP fallback.
+ * measurement, TDP fallback, and the measurement's model runs against
+ * a three-run reference.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <functional>
+#include <vector>
+
+#include "common/random.hh"
+#include "common/stats.hh"
+#include "core/campaign.hh"
 #include "nvml/device.hh"
+#include "obs/standard.hh"
+#include "ubench/suite.hh"
 
 namespace
 {
@@ -223,6 +236,236 @@ TEST(NvmlDevice, LowerPowerLimitForcesDeeperClockFallback)
               unlimited.effective.core_mhz);
     // The measured power honours the limit.
     EXPECT_LE(limited.power_w, 150.0 * 1.05);
+}
+
+} // namespace
+
+namespace
+{
+
+/**
+ * The measurement as it was before the TDP walk kept its profile: walk
+ * down the core table running the kernel at each step, run it again at
+ * the effective clocks, and run it at the fastest configuration to size
+ * the repetitions. Only public PhysicalGpu calls, and the device's own
+ * noise stream (Rng(seed).split(7)) and sensor quantization.
+ */
+struct ReferenceDevice
+{
+    const sim::PhysicalGpu &board;
+    gpu::FreqConfig clocks;
+    double power_limit_w;
+    double refresh_ms;
+    Rng noise;
+    int last_walk_steps = 0; ///< kernel runs in the last TDP walk
+
+    void reseed(std::uint64_t seed) { noise = Rng(seed).split(7); }
+
+    double sampleSensor(double true_power_w)
+    {
+        const double noisy =
+                true_power_w +
+                noise.normal(0.0, 0.006 * true_power_w + 0.3);
+        return std::max(0.0, std::round(noisy * 1000.0) / 1000.0);
+    }
+
+    gpu::FreqConfig effectiveClocksFor(const sim::KernelDemand &demand)
+    {
+        const auto &table = board.descriptor().core_freqs_mhz;
+        gpu::FreqConfig cfg = clocks;
+        last_walk_steps = 0;
+        for (auto it = std::find(table.rbegin(), table.rend(),
+                                 cfg.core_mhz);
+             it != table.rend(); ++it) {
+            cfg.core_mhz = *it;
+            ++last_walk_steps;
+            const auto prof = board.execute(demand, cfg);
+            if (board.truePower(prof, cfg).total_w <= power_limit_w)
+                return cfg;
+        }
+        cfg.core_mhz = table.front();
+        return cfg;
+    }
+
+    nvml::PowerMeasurement measure(const sim::KernelDemand &demand,
+                                   int repetitions,
+                                   double min_duration_s)
+    {
+        const auto &desc = board.descriptor();
+        nvml::PowerMeasurement m;
+        m.effective = effectiveClocksFor(demand);
+        m.tdp_limited = m.effective.core_mhz != clocks.core_mhz;
+        const auto prof = board.execute(demand, m.effective);
+        m.kernel_time_s = prof.time_s;
+        const double true_power =
+                board.truePower(prof, m.effective).total_w;
+        const gpu::FreqConfig fastest{desc.maxCoreMhz(),
+                                      desc.mem_freqs_mhz.front()};
+        const double t_fastest = board.execute(demand, fastest).time_s;
+        const auto reps = static_cast<int>(
+                std::ceil(min_duration_s / std::max(t_fastest, 1e-9)));
+        m.run_duration_s = prof.time_s * reps;
+        m.samples_per_run = std::max(
+                1, static_cast<int>(m.run_duration_s /
+                                    (refresh_ms / 1000.0)));
+        std::vector<double> run_means;
+        for (int r = 0; r < repetitions; ++r) {
+            stats::Accumulator acc;
+            for (int s = 0; s < m.samples_per_run; ++s)
+                acc.add(sampleSensor(true_power));
+            run_means.push_back(acc.mean());
+        }
+        m.power_w = stats::median(run_means);
+        return m;
+    }
+};
+
+std::uint64_t
+bits(double x)
+{
+    return std::bit_cast<std::uint64_t>(x);
+}
+
+/** Every field, bit for bit. */
+void
+expectSameMeasurement(const nvml::PowerMeasurement &got,
+                      const nvml::PowerMeasurement &want)
+{
+    EXPECT_EQ(bits(got.power_w), bits(want.power_w));
+    EXPECT_EQ(bits(got.kernel_time_s), bits(want.kernel_time_s));
+    EXPECT_EQ(bits(got.run_duration_s), bits(want.run_duration_s));
+    EXPECT_EQ(got.samples_per_run, want.samples_per_run);
+    EXPECT_EQ(got.effective, want.effective);
+    EXPECT_EQ(got.tdp_limited, want.tdp_limited);
+}
+
+double
+executions()
+{
+    return obs::simKernelExecutionsTotal().value();
+}
+
+/**
+ * Measure every non-idle kernel of the suite at every configuration of
+ * the three boards, at power limits of TDP, 150 W and 100 W, reseeding
+ * both devices before each call. `check` sees the device's and the
+ * reference's measurement, the reference's walk length and the model
+ * runs the device made.
+ */
+void
+sweepAgainstReference(
+        const std::function<void(const nvml::PowerMeasurement &,
+                                 const nvml::PowerMeasurement &,
+                                 int walk_steps, double runs)> &check)
+{
+    const auto suite = ubench::buildSuite();
+    std::uint64_t seed = 1;
+    for (auto kind : {gpu::DeviceKind::TitanXp,
+                      gpu::DeviceKind::GtxTitanX,
+                      gpu::DeviceKind::TeslaK40c}) {
+        sim::PhysicalGpu board(kind);
+        const auto &desc = board.descriptor();
+        nvml::Device dev(board);
+        ReferenceDevice ref{board, {}, 0.0, dev.refreshPeriodMs(),
+                            Rng()};
+        for (double limit : {desc.tdp_w, 150.0, 100.0}) {
+            dev.setPowerLimit(limit);
+            ref.power_limit_w = limit;
+            for (const auto &cfg : desc.allConfigs()) {
+                dev.setApplicationClocks(cfg.mem_mhz, cfg.core_mhz);
+                ref.clocks = cfg;
+                for (const auto &mb : suite) {
+                    if (mb.demand.empty())
+                        continue;
+                    dev.reseed(seed);
+                    ref.reseed(seed);
+                    ++seed;
+                    const double before = executions();
+                    const auto got = dev.measureKernelPower(mb.demand, 3);
+                    const double runs = executions() - before;
+                    const auto want = ref.measure(mb.demand, 3, 1.0);
+                    check(got, want, ref.last_walk_steps, runs);
+                    if (::testing::Test::HasFailure())
+                        return;
+                }
+            }
+        }
+    }
+}
+
+TEST(NvmlDeviceReference, MeasurementMatchesThreeRunReference)
+{
+    int measurements = 0;
+    sweepAgainstReference([&](const nvml::PowerMeasurement &got,
+                              const nvml::PowerMeasurement &want, int,
+                              double) {
+        expectSameMeasurement(got, want);
+        ++measurements;
+    });
+    EXPECT_GT(measurements, 10000);
+}
+
+TEST(NvmlDeviceReference, RunsTheModelOncePerWalkStepPlusOnce)
+{
+    int max_steps = 0, limited = 0;
+    sweepAgainstReference([&](const nvml::PowerMeasurement &got,
+                              const nvml::PowerMeasurement &,
+                              int walk_steps, double runs) {
+        // One run per walk step, plus the fastest-configuration run
+        // that sizes the repetitions: 2 without a fallback.
+        EXPECT_EQ(runs, walk_steps + 1.0);
+        max_steps = std::max(max_steps, walk_steps);
+        limited += got.tdp_limited;
+    });
+    // The sweep exercises walks of several steps, not only the
+    // no-fallback case.
+    EXPECT_GE(max_steps, 5);
+    EXPECT_GT(limited, 1000);
+}
+
+TEST(NvmlDeviceReference, DemandMutatedInPlaceMatchesReference)
+{
+    // One demand object whose contents change between calls, as
+    // cache_sweep's loop does: a result keyed on the object's address
+    // would return the previous contents' measurement.
+    sim::PhysicalGpu board(gpu::DeviceKind::GtxTitanX);
+    const auto &desc = board.descriptor();
+    nvml::Device dev(board);
+    ReferenceDevice ref{board, {}, 180.0, dev.refreshPeriodMs(), Rng()};
+    dev.setPowerLimit(180.0);
+    dev.setApplicationClocks(desc.default_mem_mhz, desc.maxCoreMhz());
+    ref.clocks = dev.currentClocks();
+    sim::KernelDemand d = moderateKernel();
+    for (int i = 0; i < 12; ++i) {
+        d.warps_sp *= 1.5;
+        d.bytes_l2_rd *= 1.3;
+        d.bytes_dram_rd *= (i % 2) ? 0.5 : 2.5;
+        dev.reseed(100 + i);
+        ref.reseed(100 + i);
+        const auto got = dev.measureKernelPower(d, 5);
+        expectSameMeasurement(got, ref.measure(d, 5, 1.0));
+    }
+}
+
+TEST(NvmlDeviceReference, PlainCampaignRunsTwoModelRunsPerPowerCell)
+{
+    // A Fig. 7 campaign (5 repetitions, no fallbacks): one run per
+    // CUPTI profile plus two per power cell. The three-run measurement
+    // made 11,232 / 15,940 / 1,067.
+    const auto suite = ubench::buildSuite();
+    const std::pair<gpu::DeviceKind, double> expected[] = {
+            {gpu::DeviceKind::TitanXp, 7624},
+            {gpu::DeviceKind::GtxTitanX, 10692},
+            {gpu::DeviceKind::TeslaK40c, 739}};
+    for (const auto &[kind, runs] : expected) {
+        sim::PhysicalGpu board(kind);
+        model::CampaignOptions opts;
+        opts.power_repetitions = 5;
+        const double before = executions();
+        model::runTrainingCampaign(board, suite, opts);
+        EXPECT_EQ(executions() - before, runs)
+                << board.descriptor().name;
+    }
 }
 
 } // namespace
