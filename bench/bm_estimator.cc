@@ -10,6 +10,9 @@
 #include <benchmark/benchmark.h>
 
 #include "bench_common.hh"
+#include "common/numio.hh"
+#include "obs/standard.hh"
+#include "obs/trace.hh"
 
 namespace
 {
@@ -105,6 +108,22 @@ BM_ProfilerCollect(benchmark::State &state)
 BENCHMARK(BM_ProfilerCollect);
 
 void
+BM_PerfModelExecute(benchmark::State &state)
+{
+    // The analytic model alone: BM_AnalyticExecute minus the span and
+    // the two metrics PhysicalGpu::execute adds.
+    const auto &desc =
+            gpu::DeviceDescriptor::get(gpu::DeviceKind::GtxTitanX);
+    const sim::AnalyticPerfModel model;
+    const auto app = workloads::blackScholes();
+    const auto cfg = desc.referenceConfig();
+    for (auto _ : state)
+        benchmark::DoNotOptimize(
+                model.execute(desc, app.demand, cfg).time_s);
+}
+BENCHMARK(BM_PerfModelExecute);
+
+void
 BM_AnalyticExecute(benchmark::State &state)
 {
     sim::PhysicalGpu board(gpu::DeviceKind::GtxTitanX);
@@ -114,7 +133,61 @@ BM_AnalyticExecute(benchmark::State &state)
         benchmark::DoNotOptimize(
                 board.execute(app.demand, cfg).time_s);
 }
-BENCHMARK(BM_AnalyticExecute);
+// Threads(4): the fleet workers run the simulator concurrently.
+BENCHMARK(BM_AnalyticExecute)->Threads(1)->Threads(4);
+
+// The per-operation costs of the instrumentation, tracer and profiler
+// off, through the same calls the simulator makes per execution.
+
+void
+BM_SpanOffWithArgs(benchmark::State &state)
+{
+    const auto &desc =
+            gpu::DeviceDescriptor::get(gpu::DeviceKind::GtxTitanX);
+    const auto cfg = desc.referenceConfig();
+    for (auto _ : state) {
+        GPUPM_TRACE_SPAN_NAMED(span, "sim", "sim.execute");
+        if (span.armed()) {
+            span.arg("device", desc.name);
+            span.arg("config", numio::formatLong(cfg.core_mhz) + "/" +
+                                       numio::formatLong(cfg.mem_mhz));
+        }
+        benchmark::ClobberMemory();
+    }
+}
+BENCHMARK(BM_SpanOffWithArgs);
+
+void
+BM_CounterInc(benchmark::State &state)
+{
+    for (auto _ : state)
+        obs::simKernelExecutionsTotal().inc();
+}
+BENCHMARK(BM_CounterInc);
+
+void
+BM_HistogramObserve(benchmark::State &state)
+{
+    double v = 0.0;
+    for (auto _ : state) {
+        obs::simKernelTimeSeconds().observe(v);
+        v = v < 1.0 ? v + 1e-3 : 0.0;
+    }
+}
+BENCHMARK(BM_HistogramObserve);
+
+void
+BM_MeasureKernelPower(benchmark::State &state)
+{
+    // One Fig. 7 power cell: 5 repetitions at the reference clocks.
+    sim::PhysicalGpu board(gpu::DeviceKind::GtxTitanX);
+    nvml::Device dev(board, 7);
+    const auto app = workloads::blackScholes();
+    for (auto _ : state)
+        benchmark::DoNotOptimize(
+                dev.measureKernelPower(app.demand, 5).power_w);
+}
+BENCHMARK(BM_MeasureKernelPower)->Unit(benchmark::kMicrosecond);
 
 void
 BM_SmCycleSim(benchmark::State &state)

@@ -37,11 +37,13 @@ if [ "${GPUPM_SKIP_SANITIZE:-0}" != "1" ]; then
         obs_test_scoreboard obs_test_http_server \
         obs_test_flight_recorder obs_test_sampler \
         obs_test_profiler obs_test_tsdb obs_test_alerts \
+        obs_test_off_path nvml_test_device \
         core_test_scoreboard_io common_test_json \
         gpupm_fuzz_smoke gpupm_cli gpupm_trace_check gpupm_bench_check \
         gpupm_scrape
     for t in build-asan/tests/core_test_* build-asan/tests/linalg_test_* \
-             build-asan/tests/obs_test_* build-asan/tests/common_test_json; do
+             build-asan/tests/obs_test_* build-asan/tests/nvml_test_* \
+             build-asan/tests/common_test_json; do
         [ -f "$t" ] && [ -x "$t" ] || continue
         echo "== sanitize: $t"
         "$t"
