@@ -83,6 +83,23 @@ if [ "${GPUPM_SKIP_SANITIZE:-0}" != "1" ]; then
     build-asan/tools/gpupm validate build-asan/titanx.scoreboard --strict
     build-asan/tools/gpupm_bench_check scoreboard \
         build-asan/titanx.scoreboard bench/golden/titanx.scoreboard.json
+    # The CLI's flag and command tables under ASan+UBSan: every flag
+    # and subcommand the cli_flags ctest drives, the rejected values
+    # included.
+    echo "== sanitize: CLI flags and subcommands"
+    cmake -DCLI=build-asan/tools/gpupm -DWORK=build-asan/cli_flags_work \
+          -P tests/cli_flags_test.cmake
+    # The live pipeline owns the tracer and trace-store lifetimes: the
+    # offline alerts and traces replays at the ctests' flag sets must
+    # stay clean and print the goldens' bytes.
+    echo "== sanitize: gpupm alerts and traces replays"
+    build-asan/tools/gpupm alerts titanx --json --ticks=200 \
+        --period-ms=50 --rolling-window=16 --inject-drift=40:80:1.5 \
+        --drift-window=1s --drift-for=250ms --drift-cooldown=1s \
+        --drift-tolerance=9 | cmp - tests/golden/alerts_titanx.json
+    build-asan/tools/gpupm traces titanx --json --ticks=30 \
+        --period-ms=50 --rolling-window=16 --inject-drift=5:15:1.5 \
+        | cmp - tests/golden/traces_titanx.json
     # The live-telemetry daemon under ASan+UBSan: the HTTP server,
     # sampling loop and flight recorder run multi-threaded; the scrape
     # selftest starts the daemon, scrapes every endpoint and requires
@@ -114,7 +131,7 @@ if [ "${GPUPM_SKIP_TSAN:-0}" != "1" ]; then
         fleet_test_shard_io fleet_test_supervisor \
         fleet_test_chaos_gate fleet_test_chaos_trace \
         obs_test_http_server obs_test_metrics obs_test_profiler \
-        obs_test_tsdb obs_test_trace gpupm_cli
+        obs_test_tsdb obs_test_trace gpupm_cli gpupm_scrape
     for t in build-tsan/tests/fleet_test_* \
              build-tsan/tests/obs_test_http_server \
              build-tsan/tests/obs_test_metrics \
@@ -135,6 +152,12 @@ if [ "${GPUPM_SKIP_TSAN:-0}" != "1" ]; then
     build-tsan/tools/gpupm fleet 24 --shards=6 \
         --profile-out=build-tsan/fleet.folded > /dev/null
     test -s build-tsan/fleet.folded
+    # A fleet served over HTTP under TSan: the server's workers read
+    # the trace store the campaign's spans filled.
+    echo "== tsan: gpupm fleet served over HTTP"
+    mkdir -p build-tsan/fleet_serve_work
+    build-tsan/tools/gpupm_scrape fleet-selftest build-tsan/tools/gpupm \
+        --work=build-tsan/fleet_serve_work
 fi
 
 # Traced end-to-end reproduction run: campaign -> fit -> sweep with

@@ -39,6 +39,20 @@ if(NOT rc EQUAL 0)
     message(FATAL_ERROR "off-grid predict failed: ${rc}")
 endif()
 
+# Clocks must be positive numbers inside the device's core and memory
+# range; they are rejected by value with exit 2, not predicted at.
+foreach(clocks abc:def -5:99999 0:3505 700:99999 5000:3505 700:3505x)
+    string(REPLACE ":" ";" clock_args "${clocks}")
+    execute_process(COMMAND ${CLI} predict ${WORK}/tx.model CUTCP
+                            ${clock_args}
+                    RESULT_VARIABLE rc OUTPUT_VARIABLE out
+                    ERROR_VARIABLE err)
+    if(NOT rc EQUAL 2 OR NOT err MATCHES "clock")
+        message(FATAL_ERROR "predict accepted clocks ${clocks}: "
+                            "${rc}: ${out}${err}")
+    endif()
+endforeach()
+
 execute_process(COMMAND ${CLI} sweep ${WORK}/tx.model GEMM
                 RESULT_VARIABLE rc OUTPUT_VARIABLE out)
 if(NOT rc EQUAL 0)

@@ -2,20 +2,12 @@
  * @file
  * gpupm command-line tool.
  *
- * Drives the pipeline stages the way a host-side deployment would:
- *
- *   gpupm campaign  <device> <out.campaign>   run the training campaign
- *   gpupm fit       <in.campaign> <out.model> fit the DVFS-aware model
- *   gpupm train     <device> <out.model>      campaign + fit in one go
- *   gpupm info      <in.model>                summarize a fitted model
- *   gpupm predict   <in.model> <app> [fc fm]  predict an application
- *   gpupm sweep     <in.model> <app>          full V-F sweep table
- *   gpupm devices                             list supported devices
- *   gpupm export-cuda <out.cu>                emit the suite as CUDA
- *   gpupm validate  <file>...                 check artifact integrity
- *   gpupm metrics   [--json]                  dump the metric catalog
- *   gpupm audit     <model|device>            replay the validation set
- *                                             and score prediction error
+ * Drives the pipeline stages the way a host-side deployment would: the
+ * training campaign (Sec. IV), the DVFS-aware fit (Sec. III-D),
+ * prediction (Sec. III-E) and the run-time monitoring built on it. Run
+ * `gpupm` with no arguments for usage(), which prints the one command
+ * table (kCommands) below; every flag is one row of kFlags, which
+ * parses and range-checks it.
  *
  * `audit` reproduces the paper's accuracy evaluation (Table III,
  * Figs. 7-8) as an operational artifact: it measures every validation
@@ -26,35 +18,15 @@
  * raw residuals, and --scoreboard-out=<file> persists the full
  * scoreboard for tools/gpupm_bench_check to gate against a golden.
  *
- * Observability flags (every command):
- *   --trace-out=<file>        write a Chrome trace-event JSON of the
- *                             run (open in chrome://tracing/Perfetto)
- *   --metrics-out=<file>      write Prometheus text metrics on exit
- *   --convergence-out=<file>  write a per-iteration estimator
- *                             convergence CSV (fit/train)
- *   --verbose / --quiet       log level (also GPUPM_LOG=debug|warn|..)
- *
  * `fit` also accepts a device name in place of a campaign file: it
  * then runs the bundled synthetic resilient campaign in-process and
  * fits from it, exercising the whole measure→fit→save pipeline in one
  * traced command.
  *
- * File-trust flags (validate, and every command that loads a file):
- *   --strict            reject legacy (pre-envelope) files and run
- *                       physical-plausibility validation on load
- *   --allow-legacy      with --strict, still accept legacy files
- *   --json              machine-readable `validate` output
- *
- * campaign/train accept resilience flags:
- *   --faults=<rate>     inject faults at the given per-call rate
- *   --fault-seed=<n>    seed of the fault-injection stream
- *   --retries=<n>       retry budget per measurement call
- *   --resume=<file>     checkpoint campaign progress to <file> and
- *                       resume from it when it already exists
- *
- * Any of these selects the resilient campaign runner (typed errors,
- * retry/backoff, MAD outlier rejection, quarantine) and prints its
- * CampaignReport; without them the legacy fail-fast path runs.
+ * Any resilience flag (--faults, --fault-seed, --retries, --resume)
+ * selects the resilient campaign runner (typed errors, retry/backoff,
+ * MAD outlier rejection, quarantine) and prints its CampaignReport;
+ * without them the legacy fail-fast path runs.
  *
  * <device> is one of: titanxp, titanx, k40c. <app> is a Table III
  * abbreviation (e.g. BLCKSC) — the tool profiles it on a fresh
@@ -62,21 +34,23 @@
  */
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
+#include <functional>
 #include <iostream>
+#include <iterator>
 #include <limits>
 #include <map>
 #include <optional>
 #include <sstream>
-#include <thread>
-
 #include <string>
+#include <thread>
+#include <variant>
 #include <vector>
 
 #include "baselines/baselines.hh"
@@ -111,19 +85,21 @@ namespace
 
 using namespace gpupm;
 
-// Defined with the monitor helpers below; cmdFleet reuses them for
-// the fleet-serve /api/query and /api/traces endpoints.
-obs::HttpServer::Handler makeQueryHandler(const obs::Tsdb &tsdb);
-obs::HttpServer::Handler
-makeTracesHandler(const obs::TraceStore &store);
+/** Parsed --inject-drift=FROM:TO:SCALE (ticks, measured-W factor). */
+struct DriftInjection
+{
+    long from_tick = 0;
+    long to_tick = 0;
+    double scale = 1.0;
+};
 
-/** Resilience-related flags shared by campaign/train. */
+/** Every flag's value; kFlags says which flag sets which field. */
 struct CliFlags
 {
-    bool resilient = false;      ///< any flag below was given
+    bool resilient = false;      ///< a resilience flag was given
     double fault_rate = 0.0;
     std::uint64_t fault_seed = 2026;
-    int retries = -1;            ///< -1 = policy default
+    long retries = -1;           ///< -1 = policy default
     std::string checkpoint;
     bool strict = false;         ///< reject legacy files, validate
     bool allow_legacy = false;   ///< soften --strict for old files
@@ -138,16 +114,14 @@ struct CliFlags
     bool quiet = false;          ///< log level: warnings and errors
     bool show_version = false;   ///< --version anywhere on the line
 
-    // `monitor` flags.
-    int port = 9090;          ///< HTTP port; 0 = ephemeral
-    int period_ms = 250;      ///< sampling period
+    // `monitor`, `alerts` and `traces`.
+    long port = 9090;         ///< HTTP port; 0 = ephemeral
+    long period_ms = 250;     ///< sampling period
     double duration_s = 0.0;  ///< stop after this long; 0 = forever
     std::string events_out;   ///< NDJSON event log path
     std::string port_file;    ///< write the bound port here (tests)
-
-    // `monitor`/`alerts` history + alerting flags.
     long events_max_bytes = 0;    ///< rotate event log past this; 0=off
-    int events_max_files = 1;     ///< rotated generations kept (.1..N)
+    long events_max_files = 1;    ///< rotated generations kept (.1..N)
     bool healthz_degraded_503 = false; ///< firing alerts -> HTTP 503
     std::vector<std::string> alert_specs; ///< --alert rule specs
     bool no_drift_rule = false;   ///< drop the built-in drift rule
@@ -162,12 +136,12 @@ struct CliFlags
     double drift_cooldown_s = 30.0; ///< clear -> resolved
     std::string drift_golden;     ///< fig7 golden refreshing envelope
     long rolling_window = 64;     ///< rolling-MAE residual window
-    std::string inject_drift;     ///< from:to:scale fault injection
-    long alert_ticks = 120;       ///< `alerts` one-shot tick count
+    std::optional<DriftInjection> inject_drift; ///< accuracy fault
+    long ticks = 120;             ///< `alerts`/`traces` tick count
 
-    // `fleet` flags.
-    int shards = 4;           ///< shard count
-    int threads = 0;          ///< pool workers; 0 = auto
+    // `fleet`.
+    long shards = 4;          ///< shard count
+    long threads = 0;         ///< pool workers; 0 = auto
     double chaos_kill = 0.0;  ///< shard kill probability per attempt
     double chaos_stall = 0.0; ///< shard stall probability per attempt
     double chaos_poison = 0.0; ///< poisoned-device fraction
@@ -175,72 +149,15 @@ struct CliFlags
     std::string fleet_out;    ///< merged fleet report file path
 };
 
-/**
- * Turn the global tracer into the store-backed assembly pipeline a
- * long-lived daemon wants: deterministic ids seeded from the fault
- * seed, completed traces offered to `store`, and — unless --trace-out
- * asked for the full Chrome dump — no unbounded in-memory event list.
- * Returns whether this call enabled the tracer (it must not re-enable
- * when --trace-out already did: enable() clears the buffer and would
- * corrupt the straddling `cli.<cmd>` root span).
- */
-bool
-attachTraceStore(obs::TraceStore &store, const CliFlags &flags)
+/** `text` split at each `sep` (std::getline semantics). */
+std::vector<std::string>
+split(const std::string &text, char sep)
 {
-    auto &tracer = obs::Tracer::global();
-    tracer.seedIds(flags.fault_seed);
-    tracer.attachStore(&store);
-    if (flags.trace_out.empty())
-        tracer.setRetainEvents(false);
-    if (!tracer.enabled()) {
-        tracer.enable();
-        return true;
-    }
-    return false;
-}
-
-/** Undo attachTraceStore before `store` goes out of scope. */
-void
-detachTraceStore(bool disable_tracer)
-{
-    auto &tracer = obs::Tracer::global();
-    if (disable_tracer)
-        tracer.disable();
-    tracer.attachStore(nullptr);
-    tracer.setRetainEvents(true);
-}
-
-/**
- * Scoped trace-store attachment: the store plus the global-tracer
- * wiring, detached in the destructor so no early return can leave the
- * tracer pointing at a dead store.
- */
-struct TraceStoreAttachment
-{
-    obs::TraceStore store;
-    bool enabled_here;
-
-    explicit TraceStoreAttachment(
-            const CliFlags &flags,
-            obs::TraceStoreOptions opts = obs::TraceStoreOptions{})
-        : store(opts), enabled_here(attachTraceStore(store, flags))
-    {
-    }
-    ~TraceStoreAttachment() { detachTraceStore(enabled_here); }
-
-    TraceStoreAttachment(const TraceStoreAttachment &) = delete;
-    TraceStoreAttachment &
-    operator=(const TraceStoreAttachment &) = delete;
-};
-
-/** Loader policy implied by the file-trust flags. */
-model::LoadOptions
-loadOptionsOf(const CliFlags &flags)
-{
-    model::LoadOptions opts;
-    opts.allow_legacy = !flags.strict || flags.allow_legacy;
-    opts.validate = flags.strict;
-    return opts;
+    std::vector<std::string> parts;
+    std::istringstream is(text);
+    for (std::string part; std::getline(is, part, sep);)
+        parts.push_back(part);
+    return parts;
 }
 
 /**
@@ -250,64 +167,206 @@ loadOptionsOf(const CliFlags &flags)
 double
 parseDuration(const std::string &text)
 {
-    char *end = nullptr;
-    const double value = std::strtod(text.c_str(), &end);
-    if (end == text.c_str() || value < 0.0)
-        return -1.0;
-    const std::string unit(end);
-    if (unit.empty() || unit == "s")
-        return value;
-    if (unit == "ms")
-        return value * 1e-3;
-    if (unit == "m")
-        return value * 60.0;
+    static const std::pair<std::string, double> units[] = {
+            {"ms", 1e-3}, {"s", 1.0}, {"m", 60.0}, {"", 1.0}};
+    for (const auto &[unit, scale] : units) {
+        if (text.size() < unit.size() ||
+            text.compare(text.size() - unit.size(), unit.size(), unit))
+            continue;
+        double v = 0.0;
+        if (!numio::parseDouble(
+                    std::string_view(text).substr(
+                            0, text.size() - unit.size()),
+                    v) ||
+            !(v >= 0.0) || !std::isfinite(v))
+            return -1.0;
+        return v * scale;
+    }
     return -1.0;
 }
 
-/** True when the flag consumes a value (`--key=v` or `--key v`). */
-bool
-flagTakesValue(const std::string &key)
+std::optional<DriftInjection>
+parseInjectDrift(const std::string &spec)
 {
-    // `--faults` is absent on purpose: it accepts an optional rate
-    // (`--faults=0.08`) but also works bare as a chaos shorthand.
-    static const char *value_flags[] = {
-            "--fault-seed",     "--retries",
-            "--resume",         "--checkpoint",  "--scoreboard-out",
-            "--trace-out",      "--metrics-out", "--convergence-out",
-            "--profile-out",
-            "--port",           "--period-ms",   "--duration",
-            "--events-out",     "--port-file",   "--shards",
-            "--threads",        "--chaos-kill-rate",
-            "--chaos-stall-rate", "--chaos-poison", "--deadline",
-            "--fleet-out",      "--events-max-bytes",
-            "--events-max-files", "--alert",
-            "--drift-tolerance", "--drift-window", "--drift-for",
-            "--drift-cooldown", "--drift-golden", "--rolling-window",
-            "--inject-drift",   "--ticks",
-    };
-    for (const char *f : value_flags)
-        if (key == f)
-            return true;
-    return false;
+    const auto parts = split(spec, ':');
+    DriftInjection inj;
+    if (parts.size() != 3 || !numio::parseLong(parts[0], inj.from_tick) ||
+        !numio::parseLong(parts[1], inj.to_tick) ||
+        !numio::parseDouble(parts[2], inj.scale) || inj.from_tick < 0 ||
+        inj.to_tick < inj.from_tick || !(inj.scale > 0.0) ||
+        !std::isfinite(inj.scale))
+        return std::nullopt;
+    return inj;
+}
+
+// -- flags -----------------------------------------------------------
+
+/** How a flag reads its value. */
+enum class FlagKind
+{
+    Switch,    ///< takes no value
+    Integer,   ///< whole number within the row's range
+    Real,      ///< number within the row's range
+    Duration,  ///< "2s", "500ms", "1m" or seconds, within the range
+    Text,      ///< any string
+    Repeated,  ///< any string, collected on every use
+    Rate,      ///< optional number within the range; bare means 0.1
+    Injection, ///< FROM:TO:SCALE
+};
+
+using FlagField = std::variant<
+        bool CliFlags::*, long CliFlags::*, std::uint64_t CliFlags::*,
+        double CliFlags::*, std::string CliFlags::*,
+        std::vector<std::string> CliFlags::*,
+        std::optional<DriftInjection> CliFlags::*>;
+
+/** One flag: name, kind, the field it sets and what it accepts. */
+struct Flag
+{
+    const char *name;
+    FlagKind kind;
+    FlagField field;
+    double lo = 0.0; ///< accepted range of a number
+    double hi = 0.0;
+    bool resilient = false; ///< selects the resilient campaign runner
+};
+
+constexpr double kIntMax = std::numeric_limits<int>::max();
+constexpr double kLongMax = static_cast<double>(
+        std::numeric_limits<long>::max());
+constexpr double kMaxSeconds = 1e9;
+
+const Flag kFlags[] = {
+        {"--faults", FlagKind::Rate, &CliFlags::fault_rate, 0, 1, true},
+        {"--fault-seed", FlagKind::Integer, &CliFlags::fault_seed, 0, 0,
+         true},
+        {"--retries", FlagKind::Integer, &CliFlags::retries, 0, kIntMax,
+         true},
+        {"--resume", FlagKind::Text, &CliFlags::checkpoint, 0, 0, true},
+        {"--strict", FlagKind::Switch, &CliFlags::strict},
+        {"--allow-legacy", FlagKind::Switch, &CliFlags::allow_legacy},
+        {"--json", FlagKind::Switch, &CliFlags::json},
+        {"--csv", FlagKind::Switch, &CliFlags::csv},
+        {"--scoreboard-out", FlagKind::Text, &CliFlags::scoreboard_out},
+        {"--trace-out", FlagKind::Text, &CliFlags::trace_out},
+        {"--metrics-out", FlagKind::Text, &CliFlags::metrics_out},
+        {"--convergence-out", FlagKind::Text, &CliFlags::convergence_out},
+        {"--profile-out", FlagKind::Text, &CliFlags::profile_out},
+        {"--verbose", FlagKind::Switch, &CliFlags::verbose},
+        {"--quiet", FlagKind::Switch, &CliFlags::quiet},
+        {"--version", FlagKind::Switch, &CliFlags::show_version},
+        {"--port", FlagKind::Integer, &CliFlags::port, 0, 65535},
+        {"--period-ms", FlagKind::Integer, &CliFlags::period_ms, 1,
+         kIntMax},
+        {"--duration", FlagKind::Duration, &CliFlags::duration_s, 0,
+         kMaxSeconds},
+        {"--events-out", FlagKind::Text, &CliFlags::events_out},
+        {"--port-file", FlagKind::Text, &CliFlags::port_file},
+        {"--events-max-bytes", FlagKind::Integer,
+         &CliFlags::events_max_bytes, 0, kLongMax},
+        {"--events-max-files", FlagKind::Integer,
+         &CliFlags::events_max_files, 1, 1000},
+        {"--healthz-degraded-503", FlagKind::Switch,
+         &CliFlags::healthz_degraded_503},
+        {"--alert", FlagKind::Repeated, &CliFlags::alert_specs},
+        {"--no-drift-rule", FlagKind::Switch, &CliFlags::no_drift_rule},
+        {"--drift-tolerance", FlagKind::Real, &CliFlags::drift_tolerance,
+         0, 1e6},
+        {"--drift-window", FlagKind::Duration, &CliFlags::drift_window_s,
+         0, kMaxSeconds},
+        {"--drift-for", FlagKind::Duration, &CliFlags::drift_for_s, 0,
+         kMaxSeconds},
+        {"--drift-cooldown", FlagKind::Duration,
+         &CliFlags::drift_cooldown_s, 0, kMaxSeconds},
+        {"--drift-golden", FlagKind::Text, &CliFlags::drift_golden},
+        {"--rolling-window", FlagKind::Integer, &CliFlags::rolling_window,
+         1, kIntMax},
+        {"--inject-drift", FlagKind::Injection, &CliFlags::inject_drift},
+        {"--ticks", FlagKind::Integer, &CliFlags::ticks, 1, kIntMax},
+        {"--shards", FlagKind::Integer, &CliFlags::shards, 1, kIntMax},
+        {"--threads", FlagKind::Integer, &CliFlags::threads, 0, 1024},
+        {"--chaos-kill-rate", FlagKind::Real, &CliFlags::chaos_kill, 0, 1},
+        {"--chaos-stall-rate", FlagKind::Real, &CliFlags::chaos_stall, 0,
+         1},
+        {"--chaos-poison", FlagKind::Real, &CliFlags::chaos_poison, 0, 1},
+        {"--deadline", FlagKind::Duration, &CliFlags::deadline_s, 0,
+         kMaxSeconds},
+        {"--fleet-out", FlagKind::Text, &CliFlags::fleet_out},
+};
+
+/** The CliFlags field a row sets, as a T. */
+template <typename T>
+T &
+field(CliFlags &flags, const Flag &f)
+{
+    return flags.*std::get<T CliFlags::*>(f.field);
+}
+
+/** Store `val` into `f`'s field; false when malformed or out of range. */
+bool
+setFlag(const Flag &f, const std::string &val, CliFlags &flags)
+{
+    double x = 0.0;
+    switch (f.kind) {
+      case FlagKind::Switch:
+        field<bool>(flags, f) = true;
+        return val.empty();
+      case FlagKind::Text:
+        field<std::string>(flags, f) = val;
+        return true;
+      case FlagKind::Repeated:
+        field<std::vector<std::string>>(flags, f).push_back(val);
+        return true;
+      case FlagKind::Injection:
+        return (field<std::optional<DriftInjection>>(flags, f) =
+                        parseInjectDrift(val))
+                .has_value();
+      case FlagKind::Integer: {
+        if (std::holds_alternative<std::uint64_t CliFlags::*>(f.field))
+            return numio::parseU64(val, field<std::uint64_t>(flags, f));
+        long v = 0;
+        if (!numio::parseLong(val, v) || v < f.lo || v > f.hi)
+            return false;
+        field<long>(flags, f) = v;
+        return true;
+      }
+      case FlagKind::Rate:
+        // Bare --faults means "inject at a sensible demo rate".
+        if (val.empty()) {
+            x = 0.1;
+            break;
+        }
+        [[fallthrough]];
+      case FlagKind::Real:
+        if (!numio::parseDouble(val, x))
+            return false;
+        break;
+      case FlagKind::Duration:
+        x = parseDuration(val);
+        break;
+    }
+    if (!(x >= f.lo && x <= f.hi))
+        return false;
+    field<double>(flags, f) = x;
+    return true;
 }
 
 /**
  * Strip `--key=value` / `--key value` flags from the argument list,
  * returning the positional arguments. Flags may appear anywhere,
- * including before the subcommand or positionals. An unknown flag (or
- * a value flag missing its value) is reported by name on stderr and
- * the sentinel "--bad-flag" is returned as the only positional; the
- * caller exits 2 without the generic usage text, so the message names
- * the actual problem.
+ * including before the subcommand or positionals. An unknown flag, or
+ * a value that is missing, malformed or out of range, is named on
+ * stderr and nullopt returned; the caller exits 2 without the generic
+ * usage text, so the message names the actual problem.
  */
-std::vector<std::string>
+std::optional<std::vector<std::string>>
 parseFlags(int argc, char **argv, CliFlags &flags)
 {
-    const auto bad = [](const char *what, const std::string &key) {
+    const auto bad = [](const char *what, const std::string &arg) {
         std::fprintf(stderr, "gpupm: %s '%s' (run 'gpupm' with no "
                              "arguments for usage)\n",
-                     what, key.c_str());
-        return std::vector<std::string>{"--bad-flag"};
+                     what, arg.c_str());
+        return std::nullopt;
     };
 
     std::vector<std::string> positional;
@@ -321,140 +380,29 @@ parseFlags(int argc, char **argv, CliFlags &flags)
         const std::string key = arg.substr(0, eq);
         std::string val =
                 eq == std::string::npos ? "" : arg.substr(eq + 1);
-        if (eq == std::string::npos && flagTakesValue(key)) {
+        const Flag *f = std::find_if(
+                std::begin(kFlags), std::end(kFlags),
+                [&key](const Flag &row) { return key == row.name; });
+        if (f == std::end(kFlags))
+            return bad("unknown flag", key);
+        // --faults takes its rate only as `--faults=<rate>`: bare, it
+        // works as a chaos shorthand.
+        if (eq == std::string::npos && f->kind != FlagKind::Switch &&
+            f->kind != FlagKind::Rate) {
             if (i + 1 >= argc)
                 return bad("flag is missing its value", key);
             val = argv[++i];
         }
-        if (key == "--faults") {
-            // Bare --faults means "inject at a sensible demo rate".
-            flags.fault_rate =
-                    val.empty() ? 0.1 : std::atof(val.c_str());
-            flags.resilient = true;
-        } else if (key == "--fault-seed") {
-            flags.fault_seed = std::strtoull(val.c_str(), nullptr, 10);
-            flags.resilient = true;
-        } else if (key == "--retries") {
-            flags.retries = std::atoi(val.c_str());
-            flags.resilient = true;
-        } else if (key == "--resume" || key == "--checkpoint") {
-            flags.checkpoint = val;
-            flags.resilient = true;
-        } else if (key == "--strict") {
-            flags.strict = true;
-        } else if (key == "--allow-legacy") {
-            flags.allow_legacy = true;
-        } else if (key == "--json") {
-            flags.json = true;
-        } else if (key == "--csv") {
-            flags.csv = true;
-        } else if (key == "--scoreboard-out") {
-            flags.scoreboard_out = val;
-        } else if (key == "--trace-out") {
-            flags.trace_out = val;
-        } else if (key == "--metrics-out") {
-            flags.metrics_out = val;
-        } else if (key == "--convergence-out") {
-            flags.convergence_out = val;
-        } else if (key == "--profile-out") {
-            flags.profile_out = val;
-        } else if (key == "--verbose") {
-            flags.verbose = true;
-        } else if (key == "--quiet") {
-            flags.quiet = true;
-        } else if (key == "--version") {
-            flags.show_version = true;
-        } else if (key == "--port") {
-            flags.port = std::atoi(val.c_str());
-        } else if (key == "--period-ms") {
-            flags.period_ms = std::atoi(val.c_str());
-        } else if (key == "--duration") {
-            const double d = parseDuration(val);
-            if (d < 0.0)
-                return bad("bad duration for flag", key);
-            flags.duration_s = d;
-        } else if (key == "--events-out") {
-            flags.events_out = val;
-        } else if (key == "--port-file") {
-            flags.port_file = val;
-        } else if (key == "--shards") {
-            flags.shards = std::atoi(val.c_str());
-        } else if (key == "--threads") {
-            flags.threads = std::atoi(val.c_str());
-        } else if (key == "--chaos-kill-rate") {
-            flags.chaos_kill = std::atof(val.c_str());
-        } else if (key == "--chaos-stall-rate") {
-            flags.chaos_stall = std::atof(val.c_str());
-        } else if (key == "--chaos-poison") {
-            flags.chaos_poison = std::atof(val.c_str());
-        } else if (key == "--deadline") {
-            const double d = parseDuration(val);
-            if (d < 0.0)
-                return bad("bad duration for flag", key);
-            flags.deadline_s = d;
-        } else if (key == "--fleet-out") {
-            flags.fleet_out = val;
-        } else if (key == "--events-max-bytes") {
-            flags.events_max_bytes = std::atol(val.c_str());
-        } else if (key == "--events-max-files") {
-            flags.events_max_files = std::atoi(val.c_str());
-            if (flags.events_max_files < 1)
-                return bad("bad value for flag", key);
-        } else if (key == "--healthz-degraded-503") {
-            flags.healthz_degraded_503 = true;
-        } else if (key == "--alert") {
-            flags.alert_specs.push_back(val);
-        } else if (key == "--no-drift-rule") {
-            flags.no_drift_rule = true;
-        } else if (key == "--drift-tolerance") {
-            flags.drift_tolerance = std::atof(val.c_str());
-        } else if (key == "--drift-window") {
-            const double d = parseDuration(val);
-            if (d < 0.0)
-                return bad("bad duration for flag", key);
-            flags.drift_window_s = d;
-        } else if (key == "--drift-for") {
-            const double d = parseDuration(val);
-            if (d < 0.0)
-                return bad("bad duration for flag", key);
-            flags.drift_for_s = d;
-        } else if (key == "--drift-cooldown") {
-            const double d = parseDuration(val);
-            if (d < 0.0)
-                return bad("bad duration for flag", key);
-            flags.drift_cooldown_s = d;
-        } else if (key == "--drift-golden") {
-            flags.drift_golden = val;
-        } else if (key == "--rolling-window") {
-            flags.rolling_window = std::atol(val.c_str());
-            if (flags.rolling_window <= 0)
-                return bad("bad value for flag", key);
-        } else if (key == "--inject-drift") {
-            flags.inject_drift = val;
-        } else if (key == "--ticks") {
-            flags.alert_ticks = std::atol(val.c_str());
-            if (flags.alert_ticks <= 0)
-                return bad("bad value for flag", key);
-        } else {
-            return bad("unknown flag", key);
-        }
+        if (!setFlag(*f, val, flags))
+            return bad("bad value for flag", key + "=" + val);
+        flags.resilient = flags.resilient || f->resilient;
     }
     return positional;
 }
 
-std::optional<gpu::DeviceKind>
-parseDevice(const std::string &name)
-{
-    if (name == "titanxp")
-        return gpu::DeviceKind::TitanXp;
-    if (name == "titanx")
-        return gpu::DeviceKind::GtxTitanX;
-    if (name == "k40c")
-        return gpu::DeviceKind::TeslaK40c;
-    return std::nullopt;
-}
+// -- shared helpers --------------------------------------------------
 
-/** CLI token of a device kind (inverse of parseDevice). */
+/** CLI token of a device kind. */
 const char *
 deviceToken(gpu::DeviceKind kind)
 {
@@ -466,86 +414,312 @@ deviceToken(gpu::DeviceKind kind)
     return "unknown";
 }
 
-std::optional<workloads::Workload>
-findApp(const std::string &name)
+std::optional<gpu::DeviceKind>
+parseDevice(const std::string &name)
 {
-    for (const auto &w : workloads::fullValidationSet())
-        if (w.name == name)
-            return w;
+    for (auto kind : gpu::kAllDevices)
+        if (name == deviceToken(kind))
+            return kind;
     return std::nullopt;
 }
 
+/** Name an unknown <device> argument; returns exit code 2. */
 int
-usage()
+unknownDevice(const std::string &name)
 {
     std::fprintf(stderr,
-                 "usage:\n"
-                 "  gpupm devices\n"
-                 "  gpupm campaign <titanxp|titanx|k40c> <out>\n"
-                 "  gpupm fit <campaign-file|device> <out-model>\n"
-                 "  gpupm train <titanxp|titanx|k40c> <out-model>\n"
-                 "      campaign/train flags: --faults=<rate> "
-                 "--fault-seed=<n> --retries=<n> --resume=<file>\n"
-                 "  gpupm metrics [--json]\n"
-                 "  gpupm info <model-file>\n"
-                 "  gpupm predict <model-file> <APP> [fcore fmem]\n"
-                 "  gpupm sweep <model-file> <APP>\n"
-                 "  gpupm export-cuda <out.cu>\n"
-                 "  gpupm audit <model-file|device> [--json|--csv] "
-                 "[--scoreboard-out=<file>]\n"
-                 "  gpupm monitor <titanxp|titanx|k40c> "
-                 "[--port=<n>] [--period-ms=<n>] "
-                 "[--duration=<2s|500ms>] [--events-out=<file>]\n"
-                 "      [--events-max-bytes=<n>] "
-                 "[--events-max-files=<n>] "
-                 "[--rolling-window=<n>] [--healthz-degraded-503]\n"
-                 "  gpupm alerts <titanxp|titanx|k40c> [--json] "
-                 "[--ticks=<n>] [--period-ms=<n>] "
-                 "[--rolling-window=<n>]\n"
-                 "  gpupm traces <titanxp|titanx|k40c> [--json] "
-                 "[--ticks=<n>] [--period-ms=<n>] "
-                 "[--inject-drift=FROM:TO:SCALE]\n"
-                 "      (offline per-tick trace replay; deterministic "
-                 "output, error traces always retained)\n"
-                 "      alerting flags (monitor/alerts): "
-                 "--alert=NAME:KIND:SERIES:OP:THRESH[:WIN[:FOR[:COOL]]] "
-                 "--no-drift-rule\n"
-                 "      --drift-tolerance=<pp> --drift-window=<dur> "
-                 "--drift-for=<dur> --drift-cooldown=<dur> "
-                 "--drift-golden=<file>\n"
-                 "      --inject-drift=FROM:TO:SCALE   "
-                 "(scale measured power for ticks in [FROM,TO))\n"
-                 "  gpupm fleet <num-devices> [--shards=<k>] "
-                 "[--threads=<n>] [--resume=<dir>] "
-                 "[--deadline=<dur>]\n"
-                 "      [--chaos-kill-rate=<p>] "
-                 "[--chaos-stall-rate=<p>] [--chaos-poison=<frac>] "
-                 "[--faults=<rate>]\n"
-                 "      [--fleet-out=<file>] [--json] [--port=<n> "
-                 "--duration=<dur>]   (serve /metrics and /fleet)\n"
-                 "  gpupm version [--json]   (also: gpupm --version)\n"
-                 "  gpupm validate [--json] <file>...\n"
-                 "      file-trust flags (all loading commands): "
-                 "--strict --allow-legacy\n"
-                 "      observability flags (all commands): "
-                 "--trace-out=<file> --metrics-out=<file> "
-                 "--convergence-out=<file> --profile-out=<file> "
-                 "--verbose --quiet\n");
+                 "unknown device '%s' (expected titanxp, titanx or "
+                 "k40c)\n",
+                 name.c_str());
     return 2;
 }
 
-model::TrainingData
-runCampaign(gpu::DeviceKind kind)
+/** Loader policy implied by the file-trust flags. */
+model::LoadOptions
+loadOptionsOf(const CliFlags &flags)
 {
-    sim::PhysicalGpu board(kind);
-    std::fprintf(stderr, "running campaign on %s...\n",
-                 board.descriptor().name.c_str());
-    return model::runTrainingCampaign(board, ubench::buildSuite());
+    model::LoadOptions opts;
+    opts.allow_legacy = !flags.strict || flags.allow_legacy;
+    opts.validate = flags.strict;
+    return opts;
+}
+
+/** Print a typed load failure and return the CLI exit code. */
+int
+reportLoadFailure(const model::IoStatus &status)
+{
+    std::fprintf(stderr, "error [%s]: %s\n",
+                 std::string(model::ioErrcName(status.code)).c_str(),
+                 status.message.c_str());
+    return 1;
+}
+
+/** Print a failed fit with its SSE trace; returns exit code 1. */
+int
+reportFitFailure(const model::FitError &fe)
+{
+    std::fprintf(stderr, "fit failed [%s]: %s\n",
+                 std::string(model::fitErrcName(fe.code)).c_str(),
+                 fe.message.c_str());
+    for (std::size_t i = 0; i < fe.sse_history.size(); ++i)
+        std::fprintf(stderr, "  iteration %zu: SSE %.6g\n", i + 1,
+                     fe.sse_history[i]);
+    return 1;
+}
+
+/** True when `path` names a readable file. */
+bool
+fileExists(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    return static_cast<bool>(in);
+}
+
+/** Say whether `what` was written to `path`; returns `ok`. */
+bool
+reportWritten(bool ok, const std::string &what, const std::string &path)
+{
+    if (ok)
+        std::fprintf(stderr, "%s written to %s\n", what.c_str(),
+                     path.c_str());
+    else
+        std::fprintf(stderr, "cannot write %s\n", path.c_str());
+    return ok;
+}
+
+/** Stop the CPU profiler, count its run in the metrics, return it. */
+obs::CpuProfile
+finishProfile()
+{
+    auto &profiler = obs::Profiler::global();
+    profiler.stop();
+    auto prof = profiler.collect();
+    obs::profilerRunsTotal().inc();
+    obs::profilerSamplesTotal().inc(static_cast<double>(prof.samples));
+    obs::profilerSamplesDroppedTotal().inc(
+            static_cast<double>(prof.dropped));
+    obs::profilerLastAttributedPct().set(prof.attributedPct());
+    return prof;
+}
+
+/**
+ * The global tracer as the store-backed assembly pipeline a long-lived
+ * daemon wants, for this object's lifetime: deterministic ids seeded
+ * from the fault seed, completed traces offered to `store` once
+ * attach() ran, and — unless --trace-out asked for the full Chrome
+ * dump — no unbounded in-memory event list. The destructor detaches
+ * before the store goes, so no early return can leave the tracer
+ * pointing at a dead store.
+ */
+struct TraceStoreAttachment
+{
+    obs::TraceStore store;
+    /// Whether this attachment enabled the tracer. It must not
+    /// re-enable one --trace-out enabled: enable() clears the buffer
+    /// and would corrupt the straddling `cli.<cmd>` root span.
+    bool enabled_here;
+
+    explicit TraceStoreAttachment(
+            const CliFlags &flags,
+            obs::TraceStoreOptions opts = obs::TraceStoreOptions{})
+        : store(opts), enabled_here(!obs::Tracer::global().enabled())
+    {
+        auto &tracer = obs::Tracer::global();
+        tracer.seedIds(flags.fault_seed);
+        if (flags.trace_out.empty())
+            tracer.setRetainEvents(false);
+        if (enabled_here)
+            tracer.enable();
+    }
+    /** Offer every trace completed from now on to `store`. */
+    void attach() { obs::Tracer::global().attachStore(&store); }
+    ~TraceStoreAttachment()
+    {
+        auto &tracer = obs::Tracer::global();
+        if (enabled_here)
+            tracer.disable();
+        tracer.attachStore(nullptr);
+        tracer.setRetainEvents(true);
+    }
+
+    TraceStoreAttachment(const TraceStoreAttachment &) = delete;
+    TraceStoreAttachment &
+    operator=(const TraceStoreAttachment &) = delete;
+};
+
+// -- HTTP ------------------------------------------------------------
+
+constexpr const char *kJson = "application/json";
+constexpr const char *kPrometheus =
+        "text/plain; version=0.0.4; charset=utf-8";
+
+/** `key=value` pairs of a query string; a bare `key` has no value. */
+std::vector<std::pair<std::string, std::string>>
+queryParams(const std::string &query)
+{
+    std::vector<std::pair<std::string, std::string>> params;
+    for (const std::string &kv : split(query, '&')) {
+        if (kv.empty())
+            continue;
+        const auto eq = kv.find('=');
+        params.emplace_back(kv.substr(0, eq),
+                            eq == std::string::npos ? ""
+                                                    : kv.substr(eq + 1));
+    }
+    return params;
+}
+
+/**
+ * Register the data endpoints `monitor` and `fleet --port` share:
+ * /metrics (after `refresh` updated any gauges), /api/query over
+ * `tsdb` and /api/traces over `store`.
+ *
+ * /api/query parameters: `series` (required), `range`/`step`
+ * (durations, default 60s / 1s), or explicit `start_us`/`end_us` for
+ * reproducible test queries; the implicit end is the store's newest
+ * timestamp.
+ *
+ * /api/traces parameters (all optional): `category` (root span
+ * category), `min_ms` (minimum root duration), `error` (0/1 — error
+ * traces only), `trace_id` (16-hex-digit id), `limit` (max traces,
+ * default 50). Malformed values are a 400, never a silent empty
+ * result.
+ */
+void
+serveData(obs::HttpServer &server, const obs::Tsdb &tsdb,
+          const obs::TraceStore &store,
+          std::function<void()> refresh = [] {})
+{
+    server.route("/metrics", [refresh](const obs::HttpRequest &) {
+        obs::touchProcessMetrics();
+        refresh();
+        return obs::HttpResponse{
+                200, kPrometheus,
+                obs::Registry::global().renderPrometheus()};
+    });
+    server.route("/api/query", [&tsdb](const obs::HttpRequest &req) {
+        std::string series;
+        double range_s = 60.0;
+        double step_s = 1.0;
+        long start_us = -1;
+        long end_us = -1;
+        bool bad = false;
+        for (const auto &[key, val] : queryParams(req.query)) {
+            if (key == "series") {
+                series = val;
+            } else if (key == "range") {
+                range_s = parseDuration(val);
+                bad = bad || range_s < 0.0;
+            } else if (key == "step") {
+                step_s = parseDuration(val);
+                bad = bad || step_s <= 0.0;
+            } else if (key == "start_us") {
+                bad = bad || !numio::parseLong(val, start_us);
+            } else if (key == "end_us") {
+                bad = bad || !numio::parseLong(val, end_us);
+            }
+        }
+        if (series.empty() || bad)
+            return obs::HttpResponse{
+                    400, kJson,
+                    "{\"ok\":false,\"error\":\"usage: /api/query"
+                    "?series=<name>&range=60s&step=1s (or "
+                    "start_us/end_us)\"}\n"};
+        obs::TsQuery q;
+        q.series = series;
+        q.end_us = end_us >= 0 ? end_us : tsdb.latestTimestamp();
+        if (q.end_us == std::numeric_limits<std::int64_t>::min())
+            return obs::HttpResponse{
+                    404, kJson,
+                    "{\"ok\":false,\"error\":\"store is empty\"}\n"};
+        q.start_us = start_us >= 0
+                             ? start_us
+                             : q.end_us - static_cast<std::int64_t>(
+                                                  range_s * 1e6);
+        q.step_us = static_cast<std::int64_t>(step_s * 1e6);
+        const obs::TsQueryResult res = tsdb.query(q);
+        return obs::HttpResponse{res.ok ? 200 : 404, kJson,
+                                 res.toJson(series) + "\n"};
+    });
+    server.route("/api/traces", [&store](const obs::HttpRequest &req) {
+        obs::TraceQuery q;
+        bool bad = false;
+        for (const auto &[key, val] : queryParams(req.query)) {
+            if (key == "category") {
+                q.category = val;
+            } else if (key == "min_ms") {
+                double ms = 0.0;
+                const bool ok = numio::parseDouble(val, ms) &&
+                                ms >= 0.0 && std::isfinite(ms);
+                bad = bad || !ok;
+                if (ok)
+                    q.min_dur_us = static_cast<std::int64_t>(ms * 1e3);
+            } else if (key == "error") {
+                bad = bad || (val != "0" && val != "1");
+                q.error_only = val == "1";
+            } else if (key == "trace_id") {
+                char *end = nullptr;
+                q.trace_id = std::strtoull(val.c_str(), &end, 16);
+                bad = bad || val.empty() || *end != '\0' ||
+                      q.trace_id == 0;
+            } else if (key == "limit") {
+                long n = 0;
+                bad = bad || !numio::parseLong(val, n) || n <= 0;
+                q.limit = static_cast<std::size_t>(n > 0 ? n : 1);
+            } else {
+                bad = true;
+            }
+        }
+        if (bad)
+            return obs::HttpResponse{
+                    400, kJson,
+                    "{\"ok\":false,\"error\":\"usage: "
+                    "/api/traces?category=<cat>&min_ms=<ms>&"
+                    "error=1&trace_id=<hex>&limit=<n>\"}\n"};
+        return obs::HttpResponse{200, kJson, store.renderJson(q)};
+    });
+}
+
+/** Start `server` on --port and write --port-file; false on failure. */
+bool
+listen(obs::HttpServer &server, const CliFlags &flags, const char *cmd)
+{
+    std::string err;
+    if (!server.start(static_cast<int>(flags.port), &err)) {
+        std::fprintf(stderr, "%s: cannot start HTTP server: %s\n", cmd,
+                     err.c_str());
+        return false;
+    }
+    if (!flags.port_file.empty()) {
+        std::ofstream pf(flags.port_file, std::ios::trunc);
+        pf << server.port() << "\n";
+        if (!pf)
+            std::fprintf(stderr, "%s: cannot write %s\n", cmd,
+                         flags.port_file.c_str());
+    }
+    return true;
+}
+
+// -- offline pipeline: campaign, fit, validate, predict, audit -------
+
+using Args = std::vector<std::string>;
+
+int
+cmdDevices(const Args &, const CliFlags &)
+{
+    for (auto kind : gpu::kAllDevices) {
+        const auto &d = gpu::DeviceDescriptor::get(kind);
+        std::printf("%-8s %s (%s, %zu V-F configs)\n", deviceToken(kind),
+                    d.name.c_str(),
+                    std::string(architectureName(d.architecture)).c_str(),
+                    d.allConfigs().size());
+    }
+    return 0;
 }
 
 /**
  * Run the fault-tolerant campaign path selected by any resilience
- * flag. Prints the CampaignReport; exits non-zero when a max_cells /
+ * flag. Prints the CampaignReport; nullopt when a max_cells /
  * checkpoint split stopped the run before the grid was complete.
  */
 std::optional<model::TrainingData>
@@ -564,7 +738,7 @@ runResilientCampaign(gpu::DeviceKind kind, const CliFlags &flags)
 
     model::ResilientCampaignOptions opts;
     if (flags.retries >= 0)
-        opts.resilience.max_retries = flags.retries;
+        opts.resilience.max_retries = static_cast<int>(flags.retries);
     opts.checkpoint_path = flags.checkpoint;
 
     std::fprintf(stderr, "running resilient campaign on %s...\n",
@@ -583,17 +757,79 @@ runResilientCampaign(gpu::DeviceKind kind, const CliFlags &flags)
     return std::move(result.data);
 }
 
-/** Print a typed load failure and return the CLI exit code. */
 int
-reportLoadFailure(const model::IoStatus &status)
+cmdCampaign(const Args &args, const CliFlags &flags)
 {
-    std::fprintf(stderr, "error [%s]: %s\n",
-                 std::string(model::ioErrcName(status.code)).c_str(),
-                 status.message.c_str());
-    return 1;
+    const auto kind = parseDevice(args[0]);
+    if (!kind)
+        return unknownDevice(args[0]);
+    std::optional<model::TrainingData> data;
+    if (flags.resilient) {
+        data = runResilientCampaign(*kind, flags);
+        if (!data)
+            return 3;
+    } else {
+        sim::PhysicalGpu board(*kind);
+        std::fprintf(stderr, "running campaign on %s...\n",
+                     board.descriptor().name.c_str());
+        data = model::runTrainingCampaign(board, ubench::buildSuite());
+    }
+    model::saveTrainingData(*data, args[1]);
+    reportWritten(true, "campaign", args[1]);
+    return 0;
 }
 
-// -- validate --------------------------------------------------------
+/**
+ * Fit a model from campaign data through the typed estimator path and
+ * persist it: numerical failures print their error code and iteration
+ * trace instead of aborting. With --convergence-out, a per-iteration
+ * telemetry CSV is written whether or not the fit succeeded.
+ */
+int
+fitAndSave(const model::TrainingData &data, const std::string &out,
+           const CliFlags &flags)
+{
+    obs::ConvergenceRecorder recorder;
+    model::EstimatorOptions eopts;
+    if (!flags.convergence_out.empty())
+        eopts.observer = &recorder;
+    auto res = model::ModelEstimator(eopts).tryEstimate(data);
+    if (!flags.convergence_out.empty())
+        reportWritten(recorder.writeCsv(flags.convergence_out),
+                      "convergence CSV", flags.convergence_out);
+    if (!res.ok())
+        return reportFitFailure(res.error());
+    const auto &fit = res.value();
+    std::fprintf(stderr,
+                 "fit: %d iterations, RMSE %.2f W (design rank %zu, "
+                 "condition %.1e)\n",
+                 fit.iterations, fit.rmse_w, fit.design_rank,
+                 fit.condition_number);
+    model::saveModel(fit.model, out);
+    reportWritten(true, "model", out);
+    return 0;
+}
+
+int
+cmdFit(const Args &args, const CliFlags &flags)
+{
+    // Device name instead of a campaign file: run the bundled
+    // synthetic resilient campaign in-process, then fit — the whole
+    // measure→fit→save pipeline in one command.
+    const auto kind = parseDevice(args[0]);
+    if (kind && !fileExists(args[0])) {
+        std::fprintf(stderr,
+                     "no campaign file '%s'; running the bundled "
+                     "synthetic campaign\n",
+                     args[0].c_str());
+        const auto data = runResilientCampaign(*kind, flags);
+        return data ? fitAndSave(*data, args[1], flags) : 3;
+    }
+    auto data = model::tryLoadTrainingData(args[0], loadOptionsOf(flags));
+    if (!data.ok())
+        return reportLoadFailure(data.error());
+    return fitAndSave(data.value(), args[1], flags);
+}
 
 /** Outcome of checking one file: either a load failure or a report. */
 struct FileCheck
@@ -614,81 +850,63 @@ checkFile(const std::string &path, const model::LoadOptions &opts)
         return fc;
     }
     const std::string &text = read.value();
-
     const auto kind = model::detectFileKind(text);
     if (!kind.ok()) {
         fc.load_error = kind.error();
         return fc;
     }
     fc.kind = std::string(model::fileKindName(kind.value()));
+
+    // Every kind parses, then validates what it parsed.
+    const auto check = [&fc](auto parsed, auto validate) {
+        if (!parsed.ok()) {
+            fc.load_error = parsed.error();
+            return;
+        }
+        fc.loaded = true;
+        fc.report = validate(parsed.value());
+    };
     switch (kind.value()) {
-      case model::FileKind::Model: {
-        auto res = model::tryParseModel(text, opts);
-        if (!res.ok()) {
-            fc.load_error = res.error();
-            return fc;
-        }
-        fc.loaded = true;
-        fc.report = model::validateModel(res.value());
+      case model::FileKind::Model:
+        check(model::tryParseModel(text, opts), model::validateModel);
         break;
-      }
-      case model::FileKind::Campaign: {
-        auto res = model::tryParseTrainingData(text, opts);
-        if (!res.ok()) {
-            fc.load_error = res.error();
-            return fc;
-        }
-        fc.loaded = true;
-        fc.report = model::validateTrainingData(res.value());
+      case model::FileKind::Campaign:
+        check(model::tryParseTrainingData(text, opts),
+              model::validateTrainingData);
         break;
-      }
-      case model::FileKind::Checkpoint: {
-        auto res = model::tryParseCampaignCheckpoint(text, opts);
-        if (!res.ok()) {
-            fc.load_error = res.error();
-            return fc;
-        }
-        fc.loaded = true;
-        fc.report = model::validateCheckpoint(res.value());
+      case model::FileKind::Checkpoint:
+        check(model::tryParseCampaignCheckpoint(text, opts),
+              model::validateCheckpoint);
         break;
-      }
-      case model::FileKind::Scoreboard: {
-        auto res = model::tryParseScoreboard(text, opts);
-        if (!res.ok()) {
-            fc.load_error = res.error();
-            return fc;
-        }
-        fc.loaded = true;
-        fc.report = model::validateScoreboard(res.value());
+      case model::FileKind::Scoreboard:
+        check(model::tryParseScoreboard(text, opts),
+              model::validateScoreboard);
         break;
-      }
       case model::FileKind::FleetShard:
-      case model::FileKind::Fleet: {
+      case model::FileKind::Fleet:
         // Fleet artifacts are envelope-checked here (magic, kind,
         // size, CRC32); the payload can only be interpreted against
         // its fleet configuration, which the supervisor does on
         // resume via the embedded fingerprint.
-        auto payload = model::tryUnwrapEnvelope(text, kind.value());
-        if (!payload.ok()) {
-            fc.load_error = payload.error();
-            return fc;
-        }
-        fc.loaded = true;
+        check(model::tryUnwrapEnvelope(text, kind.value()),
+              [&fc](const std::string &) {
+                  model::ValidationReport envelope_only;
+                  envelope_only.subject = fc.kind;
+                  return envelope_only;
+              });
         break;
-      }
     }
     return fc;
 }
 
 int
-cmdValidate(const std::vector<std::string> &paths,
-            const CliFlags &flags)
+cmdValidate(const Args &paths, const CliFlags &flags)
 {
     // Deliberately no `validate` in the LoadOptions: the checks run
     // explicitly below so the full report is printed, not just the
     // first-error summary a strict load would produce.
-    model::LoadOptions opts;
-    opts.allow_legacy = !flags.strict || flags.allow_legacy;
+    model::LoadOptions opts = loadOptionsOf(flags);
+    opts.validate = false;
 
     int rc = 0;
     if (flags.json)
@@ -697,6 +915,7 @@ cmdValidate(const std::vector<std::string> &paths,
         const FileCheck fc = checkFile(paths[i], opts);
         if (!fc.loaded || !fc.report.ok())
             rc = 1;
+        const std::string errc(model::ioErrcName(fc.load_error.code));
         if (flags.json) {
             std::string line = "{\"file\":\"" +
                                json::escape(paths[i]) + "\"";
@@ -709,20 +928,14 @@ cmdValidate(const std::vector<std::string> &paths,
                     rep.pop_back();
                 line += ",\"loaded\":true,\"report\":" + rep;
             } else {
-                line += ",\"loaded\":false,\"error\":{\"code\":\"";
-                line += std::string(
-                        model::ioErrcName(fc.load_error.code));
-                line += "\",\"message\":\"" +
+                line += ",\"loaded\":false,\"error\":{\"code\":\"" +
+                        errc + "\",\"message\":\"" +
                         json::escape(fc.load_error.message) + "\"}";
             }
-            line += "}";
-            std::printf("%s%s", i ? "," : "", line.c_str());
+            std::printf("%s%s}", i ? "," : "", line.c_str());
         } else if (!fc.loaded) {
-            std::printf("%s: load failed [%s]: %s\n",
-                        paths[i].c_str(),
-                        std::string(model::ioErrcName(
-                                fc.load_error.code)).c_str(),
-                        fc.load_error.message.c_str());
+            std::printf("%s: load failed [%s]: %s\n", paths[i].c_str(),
+                        errc.c_str(), fc.load_error.message.c_str());
         } else {
             std::printf("%s: %s", paths[i].c_str(),
                         fc.report.summary().c_str());
@@ -734,9 +947,9 @@ cmdValidate(const std::vector<std::string> &paths,
 }
 
 int
-cmdInfo(const std::string &path, const CliFlags &flags)
+cmdInfo(const Args &args, const CliFlags &flags)
 {
-    auto res = model::tryLoadModel(path, loadOptionsOf(flags));
+    auto res = model::tryLoadModel(args[0], loadOptionsOf(flags));
     if (!res.ok())
         return reportLoadFailure(res.error());
     const auto m = res.value();
@@ -765,38 +978,73 @@ cmdInfo(const std::string &path, const CliFlags &flags)
     return 0;
 }
 
-gpu::ComponentArray
-profileApp(const model::DvfsPowerModel &m,
-           const workloads::Workload &app)
+/**
+ * Load the model file args[0] and profile the Table III app args[1]
+ * on a fresh simulated board of its device at the reference
+ * configuration (Sec. III-E). Returns 0, or the exit code of a failure.
+ */
+int
+loadAndProfile(const Args &args, const CliFlags &flags,
+               std::optional<model::DvfsPowerModel> &m,
+               gpu::ComponentArray &util)
 {
-    sim::PhysicalGpu board(m.deviceKind());
+    auto res = model::tryLoadModel(args[0], loadOptionsOf(flags));
+    if (!res.ok())
+        return reportLoadFailure(res.error());
+    m = res.value();
+    const auto &apps = workloads::fullValidationSet();
+    const auto app = std::find_if(
+            apps.begin(), apps.end(),
+            [&args](const workloads::Workload &w) {
+                return w.name == args[1];
+            });
+    if (app == apps.end()) {
+        std::fprintf(stderr, "unknown application '%s'\n",
+                     args[1].c_str());
+        return 2;
+    }
+    sim::PhysicalGpu board(m->deviceKind());
     cupti::Profiler profiler(board, 11);
-    const auto rm = profiler.profile(app.demand, m.reference());
-    return model::utilizationsFromMetrics(rm, board.descriptor(),
-                                          m.reference());
+    util = model::utilizationsFromMetrics(
+            profiler.profile(app->demand, m->reference()),
+            board.descriptor(), m->reference());
+    return 0;
 }
 
 int
-cmdPredict(const std::string &path, const std::string &app_name,
-           std::optional<gpu::FreqConfig> cfg, const CliFlags &flags)
+cmdPredict(const Args &args, const CliFlags &flags)
 {
-    auto res = model::tryLoadModel(path, loadOptionsOf(flags));
-    if (!res.ok())
-        return reportLoadFailure(res.error());
-    const auto m = res.value();
-    const auto app = findApp(app_name);
-    if (!app) {
-        std::fprintf(stderr, "unknown application '%s'\n",
-                     app_name.c_str());
-        return 2;
+    std::optional<model::DvfsPowerModel> m;
+    gpu::ComponentArray util{};
+    if (const int rc = loadAndProfile(args, flags, m, util))
+        return rc;
+    gpu::FreqConfig target = m->reference();
+    if (args.size() == 4) {
+        // Off-grid clocks interpolate, but only inside the device's
+        // supported ranges.
+        const auto &desc = gpu::DeviceDescriptor::get(m->deviceKind());
+        long core = 0, mem = 0;
+        if (!numio::parseLong(args[2], core) ||
+            !numio::parseLong(args[3], mem) ||
+            core < desc.minCoreMhz() || core > desc.maxCoreMhz() ||
+            mem < desc.mem_freqs_mhz.back() ||
+            mem > desc.mem_freqs_mhz.front()) {
+            std::fprintf(stderr,
+                         "bad clocks (%s, %s): %s runs its core at "
+                         "%d..%d MHz and its memory at %d..%d MHz\n",
+                         args[2].c_str(), args[3].c_str(),
+                         desc.name.c_str(), desc.minCoreMhz(),
+                         desc.maxCoreMhz(), desc.mem_freqs_mhz.back(),
+                         desc.mem_freqs_mhz.front());
+            return 2;
+        }
+        target = {static_cast<int>(core), static_cast<int>(mem)};
     }
-    const auto util = profileApp(m, *app);
-    const gpu::FreqConfig target = cfg.value_or(m.reference());
-    const auto p = m.hasVoltages(target)
-                           ? m.predict(util, target)
-                           : m.predictInterpolated(util, target);
+    const auto p = m->hasVoltages(target)
+                           ? m->predict(util, target)
+                           : m->predictInterpolated(util, target);
     std::printf("%s @ (%d, %d) MHz: %.1f W total (constant %.1f W)\n",
-                app->name.c_str(), target.core_mhz, target.mem_mhz,
+                args[1].c_str(), target.core_mhz, target.mem_mhz,
                 p.total_w, p.constant_w);
     for (std::size_t i = 0; i < gpu::kNumComponents; ++i)
         std::printf("  %-7s %.1f W\n",
@@ -807,82 +1055,21 @@ cmdPredict(const std::string &path, const std::string &app_name,
 }
 
 int
-cmdSweep(const std::string &path, const std::string &app_name,
-         const CliFlags &flags)
+cmdSweep(const Args &args, const CliFlags &flags)
 {
-    auto res = model::tryLoadModel(path, loadOptionsOf(flags));
-    if (!res.ok())
-        return reportLoadFailure(res.error());
-    const auto m = res.value();
-    const auto app = findApp(app_name);
-    if (!app) {
-        std::fprintf(stderr, "unknown application '%s'\n",
-                     app_name.c_str());
-        return 2;
-    }
-    const auto util = profileApp(m, *app);
-    model::Predictor pred(m);
+    std::optional<model::DvfsPowerModel> m;
+    gpu::ComponentArray util{};
+    if (const int rc = loadAndProfile(args, flags, m, util))
+        return rc;
+    model::Predictor pred(*m);
     TextTable t({"fcore", "fmem", "predicted W"});
-    t.setTitle(app->name + " across the fitted V-F grid");
+    t.setTitle(args[1] + " across the fitted V-F grid");
     for (const auto &pt : pred.sweep(util))
         t.addRow({std::to_string(pt.cfg.core_mhz),
                   std::to_string(pt.cfg.mem_mhz),
                   TextTable::num(pt.prediction.total_w, 1)});
     t.print(std::cout);
     return 0;
-}
-
-/**
- * Fit a model from campaign data through the typed estimator path and
- * persist it: numerical failures print their error code and iteration
- * trace instead of aborting. With --convergence-out, a per-iteration
- * telemetry CSV is written whether or not the fit succeeded.
- */
-int
-fitAndSave(const model::TrainingData &data, const std::string &out,
-           const CliFlags &flags)
-{
-    obs::ConvergenceRecorder recorder;
-    model::EstimatorOptions eopts;
-    if (!flags.convergence_out.empty())
-        eopts.observer = &recorder;
-    auto res = model::ModelEstimator(eopts).tryEstimate(data);
-    if (!flags.convergence_out.empty()) {
-        if (recorder.writeCsv(flags.convergence_out))
-            std::fprintf(stderr, "convergence CSV written to %s\n",
-                         flags.convergence_out.c_str());
-        else
-            std::fprintf(stderr, "cannot write %s\n",
-                         flags.convergence_out.c_str());
-    }
-    if (!res.ok()) {
-        const auto &fe = res.error();
-        std::fprintf(stderr, "fit failed [%s]: %s\n",
-                     std::string(
-                             model::fitErrcName(fe.code)).c_str(),
-                     fe.message.c_str());
-        for (std::size_t i = 0; i < fe.sse_history.size(); ++i)
-            std::fprintf(stderr, "  iteration %zu: SSE %.6g\n",
-                         i + 1, fe.sse_history[i]);
-        return 1;
-    }
-    const auto &fit = res.value();
-    std::fprintf(stderr,
-                 "fit: %d iterations, RMSE %.2f W (design rank %zu, "
-                 "condition %.1e)\n",
-                 fit.iterations, fit.rmse_w, fit.design_rank,
-                 fit.condition_number);
-    model::saveModel(fit.model, out);
-    std::fprintf(stderr, "model written to %s\n", out.c_str());
-    return 0;
-}
-
-/** True when `path` names a readable file. */
-bool
-fileExists(const std::string &path)
-{
-    std::ifstream in(path, std::ios::binary);
-    return static_cast<bool>(in);
 }
 
 /**
@@ -896,13 +1083,14 @@ fileExists(const std::string &path)
  * Sec. VI baselines so the scoreboard carries their deltas.
  */
 int
-cmdAudit(const std::string &target, const CliFlags &flags)
+cmdAudit(const Args &args, const CliFlags &flags)
 {
     // Same repetition count as the Fig. 7 reproduction, so the audit
     // MAE is comparable against bench_csv/fig7_summary.csv.
     model::CampaignOptions copts;
     copts.power_repetitions = 5;
 
+    const std::string &target = args[0];
     auto kind = parseDevice(target);
     std::optional<model::DvfsPowerModel> m;
     if (!kind || fileExists(target)) {
@@ -936,13 +1124,8 @@ cmdAudit(const std::string &target, const CliFlags &flags)
     if (!m) {
         GPUPM_TRACE_SPAN("audit", "audit.fit");
         auto fit = model::ModelEstimator().tryEstimate(data);
-        if (!fit.ok()) {
-            std::fprintf(stderr, "fit failed [%s]: %s\n",
-                         std::string(model::fitErrcName(
-                                 fit.error().code)).c_str(),
-                         fit.error().message.c_str());
-            return 1;
-        }
+        if (!fit.ok())
+            return reportFitFailure(fit.error());
         m = fit.value().model;
     }
     const auto abe = baselines::AbeLinearModel::train(data);
@@ -964,19 +1147,20 @@ cmdAudit(const std::string &target, const CliFlags &flags)
         for (std::size_t i = 0; i < meas.configs.size(); ++i) {
             const auto &cfg = meas.configs[i];
             const auto p = predictor.at(meas.util, cfg);
-            obs::ResidualSample s;
-            s.app = w.name;
-            s.cfg = cfg;
-            s.measured_w = meas.power_w[i];
-            s.predicted_w = p.total_w;
-            s.constant_w = p.constant_w;
-            s.component_w = p.component_w;
-            s.baseline_w = {
-                    {"abe", abe.predict(meas.util, cfg)},
-                    {"cubic", cubic.predict(meas.util, cfg)},
-                    {"refscale", refscale.predict(ref_power_w, cfg)},
-            };
-            samples.push_back(std::move(s));
+            samples.push_back({
+                    .app = w.name,
+                    .cfg = cfg,
+                    .measured_w = meas.power_w[i],
+                    .predicted_w = p.total_w,
+                    .constant_w = p.constant_w,
+                    .component_w = p.component_w,
+                    .baseline_w = {
+                            {"abe", abe.predict(meas.util, cfg)},
+                            {"cubic", cubic.predict(meas.util, cfg)},
+                            {"refscale",
+                             refscale.predict(ref_power_w, cfg)},
+                    },
+            });
         }
     }
 
@@ -995,8 +1179,7 @@ cmdAudit(const std::string &target, const CliFlags &flags)
                                               flags.scoreboard_out);
         if (!saved.ok())
             return reportLoadFailure(saved.error());
-        std::fprintf(stderr, "scoreboard written to %s\n",
-                     flags.scoreboard_out.c_str());
+        reportWritten(true, "scoreboard", flags.scoreboard_out);
     }
     if (flags.json)
         std::printf("%s", sb.toJson(false).c_str());
@@ -1020,14 +1203,14 @@ cmdAudit(const std::string &target, const CliFlags &flags)
  * monitor's scrape interval.
  */
 int
-cmdFleet(const std::string &count, const CliFlags &flags)
+cmdFleet(const Args &args, const CliFlags &flags)
 {
-    const long n = std::atol(count.c_str());
-    if (n <= 0) {
+    long n = 0;
+    if (!numio::parseLong(args[0], n) || n <= 0) {
         std::fprintf(stderr,
                      "fleet needs a positive device count, got "
                      "'%s'\n",
-                     count.c_str());
+                     args[0].c_str());
         return 2;
     }
     obs::registerStandardMetrics();
@@ -1042,11 +1225,12 @@ cmdFleet(const std::string &count, const CliFlags &flags)
     obs::TraceStoreOptions tsopts;
     tsopts.max_bytes = 32u << 20;
     TraceStoreAttachment tracing(flags, tsopts);
+    tracing.attach();
 
     fleet::FleetOptions fopts;
     fopts.devices = n;
-    fopts.shards = flags.shards;
-    fopts.threads = flags.threads;
+    fopts.shards = static_cast<int>(flags.shards);
+    fopts.threads = static_cast<int>(flags.threads);
     fopts.watchdog_deadline_s = flags.deadline_s;
     fopts.checkpoint_dir = flags.checkpoint;
     fopts.chaos.seed = flags.fault_seed;
@@ -1070,8 +1254,7 @@ cmdFleet(const std::string &count, const CliFlags &flags)
                                     result.toJson() + "\n"));
         if (!saved.ok())
             return reportLoadFailure(saved.error());
-        std::fprintf(stderr, "fleet report written to %s\n",
-                     flags.fleet_out.c_str());
+        reportWritten(true, "fleet report", flags.fleet_out);
     }
     if (flags.json)
         std::printf("%s\n", result.toJson().c_str());
@@ -1085,35 +1268,13 @@ cmdFleet(const std::string &count, const CliFlags &flags)
         fleet::publishFleetSeries(result, fleet_tsdb);
 
         obs::HttpServer server;
-        server.route("/metrics", [](const obs::HttpRequest &) {
-            obs::touchProcessMetrics();
-            obs::HttpResponse resp;
-            resp.content_type =
-                    "text/plain; version=0.0.4; charset=utf-8";
-            resp.body = obs::Registry::global().renderPrometheus();
-            return resp;
+        serveData(server, fleet_tsdb, tracing.store);
+        server.route("/fleet", [body = result.toJson()](
+                                       const obs::HttpRequest &) {
+            return obs::HttpResponse{200, kJson, body};
         });
-        const std::string fleet_json = result.toJson();
-        server.route("/fleet", [fleet_json](const obs::HttpRequest &) {
-            obs::HttpResponse resp;
-            resp.content_type = "application/json";
-            resp.body = fleet_json;
-            return resp;
-        });
-        server.route("/api/query", makeQueryHandler(fleet_tsdb));
-        server.route("/api/traces",
-                     makeTracesHandler(tracing.store));
-        std::string err;
-        if (!server.start(flags.port, &err)) {
-            std::fprintf(stderr,
-                         "fleet: cannot start HTTP server: %s\n",
-                         err.c_str());
+        if (!listen(server, flags, "fleet"))
             return 1;
-        }
-        if (!flags.port_file.empty()) {
-            std::ofstream pf(flags.port_file, std::ios::trunc);
-            pf << server.port() << "\n";
-        }
         std::fprintf(stderr,
                      "fleet: serving /metrics and /fleet on "
                      "127.0.0.1:%d for %.1fs\n",
@@ -1130,7 +1291,7 @@ cmdFleet(const std::string &count, const CliFlags &flags)
 
 /** `gpupm metrics`: dump the full pre-registered metric catalog. */
 int
-cmdMetrics(const CliFlags &flags)
+cmdMetrics(const Args &, const CliFlags &flags)
 {
     obs::registerStandardMetrics();
     obs::touchProcessMetrics();
@@ -1142,7 +1303,7 @@ cmdMetrics(const CliFlags &flags)
 
 /** `gpupm version` / `gpupm --version`: the build-info block. */
 int
-cmdVersion(const CliFlags &flags)
+cmdVersion(const Args &, const CliFlags &flags)
 {
     const auto p = common::collectProvenance();
     if (flags.json) {
@@ -1158,36 +1319,17 @@ cmdVersion(const CliFlags &flags)
     return 0;
 }
 
-// -- monitor ---------------------------------------------------------
-
-/** Set by SIGINT/SIGTERM; the monitor main loop polls it. */
-volatile std::sig_atomic_t g_monitor_stop = 0;
-
-/** Set by SIGUSR1; the main loop dumps a live diagnostic and clears. */
-volatile std::sig_atomic_t g_monitor_dump = 0;
-
-extern "C" void
-monitorSignalHandler(int)
+int
+cmdExportCuda(const Args &args, const CliFlags &)
 {
-    g_monitor_stop = 1;
+    std::ofstream out(args[0]);
+    out << ubench::cudaSuiteSource();
+    return reportWritten(out.good(), "microbenchmark suite", args[0])
+                   ? 0
+                   : 1;
 }
 
-extern "C" void
-monitorDumpHandler(int)
-{
-    g_monitor_dump = 1;
-}
-
-/** JSON number or -1 when not finite (age before the first sample). */
-std::string
-jsonFiniteOr(double v, const char *fallback)
-{
-    if (!std::isfinite(v))
-        return fallback;
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%.3f", v);
-    return buf;
-}
+// -- run-time pipeline: monitor, alerts, traces ----------------------
 
 /**
  * Parse one `--alert` rule spec. Grammar (DESIGN.md §14):
@@ -1203,11 +1345,7 @@ bool
 parseAlertSpec(const std::string &spec, obs::AlertRule &rule,
                std::string &err)
 {
-    std::vector<std::string> parts;
-    std::string cur;
-    std::istringstream is(spec);
-    while (std::getline(is, cur, ':'))
-        parts.push_back(cur);
+    const auto parts = split(spec, ':');
     if (parts.size() < 5 || parts.size() > 8) {
         err = "expected NAME:KIND:SERIES:OP:THRESHOLD"
               "[:WINDOW[:FOR[:COOLDOWN]]], got '" +
@@ -1241,25 +1379,17 @@ parseAlertSpec(const std::string &spec, obs::AlertRule &rule,
         err = "bad threshold '" + parts[4] + "'";
         return false;
     }
-    const auto duration_us = [&](const std::string &text,
-                                 std::int64_t &out) {
-        const double d = parseDuration(text);
-        if (d < 0.0)
+    const char *what[] = {"window", "for", "cooldown"};
+    std::int64_t *out[] = {&rule.window_us, &rule.for_us,
+                           &rule.cooldown_us};
+    for (std::size_t i = 5; i < parts.size(); ++i) {
+        const double d = parseDuration(parts[i]);
+        if (d < 0.0) {
+            err = std::string("bad ") + what[i - 5] + " duration '" +
+                  parts[i] + "'";
             return false;
-        out = static_cast<std::int64_t>(d * 1e6);
-        return true;
-    };
-    if (parts.size() > 5 && !duration_us(parts[5], rule.window_us)) {
-        err = "bad window duration '" + parts[5] + "'";
-        return false;
-    }
-    if (parts.size() > 6 && !duration_us(parts[6], rule.for_us)) {
-        err = "bad for duration '" + parts[6] + "'";
-        return false;
-    }
-    if (parts.size() > 7 && !duration_us(parts[7], rule.cooldown_us)) {
-        err = "bad cooldown duration '" + parts[7] + "'";
-        return false;
+        }
+        *out[i - 5] = static_cast<std::int64_t>(d * 1e6);
     }
     return true;
 }
@@ -1274,25 +1404,16 @@ driftEnvelopeFromGolden(const std::string &path,
                         const std::string &device)
 {
     const auto text = model::tryReadFileText(path);
-    if (!text.ok()) {
-        std::fprintf(stderr, "drift golden: %s\n",
-                     text.error().message.c_str());
-        return std::nullopt;
-    }
     json::Value root;
     json::Error err;
-    if (!json::parse(text.value(), root, err)) {
+    if (!text.ok() || !json::parse(text.value(), root, err)) {
         std::fprintf(stderr, "drift golden '%s': %s\n", path.c_str(),
-                     err.message().c_str());
+                     text.ok() ? err.message().c_str()
+                               : text.error().message.c_str());
         return std::nullopt;
     }
     const auto *stats = root.find("stats");
-    if (!stats) {
-        std::fprintf(stderr, "drift golden '%s': no stats block\n",
-                     path.c_str());
-        return std::nullopt;
-    }
-    const auto *mae = stats->find("mae_pct_" + device);
+    const auto *mae = stats ? stats->find("mae_pct_" + device) : nullptr;
     if (!mae || mae->kind != json::Value::Kind::Number) {
         std::fprintf(stderr,
                      "drift golden '%s': no mae_pct_%s stat\n",
@@ -1303,7 +1424,7 @@ driftEnvelopeFromGolden(const std::string &path,
 }
 
 /**
- * Assemble the alert rule set for a monitor/alerts run: the built-in
+ * Assemble the alert rule set of the run-time pipeline: the built-in
  * drift rule (unless --no-drift-rule) plus every --alert spec.
  * Returns false after printing the offending spec.
  */
@@ -1337,215 +1458,82 @@ buildAlertRules(const CliFlags &flags, const std::string &device,
     return true;
 }
 
-/** Parsed --inject-drift=FROM:TO:SCALE (ticks, measured-W factor). */
-struct DriftInjection
+/**
+ * The run-time pipeline `monitor`, `alerts` and `traces` share: a
+ * model of the board trained in-process (the same procedure as
+ * `gpupm fit <device>`, at 3 power repetitions), every validation app
+ * profiled once at the reference configuration, and the sampler that
+ * measures the simulated NVML device, predicts with the model and
+ * feeds the residual to the flight recorder, tsdb and alert engine.
+ *
+ * Members are ordered as perfbench's MonitorRig: recorder and trace
+ * store before the sampler, the server last. So the server stops
+ * before anything its handlers read is destroyed, and the tracer is
+ * detached before its store goes.
+ */
+struct LivePipeline
 {
-    long from_tick = 0;
-    long to_tick = 0;
-    double scale = 1.0;
+    LivePipeline(gpu::DeviceKind kind, const CliFlags &f)
+        : flags(f), board(kind), dev(board)
+    {
+    }
+
+    /**
+     * Train, profile and wire the sampler, and attach the trace store,
+     * if any, once training is done. Returns 0, or the exit code of a
+     * failed fit, a bad --alert spec or an unwritable event log.
+     */
+    int build(const char *cmd);
+
+    /** One sample: measure, inject --inject-drift, predict. */
+    obs::MonitorSample probe(const std::string &app,
+                             const gpu::FreqConfig &cfg);
+
+    /** --ticks virtual ticks; tick i lands at t = (i + 1) * period. */
+    void
+    tickSynchronously()
+    {
+        const std::int64_t period_us = flags.period_ms * 1000;
+        for (long tick = 0; tick < flags.ticks; ++tick)
+            sampler->tickSynchronously((tick + 1) * period_us);
+    }
+
+    const CliFlags &flags;
+    sim::PhysicalGpu board;
+    nvml::Device dev;
+    std::optional<model::DvfsPowerModel> fitted;
+    std::optional<model::Predictor> predictor;
+    std::map<std::string, gpu::ComponentArray> utils;
+    std::map<std::string, sim::KernelDemand> demands;
+    std::size_t schedule_points = 0;
+    std::atomic<long> probe_tick{0};
+
+    obs::FlightRecorder recorder{256};
+    std::optional<TraceStoreAttachment> tracing;
+    obs::Tsdb tsdb;
+    std::optional<obs::AlertEngine> engine;
+    std::optional<obs::Sampler> sampler;
+    obs::HttpServer server;
 };
 
-std::optional<DriftInjection>
-parseInjectDrift(const std::string &spec)
-{
-    DriftInjection inj;
-    char extra = 0;
-    if (std::sscanf(spec.c_str(), "%ld:%ld:%lf%c", &inj.from_tick,
-                    &inj.to_tick, &inj.scale, &extra) != 3 ||
-        inj.from_tick < 0 || inj.to_tick < inj.from_tick ||
-        inj.scale <= 0.0)
-        return std::nullopt;
-    return inj;
-}
-
-/**
- * `/api/query` handler over a time-series store. Query parameters:
- * `series` (required), `range`/`step` (durations, default 60s / 1s),
- * or explicit `start_us`/`end_us` for reproducible test queries; the
- * implicit end is the store's newest timestamp.
- */
-obs::HttpServer::Handler
-makeQueryHandler(const obs::Tsdb &tsdb)
-{
-    return [&tsdb](const obs::HttpRequest &req) {
-        std::string series;
-        double range_s = 60.0;
-        double step_s = 1.0;
-        std::int64_t start_us = -1;
-        std::int64_t end_us = -1;
-        bool bad = false;
-        std::istringstream qs(req.query);
-        std::string kv;
-        while (std::getline(qs, kv, '&')) {
-            const auto eq = kv.find('=');
-            if (eq == std::string::npos)
-                continue;
-            const std::string key = kv.substr(0, eq);
-            const std::string val = kv.substr(eq + 1);
-            if (key == "series") {
-                series = val;
-            } else if (key == "range") {
-                range_s = parseDuration(val);
-                bad = bad || range_s < 0.0;
-            } else if (key == "step") {
-                step_s = parseDuration(val);
-                bad = bad || step_s <= 0.0;
-            } else if (key == "start_us") {
-                long v = 0;
-                bad = bad || !numio::parseLong(val, v);
-                start_us = v;
-            } else if (key == "end_us") {
-                long v = 0;
-                bad = bad || !numio::parseLong(val, v);
-                end_us = v;
-            }
-        }
-        obs::HttpResponse resp;
-        resp.content_type = "application/json";
-        if (series.empty() || bad) {
-            resp.status = 400;
-            resp.body = "{\"ok\":false,\"error\":\"usage: /api/query"
-                        "?series=<name>&range=60s&step=1s (or "
-                        "start_us/end_us)\"}\n";
-            return resp;
-        }
-        obs::TsQuery q;
-        q.series = series;
-        if (end_us < 0)
-            end_us = tsdb.latestTimestamp();
-        if (end_us == std::numeric_limits<std::int64_t>::min()) {
-            resp.status = 404;
-            resp.body = "{\"ok\":false,\"error\":\"store is "
-                        "empty\"}\n";
-            return resp;
-        }
-        q.end_us = end_us;
-        q.start_us = start_us >= 0
-                             ? start_us
-                             : end_us - static_cast<std::int64_t>(
-                                                range_s * 1e6);
-        q.step_us = static_cast<std::int64_t>(step_s * 1e6);
-        const obs::TsQueryResult res = tsdb.query(q);
-        if (!res.ok)
-            resp.status = 404;
-        resp.body = res.toJson(series) + "\n";
-        return resp;
-    };
-}
-
-/**
- * `/api/traces` handler over a tail-sampled trace store. Query
- * parameters (all optional): `category` (root span category),
- * `min_ms` (minimum root duration), `error` (0/1 — error traces
- * only), `trace_id` (16-hex-digit id), `limit` (max traces, default
- * 50). Malformed values are a 400, never a silent empty result.
- */
-obs::HttpServer::Handler
-makeTracesHandler(const obs::TraceStore &store)
-{
-    return [&store](const obs::HttpRequest &req) {
-        obs::TraceQuery q;
-        bool bad = false;
-        std::istringstream qs(req.query);
-        std::string kv;
-        while (std::getline(qs, kv, '&')) {
-            const auto eq = kv.find('=');
-            if (eq == std::string::npos)
-                continue;
-            const std::string key = kv.substr(0, eq);
-            const std::string val = kv.substr(eq + 1);
-            if (key == "category") {
-                q.category = val;
-            } else if (key == "min_ms") {
-                const double ms = std::atof(val.c_str());
-                bad = bad || ms < 0.0;
-                q.min_dur_us =
-                        static_cast<std::int64_t>(ms * 1000.0);
-            } else if (key == "error") {
-                bad = bad || (val != "0" && val != "1");
-                q.error_only = val == "1";
-            } else if (key == "trace_id") {
-                char *end = nullptr;
-                q.trace_id =
-                        std::strtoull(val.c_str(), &end, 16);
-                bad = bad || val.empty() || *end != '\0' ||
-                      q.trace_id == 0;
-            } else if (key == "limit") {
-                long n = 0;
-                bad = bad || !numio::parseLong(val, n) || n <= 0;
-                q.limit = static_cast<std::size_t>(n > 0 ? n : 1);
-            } else {
-                bad = true;
-            }
-        }
-        obs::HttpResponse resp;
-        resp.content_type = "application/json";
-        if (bad) {
-            resp.status = 400;
-            resp.body = "{\"ok\":false,\"error\":\"usage: "
-                        "/api/traces?category=<cat>&min_ms=<ms>&"
-                        "error=1&trace_id=<hex>&limit=<n>\"}\n";
-            return resp;
-        }
-        resp.body = store.renderJson(q);
-        return resp;
-    };
-}
-
-/**
- * `gpupm monitor <device>`: the long-running telemetry daemon. Trains
- * a model of the device in-process (same procedure as
- * `gpupm fit <device>`), then runs the online sampling loop — measure
- * the simulated NVML device, predict with the model, feed the residual
- * into the live aggregators — while an embedded HTTP server exposes
- * /metrics, /healthz, /scoreboard and /tracez on loopback. SIGINT or
- * SIGTERM (or --duration elapsing) shuts everything down cleanly and
- * dumps the flight recorder's recent past to stderr.
- */
 int
-cmdMonitor(const std::string &device, const CliFlags &flags)
+LivePipeline::build(const char *cmd)
 {
-    const auto kind = parseDevice(device);
-    if (!kind) {
-        std::fprintf(stderr,
-                     "unknown device '%s' (expected titanxp, titanx "
-                     "or k40c)\n",
-                     device.c_str());
-        return 2;
-    }
-    if (flags.period_ms <= 0) {
-        std::fprintf(stderr, "--period-ms must be positive\n");
-        return 2;
-    }
-    common::setProvenanceDevice(deviceToken(*kind));
+    const auto &desc = board.descriptor();
+    common::setProvenanceDevice(deviceToken(desc.kind));
     obs::registerStandardMetrics();
 
-    // Request tracing is always on for the daemon: every tick becomes
-    // one assembled trace in the tail-sampled store behind
-    // /api/traces. Declared before sampler and server so neither the
-    // sampler's spans nor the HTTP handlers outlive the store.
-    TraceStoreAttachment tracing(flags);
-
-    sim::PhysicalGpu board(*kind);
-    const auto &desc = board.descriptor();
-
-    // A fresh model of the board under watch, fitted in-process.
-    std::fprintf(stderr, "monitor: training %s model in-process...\n",
+    std::fprintf(stderr, "%s: training %s model in-process...\n", cmd,
                  desc.name.c_str());
     model::CampaignOptions copts;
     copts.power_repetitions = 3;
-    const auto data = model::runTrainingCampaign(
-            board, ubench::buildSuite(), copts);
-    auto fit = model::ModelEstimator().tryEstimate(data);
-    if (!fit.ok()) {
-        std::fprintf(stderr, "fit failed [%s]: %s\n",
-                     std::string(model::fitErrcName(
-                             fit.error().code)).c_str(),
-                     fit.error().message.c_str());
-        return 1;
-    }
-    const model::DvfsPowerModel m = fit.value().model;
-    model::Predictor predictor(m);
+    auto fit = model::ModelEstimator().tryEstimate(
+            model::runTrainingCampaign(board, ubench::buildSuite(),
+                                       copts));
+    if (!fit.ok())
+        return reportFitFailure(fit.error());
+    fitted.emplace(fit.value().model);
+    predictor.emplace(*fitted);
 
     // Schedule: every validation app at the slowest, reference and
     // fastest V-F configuration, round-robinned. Utilizations are
@@ -1554,112 +1542,170 @@ cmdMonitor(const std::string &device, const CliFlags &flags)
     // operational use case prescribes.
     const auto configs = desc.allConfigs();
     const auto ref = desc.referenceConfig();
-    const std::vector<gpu::FreqConfig> points{configs.front(), ref,
-                                              configs.back()};
-    std::map<std::string, gpu::ComponentArray> utils;
-    std::map<std::string, sim::KernelDemand> demands;
     std::vector<obs::SchedulePoint> schedule;
-    {
-        cupti::Profiler profiler(board, 11);
-        for (const auto &w : workloads::fullValidationSet()) {
-            const auto rm = profiler.profile(w.demand, ref);
-            utils[w.name] =
-                    model::utilizationsFromMetrics(rm, desc, ref);
-            demands[w.name] = w.demand;
-            for (const auto &cfg : points)
-                schedule.push_back({w.name, cfg});
-        }
+    cupti::Profiler profiler(board, 11);
+    for (const auto &w : workloads::fullValidationSet()) {
+        const auto rm = profiler.profile(w.demand, ref);
+        utils[w.name] = model::utilizationsFromMetrics(rm, desc, ref);
+        demands[w.name] = w.demand;
+        for (const auto &cfg : {configs.front(), ref, configs.back()})
+            schedule.push_back({w.name, cfg});
     }
+    schedule_points = schedule.size();
 
-    std::optional<DriftInjection> injection;
-    if (!flags.inject_drift.empty()) {
-        injection = parseInjectDrift(flags.inject_drift);
-        if (!injection) {
-            std::fprintf(stderr,
-                         "bad --inject-drift spec '%s' (expected "
-                         "FROM:TO:SCALE)\n",
-                         flags.inject_drift.c_str());
-            return 2;
-        }
-    }
+    // The store attaches only now, so it holds no traces of the
+    // training.
+    if (tracing)
+        tracing->attach();
 
-    obs::FlightRecorder recorder(256);
-    nvml::Device dev(board);
-    auto probe_tick = std::make_shared<std::atomic<long>>(0);
-    auto probe = [&, probe_tick](const std::string &app,
-                                 const gpu::FreqConfig &cfg) {
-        obs::MonitorSample s;
-        s.app = app;
-        s.cfg = cfg;
-        dev.setApplicationClocks(cfg.mem_mhz, cfg.core_mhz);
-        const auto pm =
-                dev.measureKernelPower(demands.at(app), 2, 0.05);
-        s.measured_w = pm.power_w;
-        // Seeded accuracy fault: scale the measurement inside the
-        // tick window so the residuals — and the rolling MAE the
-        // drift rule watches — degrade and recover deterministically.
-        const long tick =
-                probe_tick->fetch_add(1, std::memory_order_relaxed);
-        if (injection && tick >= injection->from_tick &&
-            tick < injection->to_tick)
-            s.measured_w *= injection->scale;
-        s.predicted_w = predictor.at(utils.at(app), cfg).total_w;
-        return s;
-    };
-
-    obs::Tsdb tsdb;
     std::vector<obs::AlertRule> rules;
-    if (!buildAlertRules(flags, deviceToken(*kind), rules))
+    if (!buildAlertRules(flags, deviceToken(desc.kind), rules))
         return 2;
-    obs::AlertEngine engine(tsdb, std::move(rules), &recorder);
+    engine.emplace(tsdb, std::move(rules), &recorder);
 
-    obs::SamplerOptions sopts;
-    sopts.period_ms = flags.period_ms;
-    sopts.duration_s = flags.duration_s;
-    sopts.events_out = flags.events_out;
-    sopts.events_max_bytes = flags.events_max_bytes;
-    sopts.events_max_files = flags.events_max_files;
-    sopts.rolling_window =
-            static_cast<std::size_t>(flags.rolling_window);
-    sopts.device = static_cast<int>(*kind);
-    sopts.device_name = desc.name;
-    sopts.reference = ref;
-    obs::Sampler sampler(probe, std::move(schedule), sopts, &recorder,
-                         &tsdb, &engine);
+    sampler.emplace(
+            [this](const std::string &app, const gpu::FreqConfig &cfg) {
+                return probe(app, cfg);
+            },
+            std::move(schedule),
+            obs::SamplerOptions{
+                    .period_ms = static_cast<int>(flags.period_ms),
+                    .duration_s = flags.duration_s,
+                    .events_out = flags.events_out,
+                    .events_max_bytes = flags.events_max_bytes,
+                    .events_max_files =
+                            static_cast<int>(flags.events_max_files),
+                    .rolling_window = static_cast<std::size_t>(
+                            flags.rolling_window),
+                    .device = static_cast<int>(desc.kind),
+                    .device_name = desc.name,
+                    .reference = ref,
+            },
+            &recorder, &tsdb, &*engine);
+    std::string err;
+    if (!sampler->openEvents(&err)) {
+        std::fprintf(stderr, "%s: %s\n", cmd, err.c_str());
+        return 1;
+    }
+    return 0;
+}
 
-    const auto started = std::chrono::steady_clock::now();
-    obs::HttpServer server;
+obs::MonitorSample
+LivePipeline::probe(const std::string &app, const gpu::FreqConfig &cfg)
+{
+    obs::MonitorSample s;
+    s.app = app;
+    s.cfg = cfg;
+    dev.setApplicationClocks(cfg.mem_mhz, cfg.core_mhz);
+    s.measured_w = dev.measureKernelPower(demands.at(app), 2, 0.05).power_w;
+    // Seeded accuracy fault: scale the measurement inside the tick
+    // window so the residuals — and the rolling MAE the drift rule
+    // watches — degrade and recover deterministically.
+    const long tick = probe_tick.fetch_add(1, std::memory_order_relaxed);
+    const auto &inj = flags.inject_drift;
+    if (inj && tick >= inj->from_tick && tick < inj->to_tick)
+        s.measured_w *= inj->scale;
+    s.predicted_w = predictor->at(utils.at(app), cfg).total_w;
+    return s;
+}
+
+/** Set by SIGINT/SIGTERM; the monitor main loop polls it. */
+volatile std::sig_atomic_t g_monitor_stop = 0;
+
+/** Set by SIGUSR1; the main loop dumps a live diagnostic and clears. */
+volatile std::sig_atomic_t g_monitor_dump = 0;
+
+extern "C" void
+monitorSignalHandler(int sig)
+{
+    if (sig == SIGUSR1)
+        g_monitor_dump = 1;
+    else
+        g_monitor_stop = 1;
+}
+
+/** JSON number or `fallback` when not finite (age before a sample). */
+std::string
+jsonFiniteOr(double v, const char *fallback)
+{
+    if (!std::isfinite(v))
+        return fallback;
+    char buf[32];
+    std::snprintf(buf, sizeof(buf), "%.3f", v);
+    return buf;
+}
+
+/** Print the newest `show` flight-recorder records, oldest first. */
+void
+printRecorderTail(const obs::FlightRecorder &recorder, std::size_t show)
+{
+    const auto tail = recorder.snapshot();
+    show = std::min(show, tail.size());
+    std::fprintf(stderr,
+                 "monitor: flight recorder tail (%zu of %lld "
+                 "recorded):\n",
+                 show, static_cast<long long>(recorder.recorded()));
+    for (std::size_t i = tail.size() - show; i < tail.size(); ++i)
+        std::fprintf(stderr, "  #%lld +%.3fs [%s] %s: %s\n",
+                     static_cast<long long>(tail[i].seq),
+                     static_cast<double>(tail[i].ts_us) * 1e-6,
+                     tail[i].kind.c_str(), tail[i].name.c_str(),
+                     tail[i].detail.c_str());
+}
+
+/**
+ * `gpupm monitor <device>`: the long-running telemetry daemon. The
+ * live pipeline runs on the sampler's wall-clock thread while an
+ * embedded HTTP server exposes /metrics, /healthz, /scoreboard,
+ * /tracez and the rest on loopback. SIGINT or SIGTERM (or --duration
+ * elapsing) shuts everything down cleanly and dumps the flight
+ * recorder's recent past to stderr.
+ */
+int
+cmdMonitor(const Args &args, const CliFlags &flags)
+{
+    const auto kind = parseDevice(args[0]);
+    if (!kind)
+        return unknownDevice(args[0]);
+    // Request tracing is always on for the daemon, its start-up
+    // included, so the histograms training fills carry exemplars.
+    // build() attaches the tail-sampled store behind /api/traces after
+    // training: every tick becomes one assembled trace there.
+    LivePipeline live(*kind, flags);
+    live.tracing.emplace(flags);
+    if (const int rc = live.build("monitor"))
+        return rc;
+    auto &sampler = *live.sampler;
+    auto &engine = *live.engine;
+    auto &recorder = live.recorder;
+    auto &server = live.server;
+
     server.route("/", [](const obs::HttpRequest &) {
-        obs::HttpResponse resp;
-        resp.body = "gpupm monitor endpoints:\n"
-                    "  /metrics     Prometheus text exposition\n"
-                    "  /healthz     JSON liveness + provenance\n"
-                    "  /scoreboard  live accuracy scoreboard JSON\n"
-                    "  /tracez      flight recorder (recent spans)\n"
-                    "  /profilez    on-demand CPU profile "
-                    "(?seconds=N, collapsed-stack text)\n"
-                    "  /api/query   tsdb range query (?series=...&"
-                    "range=60s&step=1s)\n"
-                    "  /api/traces  tail-sampled request traces "
-                    "(?category=...&min_ms=...&error=1&trace_id=...)\n"
-                    "  /alertz      alert rules + firing state "
-                    "(?format=text for human output)\n";
-        return resp;
+        return obs::HttpResponse{
+                200, "text/plain; charset=utf-8",
+                "gpupm monitor endpoints:\n"
+                "  /metrics     Prometheus text exposition\n"
+                "  /healthz     JSON liveness + provenance\n"
+                "  /scoreboard  live accuracy scoreboard JSON\n"
+                "  /tracez      flight recorder (recent spans)\n"
+                "  /profilez    on-demand CPU profile "
+                "(?seconds=N, collapsed-stack text)\n"
+                "  /api/query   tsdb range query (?series=...&"
+                "range=60s&step=1s)\n"
+                "  /api/traces  tail-sampled request traces "
+                "(?category=...&min_ms=...&error=1&trace_id=...)\n"
+                "  /alertz      alert rules + firing state "
+                "(?format=text for human output)\n"};
     });
-    server.route("/metrics", [&](const obs::HttpRequest &) {
-        obs::touchProcessMetrics();
+    serveData(server, live.tsdb, live.tracing->store, [&sampler] {
         const double age = sampler.lastSampleAgeSeconds();
         if (std::isfinite(age))
             obs::monitorSampleAgeSeconds().set(age);
-        obs::HttpResponse resp;
-        resp.content_type =
-                "text/plain; version=0.0.4; charset=utf-8";
-        resp.body = obs::Registry::global().renderPrometheus();
-        return resp;
     });
-    server.route("/healthz", [&](const obs::HttpRequest &) {
-        const bool stale = sampler.stale();
-        const auto firing = engine.firingRuleNames();
+    const auto started = std::chrono::steady_clock::now();
+    server.route("/healthz", [&live, started](const obs::HttpRequest &) {
+        const bool stale = live.sampler->stale();
+        const auto firing = live.engine->firingRuleNames();
         // Staleness outranks degradation: a wedged sampler can no
         // longer evaluate its own rules, so report the harder fault.
         const char *status = stale ? "stale"
@@ -1672,51 +1718,36 @@ cmdMonitor(const std::string &device, const CliFlags &flags)
         std::ostringstream os;
         os << "{\"status\":\"" << status
            << "\",\"uptime_seconds\":" << jsonFiniteOr(uptime, "0")
-           << ",\"ticks\":" << sampler.ticks()
+           << ",\"ticks\":" << live.sampler->ticks()
            << ",\"last_sample_age_seconds\":"
-           << jsonFiniteOr(sampler.lastSampleAgeSeconds(), "-1")
+           << jsonFiniteOr(live.sampler->lastSampleAgeSeconds(), "-1")
            << ",\"firing\":[";
         for (std::size_t i = 0; i < firing.size(); ++i)
             os << (i ? "," : "") << "\"" << json::escape(firing[i])
                << "\"";
         os << "],\"provenance\":"
            << common::toJson(common::collectProvenance()) << "}\n";
-        obs::HttpResponse resp;
-        resp.status = stale ? 503
-                      : (!firing.empty() && flags.healthz_degraded_503)
-                              ? 503
-                              : 200;
-        resp.content_type = "application/json";
-        resp.body = os.str();
-        return resp;
+        const bool degraded_503 =
+                !firing.empty() && live.flags.healthz_degraded_503;
+        return obs::HttpResponse{stale || degraded_503 ? 503 : 200,
+                                 kJson, os.str()};
     });
-    server.route("/api/query", makeQueryHandler(tsdb));
-    server.route("/api/traces", makeTracesHandler(tracing.store));
-    server.route("/alertz", [&](const obs::HttpRequest &req) {
+    server.route("/alertz", [&engine](const obs::HttpRequest &req) {
         const std::int64_t now = engine.lastEvaluatedUs();
-        obs::HttpResponse resp;
-        if (req.query.find("format=text") != std::string::npos) {
-            resp.content_type = "text/plain; charset=utf-8";
-            resp.body = engine.renderText(now);
-        } else {
-            resp.content_type = "application/json";
-            resp.body = engine.renderJson(now) + "\n";
-        }
-        return resp;
+        if (req.query.find("format=text") != std::string::npos)
+            return obs::HttpResponse{200, "text/plain; charset=utf-8",
+                                     engine.renderText(now)};
+        return obs::HttpResponse{200, kJson,
+                                 engine.renderJson(now) + "\n"};
     });
-    server.route("/scoreboard", [&](const obs::HttpRequest &) {
-        obs::HttpResponse resp;
-        resp.content_type = "application/json";
-        resp.body = sampler.scoreboardSnapshot().toJson(false);
-        return resp;
+    server.route("/scoreboard", [&sampler](const obs::HttpRequest &) {
+        return obs::HttpResponse{
+                200, kJson, sampler.scoreboardSnapshot().toJson(false)};
     });
-    server.route("/tracez", [&](const obs::HttpRequest &) {
-        obs::HttpResponse resp;
-        resp.content_type = "application/json";
-        resp.body = recorder.renderJson();
-        return resp;
+    server.route("/tracez", [&recorder](const obs::HttpRequest &) {
+        return obs::HttpResponse{200, kJson, recorder.renderJson()};
     });
-    server.route("/profilez", [&](const obs::HttpRequest &req) {
+    server.route("/profilez", [&recorder](const obs::HttpRequest &req) {
         // On-demand profile: sample the live daemon for N seconds
         // (?seconds=N, clamped to [0.1, 30], default 1) and return
         // the collapsed-stack text. Wall-clock sampling by default —
@@ -1731,125 +1762,81 @@ cmdMonitor(const std::string &device, const CliFlags &flags)
         obs::ProfilerOptions popts;
         popts.wall = true;
         popts.hz = 499;
-        std::istringstream qs(req.query);
-        std::string kv;
-        while (std::getline(qs, kv, '&')) {
-            if (kv.rfind("seconds=", 0) == 0)
-                seconds = std::atof(kv.c_str() + 8);
-            else if (kv == "json" || kv == "json=1")
+        for (const auto &[key, val] : queryParams(req.query)) {
+            if (key == "seconds")
+                numio::parseDouble(val, seconds);
+            else if (key == "json" && (val.empty() || val == "1"))
                 as_json = true;
-            else if (kv == "mode=cpu") {
+            else if (key == "mode" && val == "cpu") {
                 popts.wall = false;
                 popts.hz = 997;
             }
         }
         seconds = std::min(30.0, std::max(0.1, seconds));
-        obs::HttpResponse resp;
-        auto &profiler = obs::Profiler::global();
         std::string err;
-        if (!profiler.start(popts, &err)) {
-            resp.status = 409;
-            resp.body = "profiler unavailable: " + err + "\n";
-            return resp;
-        }
+        if (!obs::Profiler::global().start(popts, &err))
+            return obs::HttpResponse{409, "text/plain; charset=utf-8",
+                                     "profiler unavailable: " + err +
+                                             "\n"};
         recorder.recordSpan("monitor.profile", 0,
                             "sampling " + std::to_string(seconds) +
                                     "s");
         std::this_thread::sleep_for(
                 std::chrono::duration<double>(seconds));
-        profiler.stop();
-        const auto prof = profiler.collect();
-        obs::profilerRunsTotal().inc();
-        obs::profilerSamplesTotal().inc(
-                static_cast<double>(prof.samples));
-        obs::profilerSamplesDroppedTotal().inc(
-                static_cast<double>(prof.dropped));
-        obs::profilerLastAttributedPct().set(prof.attributedPct());
-        if (as_json) {
-            resp.content_type = "application/json";
-            resp.body = prof.renderJson() + "\n";
-        } else {
-            resp.content_type = "text/plain; charset=utf-8";
-            resp.body = prof.renderFolded();
-        }
-        return resp;
+        const auto prof = finishProfile();
+        if (as_json)
+            return obs::HttpResponse{200, kJson,
+                                     prof.renderJson() + "\n"};
+        return obs::HttpResponse{200, "text/plain; charset=utf-8",
+                                 prof.renderFolded()};
     });
 
-    std::string err;
-    if (!server.start(flags.port, &err)) {
-        std::fprintf(stderr,
-                     "monitor: cannot start HTTP server: %s\n",
-                     err.c_str());
+    if (!listen(server, flags, "monitor"))
         return 1;
-    }
-    if (!flags.port_file.empty()) {
-        std::ofstream pf(flags.port_file, std::ios::trunc);
-        pf << server.port() << "\n";
-        if (!pf)
-            std::fprintf(stderr, "monitor: cannot write %s\n",
-                         flags.port_file.c_str());
-    }
+    std::string err;
     if (!sampler.start(&err)) {
         std::fprintf(stderr, "monitor: %s\n", err.c_str());
-        server.stop();
         return 1;
     }
+    const auto &desc = live.board.descriptor();
     recorder.recordSpan("monitor.start", 0,
                         desc.name + " on 127.0.0.1:" +
                                 std::to_string(server.port()));
     std::fprintf(stderr,
-                 "monitor: listening on 127.0.0.1:%d (period %d ms, "
+                 "monitor: listening on 127.0.0.1:%d (period %ld ms, "
                  "%zu schedule points)\n",
-                 server.port(), flags.period_ms,
-                 utils.size() * points.size());
-
-    // SIGUSR1 diagnostic: everything a stuck daemon's operator needs,
-    // dumped to stderr without stopping anything — the recorder's
-    // recent past plus a full metrics snapshot. The handler only sets
-    // a flag; the dump itself runs here on the main loop.
-    const auto dumpDiagnostic = [&recorder, &sampler, &server]() {
-        std::fprintf(stderr,
-                     "monitor: === live diagnostic (SIGUSR1) ===\n");
-        std::fprintf(stderr,
-                     "monitor: %ld ticks, %ld requests served\n",
-                     sampler.ticks(), server.requestsServed());
-        const auto tail = recorder.snapshot();
-        const std::size_t show =
-                std::min<std::size_t>(tail.size(), 10);
-        std::fprintf(stderr,
-                     "monitor: flight recorder tail (%zu of %lld "
-                     "recorded):\n",
-                     show,
-                     static_cast<long long>(recorder.recorded()));
-        for (std::size_t i = tail.size() - show; i < tail.size(); ++i)
-            std::fprintf(stderr, "  #%lld +%.3fs [%s] %s: %s\n",
-                         static_cast<long long>(tail[i].seq),
-                         static_cast<double>(tail[i].ts_us) * 1e-6,
-                         tail[i].kind.c_str(), tail[i].name.c_str(),
-                         tail[i].detail.c_str());
-        obs::touchProcessMetrics();
-        std::fprintf(stderr, "monitor: metrics snapshot:\n%s",
-                     obs::Registry::global().renderJson().c_str());
-        std::fprintf(stderr,
-                     "monitor: === end live diagnostic ===\n");
-    };
+                 server.port(), flags.period_ms, live.schedule_points);
 
     g_monitor_stop = 0;
     g_monitor_dump = 0;
-    std::signal(SIGINT, monitorSignalHandler);
-    std::signal(SIGTERM, monitorSignalHandler);
-    std::signal(SIGUSR1, monitorDumpHandler);
+    for (int sig : {SIGINT, SIGTERM, SIGUSR1})
+        std::signal(sig, monitorSignalHandler);
     while (!g_monitor_stop && sampler.running()) {
         if (g_monitor_dump) {
+            // SIGUSR1 diagnostic: everything a stuck daemon's operator
+            // needs, dumped to stderr without stopping anything. The
+            // handler only sets a flag; the dump runs here.
             g_monitor_dump = 0;
-            dumpDiagnostic();
+            std::fprintf(stderr,
+                         "monitor: === live diagnostic (SIGUSR1) ===\n"
+                         "monitor: %ld ticks, %ld requests served\n",
+                         sampler.ticks(), server.requestsServed());
+            printRecorderTail(recorder, 10);
+            obs::touchProcessMetrics();
+            std::fprintf(stderr, "monitor: metrics snapshot:\n%s",
+                         obs::Registry::global().renderJson().c_str());
+            std::fprintf(stderr,
+                         "monitor: === end live diagnostic ===\n");
         }
-        // A fresh span per iteration (not one for the whole loop):
-        // /profilez arms the profiler mid-run, and only spans opened
-        // while it runs land in its thread-local context — so an
-        // on-demand wall profile attributes the idle wait too.
-        GPUPM_TRACE_SPAN("monitor", "monitor.wait");
+        // /profilez arms the profiler mid-run, so the idle wait pushes
+        // the profiler's span context afresh each iteration while a
+        // profile runs. It offers no trace: a wait is not a request.
+        const bool attribute = obs::Profiler::contextEnabled();
+        if (attribute)
+            obs::profilerPushSpan("monitor", "monitor.wait");
         std::this_thread::sleep_for(std::chrono::milliseconds(50));
+        if (attribute)
+            obs::profilerPopSpan();
     }
 
     std::fprintf(stderr,
@@ -1858,155 +1845,38 @@ cmdMonitor(const std::string &device, const CliFlags &flags)
                  sampler.ticks(), server.requestsServed());
     sampler.stop();
     server.stop();
-    std::signal(SIGINT, SIG_DFL);
-    std::signal(SIGTERM, SIG_DFL);
-    std::signal(SIGUSR1, SIG_DFL);
+    for (int sig : {SIGINT, SIGTERM, SIGUSR1})
+        std::signal(sig, SIG_DFL);
     recorder.recordSpan("monitor.stop", 0, "clean shutdown");
 
     // Post-mortem: the recorder's recent past, oldest of the tail
     // first, so a crash log always ends with what just happened.
-    const auto tail = recorder.snapshot();
-    const std::size_t show = std::min<std::size_t>(tail.size(), 5);
-    std::fprintf(stderr,
-                 "monitor: flight recorder tail (%zu of %lld "
-                 "recorded):\n",
-                 show, static_cast<long long>(recorder.recorded()));
-    for (std::size_t i = tail.size() - show; i < tail.size(); ++i)
-        std::fprintf(stderr, "  #%lld +%.3fs [%s] %s: %s\n",
-                     static_cast<long long>(tail[i].seq),
-                     static_cast<double>(tail[i].ts_us) * 1e-6,
-                     tail[i].kind.c_str(), tail[i].name.c_str(),
-                     tail[i].detail.c_str());
+    printRecorderTail(recorder, 5);
     return 0;
 }
 
 /**
- * `gpupm alerts <device>`: one-shot alert evaluation. Runs the same
- * in-process train + sample pipeline as `gpupm monitor`, but drives
- * the sampler synchronously for --ticks virtual ticks (tick i lands
- * at t = i * period) instead of on a wall-clock thread — no HTTP
- * server, no sleeps. Virtual time plus the seeded simulated device
- * make the run a pure function of its flags: two invocations emit
- * byte-identical JSON, which the cli_alerts_drift ctest gate asserts.
- * Exit code 1 when any rule is still firing at the final tick, else
- * 0 — scriptable as a health probe.
+ * `gpupm alerts <device>`: one-shot alert evaluation. The live
+ * pipeline ticks synchronously for --ticks virtual ticks instead of on
+ * a wall-clock thread — no HTTP server, no sleeps. Virtual time plus
+ * the seeded simulated device make the run a pure function of its
+ * flags: two invocations emit byte-identical JSON, which the
+ * cli_alerts_drift ctest gate asserts. Exit code 1 when any rule is
+ * still firing at the final tick, else 0 — scriptable as a health
+ * probe.
  */
 int
-cmdAlerts(const std::string &device, const CliFlags &flags)
+cmdAlerts(const Args &args, const CliFlags &flags)
 {
-    const auto kind = parseDevice(device);
-    if (!kind) {
-        std::fprintf(stderr,
-                     "unknown device '%s' (expected titanxp, titanx "
-                     "or k40c)\n",
-                     device.c_str());
-        return 2;
-    }
-    if (flags.period_ms <= 0) {
-        std::fprintf(stderr, "--period-ms must be positive\n");
-        return 2;
-    }
-    std::optional<DriftInjection> injection;
-    if (!flags.inject_drift.empty()) {
-        injection = parseInjectDrift(flags.inject_drift);
-        if (!injection) {
-            std::fprintf(stderr,
-                         "bad --inject-drift spec '%s' (expected "
-                         "FROM:TO:SCALE)\n",
-                         flags.inject_drift.c_str());
-            return 2;
-        }
-    }
-    common::setProvenanceDevice(deviceToken(*kind));
-    obs::registerStandardMetrics();
+    const auto kind = parseDevice(args[0]);
+    if (!kind)
+        return unknownDevice(args[0]);
+    LivePipeline live(*kind, flags);
+    if (const int rc = live.build("alerts"))
+        return rc;
+    live.tickSynchronously();
 
-    sim::PhysicalGpu board(*kind);
-    const auto &desc = board.descriptor();
-    std::fprintf(stderr, "alerts: training %s model in-process...\n",
-                 desc.name.c_str());
-    model::CampaignOptions copts;
-    copts.power_repetitions = 3;
-    const auto data = model::runTrainingCampaign(
-            board, ubench::buildSuite(), copts);
-    auto fit = model::ModelEstimator().tryEstimate(data);
-    if (!fit.ok()) {
-        std::fprintf(stderr, "fit failed [%s]: %s\n",
-                     std::string(model::fitErrcName(
-                             fit.error().code)).c_str(),
-                     fit.error().message.c_str());
-        return 1;
-    }
-    const model::DvfsPowerModel m = fit.value().model;
-    model::Predictor predictor(m);
-
-    const auto configs = desc.allConfigs();
-    const auto ref = desc.referenceConfig();
-    const std::vector<gpu::FreqConfig> points{configs.front(), ref,
-                                              configs.back()};
-    std::map<std::string, gpu::ComponentArray> utils;
-    std::map<std::string, sim::KernelDemand> demands;
-    std::vector<obs::SchedulePoint> schedule;
-    {
-        cupti::Profiler profiler(board, 11);
-        for (const auto &w : workloads::fullValidationSet()) {
-            const auto rm = profiler.profile(w.demand, ref);
-            utils[w.name] =
-                    model::utilizationsFromMetrics(rm, desc, ref);
-            demands[w.name] = w.demand;
-            for (const auto &cfg : points)
-                schedule.push_back({w.name, cfg});
-        }
-    }
-
-    obs::FlightRecorder recorder(256);
-    nvml::Device dev(board);
-    long probe_tick = 0;
-    auto probe = [&](const std::string &app,
-                     const gpu::FreqConfig &cfg) {
-        obs::MonitorSample s;
-        s.app = app;
-        s.cfg = cfg;
-        dev.setApplicationClocks(cfg.mem_mhz, cfg.core_mhz);
-        const auto pm =
-                dev.measureKernelPower(demands.at(app), 2, 0.05);
-        s.measured_w = pm.power_w;
-        const long tick = probe_tick++;
-        if (injection && tick >= injection->from_tick &&
-            tick < injection->to_tick)
-            s.measured_w *= injection->scale;
-        s.predicted_w = predictor.at(utils.at(app), cfg).total_w;
-        return s;
-    };
-
-    obs::Tsdb tsdb;
-    std::vector<obs::AlertRule> rules;
-    if (!buildAlertRules(flags, deviceToken(*kind), rules))
-        return 2;
-    obs::AlertEngine engine(tsdb, std::move(rules), &recorder);
-
-    obs::SamplerOptions sopts;
-    sopts.period_ms = flags.period_ms;
-    sopts.events_out = flags.events_out;
-    sopts.events_max_bytes = flags.events_max_bytes;
-    sopts.events_max_files = flags.events_max_files;
-    sopts.rolling_window =
-            static_cast<std::size_t>(flags.rolling_window);
-    sopts.device = static_cast<int>(*kind);
-    sopts.device_name = desc.name;
-    sopts.reference = ref;
-    obs::Sampler sampler(probe, std::move(schedule), sopts, &recorder,
-                         &tsdb, &engine);
-    std::string err;
-    if (!sampler.openEvents(&err)) {
-        std::fprintf(stderr, "alerts: %s\n", err.c_str());
-        return 1;
-    }
-
-    const std::int64_t period_us =
-            static_cast<std::int64_t>(flags.period_ms) * 1000;
-    for (long tick = 0; tick < flags.alert_ticks; ++tick)
-        sampler.tickSynchronously((tick + 1) * period_us);
-
+    const auto &engine = *live.engine;
     const std::int64_t now = engine.lastEvaluatedUs();
     if (flags.json)
         std::printf("%s\n", engine.renderJson(now).c_str());
@@ -2016,157 +1886,50 @@ cmdAlerts(const std::string &device, const CliFlags &flags)
     if (!firing.empty()) {
         std::fprintf(stderr, "alerts: %zu rule(s) firing after %ld "
                              "ticks\n",
-                     firing.size(), flags.alert_ticks);
+                     firing.size(), flags.ticks);
         return 1;
     }
     return 0;
 }
 
 /**
- * `gpupm traces <device>`: offline request-trace replay. Runs the
- * same in-process train + synchronous-tick pipeline as `gpupm
- * alerts`, but enables request tracing (trace IDs re-seeded from
- * --fault-seed) for the tick loop and prints the assembled traces
- * from the tail-sampled store — one trace per tick, spans in
- * completion order with parent links. Only deterministic fields are
- * printed (IDs, names, categories, error flags, args — no wall-clock
- * timestamps or durations), so two invocations with the same flags
- * emit byte-identical output; the cli_traces ctest gate asserts it.
- * Exit 1 when the store violated its error-retention invariant
- * (an error trace was evicted), else 0.
+ * `gpupm traces <device>`: offline request-trace replay. The live
+ * pipeline ticks synchronously as in `gpupm alerts`, with request
+ * tracing on (trace IDs re-seeded from --fault-seed), and the
+ * assembled traces are printed from the tail-sampled store — one trace
+ * per tick, spans in completion order with parent links. Only
+ * deterministic fields are printed (IDs, names, categories, error
+ * flags, args — no wall-clock timestamps or durations), so two
+ * invocations with the same flags emit byte-identical output; the
+ * cli_traces ctest gate asserts it. Exit 1 when the store violated its
+ * error-retention invariant (an error trace was evicted), else 0.
  */
 int
-cmdTraces(const std::string &device, const CliFlags &flags)
+cmdTraces(const Args &args, const CliFlags &flags)
 {
-    const auto kind = parseDevice(device);
-    if (!kind) {
-        std::fprintf(stderr,
-                     "unknown device '%s' (expected titanxp, titanx "
-                     "or k40c)\n",
-                     device.c_str());
-        return 2;
-    }
-    if (flags.period_ms <= 0) {
-        std::fprintf(stderr, "--period-ms must be positive\n");
-        return 2;
-    }
-    std::optional<DriftInjection> injection;
-    if (!flags.inject_drift.empty()) {
-        injection = parseInjectDrift(flags.inject_drift);
-        if (!injection) {
-            std::fprintf(stderr,
-                         "bad --inject-drift spec '%s' (expected "
-                         "FROM:TO:SCALE)\n",
-                         flags.inject_drift.c_str());
-            return 2;
-        }
-    }
-    common::setProvenanceDevice(deviceToken(*kind));
-    obs::registerStandardMetrics();
+    const auto kind = parseDevice(args[0]);
+    if (!kind)
+        return unknownDevice(args[0]);
+    LivePipeline live(*kind, flags);
+    if (const int rc = live.build("traces"))
+        return rc;
+    // Tracing turns on only now, after training: seedIds() inside
+    // resets the ID counter, so the minted IDs are a pure function of
+    // the fault seed and the (single-threaded) span order.
+    live.tracing.emplace(flags);
+    live.tracing->attach();
+    live.tickSynchronously();
 
-    sim::PhysicalGpu board(*kind);
-    const auto &desc = board.descriptor();
-    std::fprintf(stderr, "traces: training %s model in-process...\n",
-                 desc.name.c_str());
-    model::CampaignOptions copts;
-    copts.power_repetitions = 3;
-    const auto data = model::runTrainingCampaign(
-            board, ubench::buildSuite(), copts);
-    auto fit = model::ModelEstimator().tryEstimate(data);
-    if (!fit.ok()) {
-        std::fprintf(stderr, "fit failed [%s]: %s\n",
-                     std::string(model::fitErrcName(
-                             fit.error().code)).c_str(),
-                     fit.error().message.c_str());
-        return 1;
-    }
-    const model::DvfsPowerModel m = fit.value().model;
-    model::Predictor predictor(m);
-
-    const auto configs = desc.allConfigs();
-    const auto ref = desc.referenceConfig();
-    const std::vector<gpu::FreqConfig> points{configs.front(), ref,
-                                              configs.back()};
-    std::map<std::string, gpu::ComponentArray> utils;
-    std::map<std::string, sim::KernelDemand> demands;
-    std::vector<obs::SchedulePoint> schedule;
-    {
-        cupti::Profiler profiler(board, 11);
-        for (const auto &w : workloads::fullValidationSet()) {
-            const auto rm = profiler.profile(w.demand, ref);
-            utils[w.name] =
-                    model::utilizationsFromMetrics(rm, desc, ref);
-            demands[w.name] = w.demand;
-            for (const auto &cfg : points)
-                schedule.push_back({w.name, cfg});
-        }
-    }
-
-    obs::FlightRecorder recorder(256);
-    nvml::Device dev(board);
-    long probe_tick = 0;
-    auto probe = [&](const std::string &app,
-                     const gpu::FreqConfig &cfg) {
-        obs::MonitorSample s;
-        s.app = app;
-        s.cfg = cfg;
-        dev.setApplicationClocks(cfg.mem_mhz, cfg.core_mhz);
-        const auto pm =
-                dev.measureKernelPower(demands.at(app), 2, 0.05);
-        s.measured_w = pm.power_w;
-        const long tick = probe_tick++;
-        if (injection && tick >= injection->from_tick &&
-            tick < injection->to_tick)
-            s.measured_w *= injection->scale;
-        s.predicted_w = predictor.at(utils.at(app), cfg).total_w;
-        return s;
-    };
-
-    obs::Tsdb tsdb;
-    std::vector<obs::AlertRule> rules;
-    if (!buildAlertRules(flags, deviceToken(*kind), rules))
-        return 2;
-    obs::AlertEngine engine(tsdb, std::move(rules), &recorder);
-
-    obs::SamplerOptions sopts;
-    sopts.period_ms = flags.period_ms;
-    sopts.events_out = flags.events_out;
-    sopts.events_max_bytes = flags.events_max_bytes;
-    sopts.events_max_files = flags.events_max_files;
-    sopts.rolling_window =
-            static_cast<std::size_t>(flags.rolling_window);
-    sopts.device = static_cast<int>(*kind);
-    sopts.device_name = desc.name;
-    sopts.reference = ref;
-    obs::Sampler sampler(probe, std::move(schedule), sopts, &recorder,
-                         &tsdb, &engine);
-    std::string err;
-    if (!sampler.openEvents(&err)) {
-        std::fprintf(stderr, "traces: %s\n", err.c_str());
-        return 1;
-    }
-
-    // Tracing turns on here, after training, so the store holds
-    // exactly the tick traces: seedIds() inside resets the ID counter
-    // and makes the minted IDs a pure function of the fault seed and
-    // the (single-threaded) span order.
-    TraceStoreAttachment tracing(flags);
-
-    const std::int64_t period_us =
-            static_cast<std::int64_t>(flags.period_ms) * 1000;
-    for (long tick = 0; tick < flags.alert_ticks; ++tick)
-        sampler.tickSynchronously((tick + 1) * period_us);
-
+    const auto &store = live.tracing->store;
     obs::TraceQuery all;
-    all.limit = static_cast<std::size_t>(flags.alert_ticks) + 16;
-    auto traces = tracing.store.query(all); // newest first
+    all.limit = static_cast<std::size_t>(flags.ticks) + 16;
+    auto traces = store.query(all); // newest first
     std::reverse(traces.begin(), traces.end()); // arrival order
 
-    const auto &store = tracing.store;
     if (flags.json) {
         std::ostringstream os;
         os << "{\"device\":\"" << deviceToken(*kind)
-           << "\",\"ticks\":" << flags.alert_ticks
+           << "\",\"ticks\":" << flags.ticks
            << ",\"offered\":" << store.offeredTotal()
            << ",\"stored\":" << traces.size()
            << ",\"errors_offered\":" << store.errorsOfferedTotal()
@@ -2192,13 +1955,10 @@ cmdTraces(const std::string &device, const CliFlags &flags)
                     os << ",\"error\":true";
                 if (!s.args.empty()) {
                     os << ",\"args\":{";
-                    for (std::size_t a = 0; a < s.args.size(); ++a) {
-                        if (a)
-                            os << ",";
-                        os << "\"" << json::escape(s.args[a].first)
-                           << "\":\""
+                    for (std::size_t a = 0; a < s.args.size(); ++a)
+                        os << (a ? "," : "") << "\""
+                           << json::escape(s.args[a].first) << "\":\""
                            << json::escape(s.args[a].second) << "\"";
-                    }
                     os << "}";
                 }
                 os << "}";
@@ -2246,6 +2006,123 @@ cmdTraces(const std::string &device, const CliFlags &flags)
     return 0;
 }
 
+// -- commands --------------------------------------------------------
+
+/** Accepted positional counts of a command, one bit per count. */
+constexpr unsigned
+takes(int n)
+{
+    return 1u << n;
+}
+constexpr unsigned kOneOrMore = ~1u; ///< bit 31 stands for 31 or more
+
+/** One subcommand: dispatch, arity errors and usage() read this. */
+struct Command
+{
+    const char *name;
+    const char *args;   ///< usage after the name
+    unsigned arity;     ///< accepted positional counts (takes())
+    int (*run)(const Args &, const CliFlags &);
+    const char *more;   ///< further usage lines, or ""
+};
+
+const Command kCommands[] = {
+        {"devices", "", takes(0), cmdDevices, ""},
+        {"campaign", "<titanxp|titanx|k40c> <out>", takes(2), cmdCampaign,
+         ""},
+        {"fit", "<campaign-file|device> <out-model>", takes(2), cmdFit,
+         "      campaign/fit flags: --faults=<rate> --fault-seed=<n> "
+         "--retries=<n> --resume=<file>\n"},
+        {"metrics", "[--json]", takes(0), cmdMetrics, ""},
+        {"info", "<model-file>", takes(1), cmdInfo, ""},
+        {"predict", "<model-file> <APP> [fcore fmem]",
+         takes(2) | takes(4), cmdPredict, ""},
+        {"sweep", "<model-file> <APP>", takes(2), cmdSweep, ""},
+        {"export-cuda", "<out.cu>", takes(1), cmdExportCuda, ""},
+        {"audit",
+         "<model-file|device> [--json|--csv] [--scoreboard-out=<file>]",
+         takes(1), cmdAudit, ""},
+        {"monitor",
+         "<titanxp|titanx|k40c> [--port=<n>] [--period-ms=<n>] "
+         "[--duration=<2s|500ms>] [--events-out=<file>]",
+         takes(1), cmdMonitor,
+         "      [--events-max-bytes=<n>] [--events-max-files=<n>] "
+         "[--rolling-window=<n>] [--healthz-degraded-503]\n"},
+        {"alerts",
+         "<titanxp|titanx|k40c> [--json] [--ticks=<n>] [--period-ms=<n>] "
+         "[--rolling-window=<n>]",
+         takes(1), cmdAlerts, ""},
+        {"traces",
+         "<titanxp|titanx|k40c> [--json] [--ticks=<n>] [--period-ms=<n>] "
+         "[--inject-drift=FROM:TO:SCALE]",
+         takes(1), cmdTraces,
+         "      (offline per-tick trace replay; deterministic output, "
+         "error traces always retained)\n"
+         "      alerting flags (monitor/alerts/traces): "
+         "--alert=NAME:KIND:SERIES:OP:THRESH[:WIN[:FOR[:COOL]]] "
+         "--no-drift-rule\n"
+         "      --drift-tolerance=<pp> --drift-window=<dur> "
+         "--drift-for=<dur> --drift-cooldown=<dur> --drift-golden=<file>\n"
+         "      --inject-drift=FROM:TO:SCALE   (scale measured power for "
+         "ticks in [FROM,TO))\n"},
+        {"fleet",
+         "<num-devices> [--shards=<k>] [--threads=<n>] [--resume=<dir>] "
+         "[--deadline=<dur>]",
+         takes(1), cmdFleet,
+         "      [--chaos-kill-rate=<p>] [--chaos-stall-rate=<p>] "
+         "[--chaos-poison=<frac>] [--faults=<rate>]\n"
+         "      [--fleet-out=<file>] [--json] [--port=<n> "
+         "--duration=<dur>]   (serve /metrics and /fleet)\n"},
+        {"version", "[--json]   (also: gpupm --version)", takes(0),
+         cmdVersion, ""},
+        {"validate", "[--json] <file>...", kOneOrMore, cmdValidate, ""},
+};
+
+/** "gpupm <name> <args>", the command's usage line. */
+std::string
+usageLine(const Command &c)
+{
+    return std::string("gpupm ") + c.name + (*c.args ? " " : "") +
+           c.args;
+}
+
+int
+usage()
+{
+    std::fprintf(stderr, "usage:\n");
+    for (const Command &c : kCommands)
+        std::fprintf(stderr, "  %s\n%s", usageLine(c).c_str(), c.more);
+    std::fprintf(stderr,
+                 "      file-trust flags (all loading commands): "
+                 "--strict --allow-legacy\n"
+                 "      observability flags (all commands): "
+                 "--trace-out=<file> --metrics-out=<file> "
+                 "--convergence-out=<file> --profile-out=<file> "
+                 "--verbose --quiet\n");
+    return 2;
+}
+
+int
+dispatch(const Args &args, const CliFlags &flags)
+{
+    const Command *cmd = std::find_if(
+            std::begin(kCommands), std::end(kCommands),
+            [&args](const Command &c) { return args.front() == c.name; });
+    if (cmd == std::end(kCommands))
+        return usage();
+    const Args positional(args.begin() + 1, args.end());
+    const std::size_t n = std::min<std::size_t>(positional.size(), 31);
+    if (!((cmd->arity >> n) & 1u)) {
+        std::fprintf(stderr,
+                     "gpupm: wrong number of arguments for '%s' (got "
+                     "%zu)\nusage: %s\n",
+                     cmd->name, positional.size(),
+                     usageLine(*cmd).c_str());
+        return 2;
+    }
+    return cmd->run(positional, flags);
+}
+
 /**
  * Write the observability artifacts requested by --trace-out,
  * --metrics-out and --profile-out. Runs after the command (and its
@@ -2258,199 +2135,29 @@ writeObservabilityArtifacts(const CliFlags &flags)
 {
     if (!flags.profile_out.empty() &&
         obs::Profiler::global().running()) {
-        auto &profiler = obs::Profiler::global();
-        profiler.stop();
-        const auto prof = profiler.collect();
-        obs::profilerRunsTotal().inc();
-        obs::profilerSamplesTotal().inc(
-                static_cast<double>(prof.samples));
-        obs::profilerSamplesDroppedTotal().inc(
-                static_cast<double>(prof.dropped));
-        obs::profilerLastAttributedPct().set(prof.attributedPct());
-        if (prof.writeFolded(flags.profile_out))
-            std::fprintf(stderr,
-                         "cpu profile (%ld samples, %.1f%% "
-                         "span-attributed) written to %s\n",
-                         prof.samples, prof.attributedPct(),
-                         flags.profile_out.c_str());
-        else
-            std::fprintf(stderr, "cannot write %s\n",
-                         flags.profile_out.c_str());
+        const auto prof = finishProfile();
+        char what[80];
+        std::snprintf(what, sizeof(what),
+                      "cpu profile (%ld samples, %.1f%% span-attributed)",
+                      prof.samples, prof.attributedPct());
+        reportWritten(prof.writeFolded(flags.profile_out), what,
+                      flags.profile_out);
     }
     if (!flags.trace_out.empty()) {
         auto &tracer = obs::Tracer::global();
         tracer.disable();
-        if (tracer.writeChromeTrace(flags.trace_out))
-            std::fprintf(stderr, "trace (%zu spans) written to %s\n",
-                         tracer.eventCount(),
-                         flags.trace_out.c_str());
-        else
-            std::fprintf(stderr, "cannot write %s\n",
-                         flags.trace_out.c_str());
+        reportWritten(tracer.writeChromeTrace(flags.trace_out),
+                      "trace (" + std::to_string(tracer.eventCount()) +
+                              " spans)",
+                      flags.trace_out);
     }
     if (!flags.metrics_out.empty()) {
         obs::registerStandardMetrics();
         obs::touchProcessMetrics();
-        if (obs::Registry::global().writePrometheus(flags.metrics_out))
-            std::fprintf(stderr, "metrics written to %s\n",
-                         flags.metrics_out.c_str());
-        else
-            std::fprintf(stderr, "cannot write %s\n",
-                         flags.metrics_out.c_str());
+        reportWritten(
+                obs::Registry::global().writePrometheus(flags.metrics_out),
+                "metrics", flags.metrics_out);
     }
-}
-
-int
-dispatch(const std::vector<std::string> &args, const CliFlags &flags)
-{
-    const std::string cmd = args.front();
-    const int nargs = static_cast<int>(args.size());
-
-    {
-        if (cmd == "devices") {
-            for (auto kind : gpu::kAllDevices) {
-                const auto &d = gpu::DeviceDescriptor::get(kind);
-                std::printf("%-8s %s (%s, %zu V-F configs)\n",
-                            deviceToken(kind), d.name.c_str(),
-                            std::string(architectureName(
-                                    d.architecture)).c_str(),
-                            d.allConfigs().size());
-            }
-            return 0;
-        }
-        if (cmd == "campaign" && nargs == 3) {
-            const auto kind = parseDevice(args[1]);
-            if (!kind)
-                return usage();
-            if (flags.resilient) {
-                const auto data = runResilientCampaign(*kind, flags);
-                if (!data)
-                    return 3;
-                model::saveTrainingData(*data, args[2]);
-            } else {
-                model::saveTrainingData(runCampaign(*kind), args[2]);
-            }
-            std::fprintf(stderr, "campaign written to %s\n",
-                         args[2].c_str());
-            return 0;
-        }
-        if (cmd == "fit" && nargs == 3) {
-            // Device name instead of a campaign file: run the bundled
-            // synthetic resilient campaign in-process, then fit —
-            // the whole measure→fit→save pipeline in one command.
-            const auto kind = parseDevice(args[1]);
-            if (kind && !fileExists(args[1])) {
-                std::fprintf(stderr,
-                             "no campaign file '%s'; running the "
-                             "bundled synthetic campaign\n",
-                             args[1].c_str());
-                const auto data = runResilientCampaign(*kind, flags);
-                if (!data)
-                    return 3;
-                return fitAndSave(*data, args[2], flags);
-            }
-            auto data = model::tryLoadTrainingData(
-                    args[1], loadOptionsOf(flags));
-            if (!data.ok())
-                return reportLoadFailure(data.error());
-            return fitAndSave(data.value(), args[2], flags);
-        }
-        if (cmd == "train" && nargs == 3) {
-            const auto kind = parseDevice(args[1]);
-            if (!kind)
-                return usage();
-            std::optional<model::TrainingData> data;
-            if (flags.resilient) {
-                data = runResilientCampaign(*kind, flags);
-                if (!data)
-                    return 3;
-            } else {
-                data = runCampaign(*kind);
-            }
-            return fitAndSave(*data, args[2], flags);
-        }
-        if (cmd == "info" && nargs == 2)
-            return cmdInfo(args[1], flags);
-        if (cmd == "predict" && (nargs == 3 || nargs == 5)) {
-            std::optional<gpu::FreqConfig> cfg;
-            if (nargs == 5)
-                cfg = gpu::FreqConfig{std::atoi(args[3].c_str()),
-                                      std::atoi(args[4].c_str())};
-            return cmdPredict(args[1], args[2], cfg, flags);
-        }
-        if (cmd == "sweep" && nargs == 3)
-            return cmdSweep(args[1], args[2], flags);
-        if (cmd == "validate" && nargs >= 2)
-            return cmdValidate({args.begin() + 1, args.end()},
-                               flags);
-        if (cmd == "metrics" && nargs == 1)
-            return cmdMetrics(flags);
-        if (cmd == "version" && nargs == 1)
-            return cmdVersion(flags);
-        if (cmd == "monitor" && nargs == 2)
-            return cmdMonitor(args[1], flags);
-        if (cmd == "alerts" && nargs == 2)
-            return cmdAlerts(args[1], flags);
-        if (cmd == "alerts") {
-            std::fprintf(stderr,
-                         "alerts needs exactly one device argument "
-                         "(titanxp, titanx or k40c), got %d\n",
-                         nargs - 1);
-            return 2;
-        }
-        if (cmd == "traces" && nargs == 2)
-            return cmdTraces(args[1], flags);
-        if (cmd == "traces") {
-            std::fprintf(stderr,
-                         "traces needs exactly one device argument "
-                         "(titanxp, titanx or k40c), got %d\n",
-                         nargs - 1);
-            return 2;
-        }
-        if (cmd == "fleet" && nargs == 2)
-            return cmdFleet(args[1], flags);
-        if (cmd == "fleet") {
-            std::fprintf(stderr,
-                         "fleet needs exactly one <num-devices> "
-                         "argument, got %d\n",
-                         nargs - 1);
-            return 2;
-        }
-        if (cmd == "monitor") {
-            std::fprintf(stderr,
-                         "monitor needs exactly one device argument "
-                         "(titanxp, titanx or k40c), got %d\n",
-                         nargs - 1);
-            return 2;
-        }
-        if (cmd == "audit") {
-            // Flags are stripped by parseFlags wherever they appear,
-            // so the only way to get here with nargs != 2 is a wrong
-            // positional count — say so instead of the generic usage.
-            if (nargs != 2) {
-                std::fprintf(stderr,
-                             "audit needs exactly one "
-                             "<model-file|device> argument, got %d\n",
-                             nargs - 1);
-                return 2;
-            }
-            return cmdAudit(args[1], flags);
-        }
-        if (cmd == "export-cuda" && nargs == 2) {
-            std::ofstream out(args[1]);
-            if (!out) {
-                std::fprintf(stderr, "cannot write %s\n",
-                             args[1].c_str());
-                return 1;
-            }
-            out << ubench::cudaSuiteSource();
-            std::fprintf(stderr,
-                         "microbenchmark suite written to %s\n",
-                         args[1].c_str());
-            return 0;
-        }
-    }
-    return usage();
 }
 
 } // namespace
@@ -2460,11 +2167,11 @@ main(int argc, char **argv)
 {
     CliFlags flags;
     const auto args = parseFlags(argc, argv, flags);
-    if (!args.empty() && args.front() == "--bad-flag")
+    if (!args)
         return 2; // parseFlags already named the offending flag
     if (flags.show_version)
-        return cmdVersion(flags);
-    if (args.empty())
+        return cmdVersion({}, flags);
+    if (args->empty())
         return usage();
 
     if (flags.verbose)
@@ -2484,8 +2191,8 @@ main(int argc, char **argv)
     try {
         // Scoped so the root span completes before the trace is
         // written.
-        GPUPM_TRACE_SPAN_NAMED(root, "cli", "cli." + args.front());
-        rc = dispatch(args, flags);
+        GPUPM_TRACE_SPAN_NAMED(root, "cli", "cli." + args->front());
+        rc = dispatch(*args, flags);
     } catch (const std::exception &e) {
         std::fprintf(stderr, "error: %s\n", e.what());
         rc = 1;

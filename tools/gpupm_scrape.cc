@@ -3,7 +3,7 @@
  * Minimal HTTP scrape client for the `gpupm monitor` endpoints.
  *
  * Exists so the test suite can exercise the live-telemetry daemon
- * without external tools (no curl dependency in CI). Two modes:
+ * without external tools (no curl dependency in CI). Modes:
  *
  *   gpupm_scrape get <port> <path> [--expect=<substr>]...
  *                    [--status=<code>] [--method=<verb>]
@@ -36,6 +36,12 @@
  *       /metrics and /healthz degraded) and then resolve once the
  *       fault window passes, and require the alert transitions in
  *       the NDJSON event log after a clean SIGTERM exit.
+ *
+ *   gpupm_scrape fleet-selftest <gpupm-binary> --work=<dir>
+ *       a fleet served over HTTP: run `gpupm fleet 6` with --port and
+ *       --duration, require /fleet, /metrics, /api/query and
+ *       /api/traces to answer 200 (the JSON ones brace-balanced), and
+ *       require the process to exit 0 once the duration elapses.
  */
 
 #include <arpa/inet.h>
@@ -307,7 +313,7 @@ cmdGet(int argc, char **argv)
     return rc;
 }
 
-/** A forked `gpupm monitor` daemon under test. */
+/** A forked `gpupm` daemon (`monitor`, or `fleet --port`) under test. */
 struct MonitorProc
 {
     pid_t pid = -1;
@@ -318,24 +324,21 @@ struct MonitorProc
 };
 
 /**
- * Fork/exec `gpupm monitor <device>` on an ephemeral port with the
- * given extra flags and wait for the port file. The daemon gets a
- * generous self-destruct (--duration=60s) so a hung test cannot leak
- * a process past the ctest timeout; its stderr goes to a file so
- * diagnostics can be asserted on.
+ * Fork/exec `gpupm <command...>` on an ephemeral port and wait for the
+ * port file, named after the subcommand (`<work>/<command[0]>.port`).
+ * Its stderr goes to `<work>/<command[0]>.stderr` so diagnostics can be
+ * asserted on.
  */
 bool
-spawnMonitor(const std::string &gpupm, const std::string &device,
-             const std::string &work,
-             const std::vector<std::string> &extra_flags,
-             MonitorProc *proc, std::string *err)
+spawnDaemon(const std::string &gpupm,
+            const std::vector<std::string> &command,
+            const std::string &work, MonitorProc *proc,
+            std::string *err)
 {
     ::mkdir(work.c_str(), 0755); // fine if it already exists
-    proc->port_file = work + "/monitor.port";
-    proc->events_file = work + "/monitor.ndjson";
-    proc->stderr_file = work + "/monitor.stderr";
+    proc->port_file = work + "/" + command.front() + ".port";
+    proc->stderr_file = work + "/" + command.front() + ".stderr";
     std::remove(proc->port_file.c_str());
-    std::remove(proc->events_file.c_str());
     std::remove(proc->stderr_file.c_str());
 
     proc->pid = ::fork();
@@ -346,17 +349,10 @@ spawnMonitor(const std::string &gpupm, const std::string &device,
     if (proc->pid == 0) {
         if (!std::freopen(proc->stderr_file.c_str(), "w", stderr))
             _exit(126);
-        std::vector<std::string> args{gpupm,
-                                      "monitor",
-                                      device,
-                                      "--port=0",
-                                      "--period-ms=50",
-                                      "--duration=60s",
-                                      "--port-file=" + proc->port_file,
-                                      "--events-out=" +
-                                              proc->events_file};
-        args.insert(args.end(), extra_flags.begin(),
-                    extra_flags.end());
+        std::vector<std::string> args{gpupm};
+        args.insert(args.end(), command.begin(), command.end());
+        args.push_back("--port=0");
+        args.push_back("--port-file=" + proc->port_file);
         std::vector<char *> argv;
         argv.reserve(args.size() + 1);
         for (auto &a : args)
@@ -368,15 +364,17 @@ spawnMonitor(const std::string &gpupm, const std::string &device,
         _exit(127);
     }
 
-    // The monitor trains its model before listening; poll the port
-    // file until it appears (or the child dies).
+    // The monitor trains its model (the fleet runs its campaign)
+    // before listening; poll the port file until it appears (or the
+    // child dies).
     const auto deadline = std::chrono::steady_clock::now() +
                           std::chrono::seconds(30);
     while (std::chrono::steady_clock::now() < deadline) {
         int wstatus = 0;
         if (::waitpid(proc->pid, &wstatus, WNOHANG) == proc->pid) {
             proc->pid = -1;
-            *err = "monitor exited before listening (status " +
+            *err = command.front() +
+                   " exited before listening (status " +
                    std::to_string(wstatus) + ")";
             return false;
         }
@@ -388,6 +386,27 @@ spawnMonitor(const std::string &gpupm, const std::string &device,
     }
     *err = "no port file after 30 s";
     return false;
+}
+
+/**
+ * Fork/exec `gpupm monitor <device>` with the given extra flags. The
+ * daemon gets a generous self-destruct (--duration=60s) so a hung test
+ * cannot leak a process past the ctest timeout.
+ */
+bool
+spawnMonitor(const std::string &gpupm, const std::string &device,
+             const std::string &work,
+             const std::vector<std::string> &extra_flags,
+             MonitorProc *proc, std::string *err)
+{
+    proc->events_file = work + "/monitor.ndjson";
+    std::remove(proc->events_file.c_str());
+    std::vector<std::string> command{"monitor", device,
+                                     "--period-ms=50", "--duration=60s",
+                                     "--events-out=" + proc->events_file};
+    command.insert(command.end(), extra_flags.begin(),
+                   extra_flags.end());
+    return spawnDaemon(gpupm, command, work, proc, err);
 }
 
 int
@@ -531,6 +550,10 @@ cmdMonitorSelftest(int argc, char **argv)
         return killAndFail("/api/traces check failed");
     if (!jsonBalanced(json_body))
         return killAndFail("/api/traces body is not balanced JSON");
+    // The main loop's idle waits are attributed in /profilez but are
+    // not requests: none of them may root a stored trace.
+    if (json_body.find("\"root\":\"monitor.wait\"") != std::string::npos)
+        return killAndFail("/api/traces holds monitor.wait traces");
     if (checkEndpoint(port, "GET",
                       "/api/traces?category=monitor&min_ms=0&limit=2",
                       200, {"monitor.tick"}) != 0)
@@ -538,6 +561,9 @@ cmdMonitorSelftest(int argc, char **argv)
     if (checkEndpoint(port, "GET", "/api/traces?error=2", 400,
                       {"usage: /api/traces"}) != 0)
         return killAndFail("/api/traces bad-param check failed");
+    if (checkEndpoint(port, "GET", "/api/traces?min_ms=abc", 400,
+                      {"usage: /api/traces"}) != 0)
+        return killAndFail("/api/traces bad min_ms check failed");
 
     // /profilez runs the wall-clock sampling profiler in-place; the
     // idle daemon sits in its instrumented wait/tick spans, so the
@@ -800,6 +826,91 @@ cmdDriftDemo(int argc, char **argv)
     return 0;
 }
 
+int
+cmdFleetSelftest(int argc, char **argv)
+{
+    if (argc < 3)
+        return fail("usage: gpupm_scrape fleet-selftest <gpupm-binary> "
+                    "--work=<dir>");
+    const std::string gpupm = argv[2];
+    std::string work = ".";
+    for (int i = 3; i < argc; ++i) {
+        const std::string arg = argv[i];
+        if (arg.rfind("--work=", 0) == 0)
+            work = arg.substr(7);
+        else
+            return fail("unknown argument '" + arg + "'");
+    }
+
+    // The server stays up for --duration after the campaign, long
+    // enough for four scrapes even under the sanitizers.
+    MonitorProc proc;
+    std::string spawn_err;
+    if (!spawnDaemon(gpupm, {"fleet", "6", "--shards=3", "--duration=5s"},
+                     work, &proc, &spawn_err)) {
+        if (proc.pid > 0) {
+            ::kill(proc.pid, SIGKILL);
+            ::waitpid(proc.pid, nullptr, 0);
+        }
+        return fail(spawn_err);
+    }
+    const pid_t pid = proc.pid;
+    const int port = proc.port;
+    auto killAndFail = [&](const std::string &what) {
+        ::kill(pid, SIGKILL);
+        ::waitpid(pid, nullptr, 0);
+        std::ifstream se(proc.stderr_file);
+        std::string l;
+        while (std::getline(se, l))
+            std::fprintf(stderr, "fleet stderr| %s\n", l.c_str());
+        return fail(what);
+    };
+    std::fprintf(stderr, "gpupm_scrape: fleet up on port %d\n", port);
+
+    const struct
+    {
+        const char *path;
+        std::vector<std::string> expects;
+        bool json;
+    } checks[] = {
+            {"/fleet",
+             {"\"schema\":\"gpupm_fleet_report_v1\"",
+              "\"devices_ok\":6"},
+             true},
+            {"/metrics", {"gpupm_build_info{", "gpupm_fleet_devices 6"},
+             false},
+            {"/api/query?series=gpupm_fleet_mae_pct&range=60s&step=1s",
+             {"\"ok\":true", "\"points\":[{"},
+             true},
+            {"/api/traces",
+             {"\"traces\":[", "\"root\":\"fleet.campaign\""},
+             true},
+    };
+    for (const auto &c : checks) {
+        std::string body;
+        if (checkEndpoint(port, "GET", c.path, 200, c.expects, &body) != 0)
+            return killAndFail(std::string(c.path) + " check failed");
+        if (c.json && !jsonBalanced(body))
+            return killAndFail(std::string(c.path) +
+                               " body is not balanced JSON");
+    }
+
+    // The duration elapses on its own; the exit is clean.
+    int wstatus = 0;
+    for (int waited_ms = 0;; waited_ms += 50) {
+        if (::waitpid(pid, &wstatus, WNOHANG) == pid)
+            break;
+        if (waited_ms >= 30000)
+            return killAndFail("fleet did not exit within 30 s");
+        std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    }
+    if (!WIFEXITED(wstatus) || WEXITSTATUS(wstatus) != 0)
+        return fail("fleet exit status " + std::to_string(wstatus));
+    std::fprintf(stderr, "gpupm_scrape: fleet selftest passed (clean "
+                         "exit after --duration)\n");
+    return 0;
+}
+
 } // namespace
 
 int
@@ -814,7 +925,9 @@ main(int argc, char **argv)
                      "  gpupm_scrape monitor-selftest <gpupm-binary> "
                      "<device> --work=<dir>\n"
                      "  gpupm_scrape drift-demo <gpupm-binary> "
-                     "<device> --work=<dir>\n");
+                     "<device> --work=<dir>\n"
+                     "  gpupm_scrape fleet-selftest <gpupm-binary> "
+                     "--work=<dir>\n");
         return 2;
     }
     const std::string mode = argv[1];
@@ -824,6 +937,8 @@ main(int argc, char **argv)
         return cmdMonitorSelftest(argc, argv);
     if (mode == "drift-demo")
         return cmdDriftDemo(argc, argv);
+    if (mode == "fleet-selftest")
+        return cmdFleetSelftest(argc, argv);
     std::fprintf(stderr, "unknown mode '%s'\n", mode.c_str());
     return 2;
 }
