@@ -131,13 +131,15 @@ if [ "${GPUPM_SKIP_TSAN:-0}" != "1" ]; then
         fleet_test_shard_io fleet_test_supervisor \
         fleet_test_chaos_gate fleet_test_chaos_trace \
         obs_test_http_server obs_test_metrics obs_test_profiler \
-        obs_test_tsdb obs_test_trace gpupm_cli gpupm_scrape
+        obs_test_tsdb obs_test_trace obs_test_trace_store gpupm_cli \
+        gpupm_scrape
     for t in build-tsan/tests/fleet_test_* \
              build-tsan/tests/obs_test_http_server \
              build-tsan/tests/obs_test_metrics \
              build-tsan/tests/obs_test_profiler \
              build-tsan/tests/obs_test_tsdb \
-             build-tsan/tests/obs_test_trace; do
+             build-tsan/tests/obs_test_trace \
+             build-tsan/tests/obs_test_trace_store; do
         [ -f "$t" ] && [ -x "$t" ] || continue
         echo "== tsan: $t"
         "$t"
@@ -158,6 +160,13 @@ if [ "${GPUPM_SKIP_TSAN:-0}" != "1" ]; then
     mkdir -p build-tsan/fleet_serve_work
     build-tsan/tools/gpupm_scrape fleet-selftest build-tsan/tools/gpupm \
         --work=build-tsan/fleet_serve_work
+    # The live daemon under TSan: HTTP workers read the trace store
+    # and registry that sampler ticks write, and /profilez lands
+    # SIGPROF on the sampling thread while collect() reads the ring.
+    echo "== tsan: gpupm monitor scrape selftest"
+    mkdir -p build-tsan/monitor_work
+    build-tsan/tools/gpupm_scrape monitor-selftest \
+        build-tsan/tools/gpupm titanx --work=build-tsan/monitor_work
 fi
 
 # Traced end-to-end reproduction run: campaign -> fit -> sweep with

@@ -66,12 +66,18 @@ Histogram::observe(double v)
     atomicAdd(count_, 1.0);
     atomicAdd(sum_, v);
     // Exemplar capture: remember the trace behind the latest tail
-    // (p99+) observation, when one is active. The quantile estimate
-    // walks a handful of buckets — cheap enough for the hot path,
-    // and only taken once enough mass exists for a stable tail.
+    // observation, when one is active and enough mass exists for a
+    // stable tail. Tail is the bucket holding the p99 rank or a later
+    // one, not v >= the interpolated p99, which no observation in a
+    // histogram whose mass sits in one bucket reaches (microsecond
+    // probes under the 100 us first bound). The walk allocates nothing.
     const TraceContext ctx = currentTraceContext();
-    if (ctx.trace_id && count() >= 10.0 &&
-        v >= quantileEstimate(0.99)) {
+    if (!ctx.trace_id || count() < 10.0)
+        return;
+    double at_or_below = 0.0;
+    for (std::size_t i = 0; i <= idx; ++i)
+        at_or_below += per_bucket_[i].load(std::memory_order_relaxed);
+    if (at_or_below >= 0.99 * count()) {
         exemplar_value_.store(v, std::memory_order_relaxed);
         exemplar_trace_.store(ctx.trace_id,
                               std::memory_order_relaxed);

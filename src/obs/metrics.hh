@@ -94,8 +94,9 @@ class Histogram
     double quantileEstimate(double q) const;
 
     /**
-     * Exemplar: the trace ID and value of the most recent p99+
-     * observation made inside an active trace (trace.hh context).
+     * Exemplar: the trace ID and value of the most recent observation
+     * made inside an active trace (trace.hh context) whose bucket is
+     * the one holding the p99 rank or a later one.
      * Closes the metric→trace loop: a scrape showing a latency
      * spike names a trace that exhibits it, fetchable from
      * /api/traces. Returns false while no exemplar was captured.

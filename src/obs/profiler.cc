@@ -52,9 +52,15 @@ struct SpanCtx
 
 thread_local SpanCtx g_span_ctx;
 
-/** Bounded copy into a fixed char array, always NUL-terminated. */
+/**
+ * Bounded copy into a fixed char array, always NUL-terminated. The
+ * SIGPROF handler calls both overloads, so they are exempt from
+ * instrumentation as it is: ThreadSanitizer would otherwise see the
+ * handler's writes to a ring slot but not the release that publishes
+ * them, and report a race with collect().
+ */
 template <std::size_t N>
-void
+GPUPM_PROFILER_NO_SANITIZE void
 copyBounded(char (&dst)[N], const char *src)
 {
     std::size_t i = 0;
@@ -65,7 +71,7 @@ copyBounded(char (&dst)[N], const char *src)
 
 /** The same for a span name, which need not be NUL-terminated. */
 template <std::size_t N>
-void
+GPUPM_PROFILER_NO_SANITIZE void
 copyBounded(char (&dst)[N], std::string_view src)
 {
     std::size_t i = 0;

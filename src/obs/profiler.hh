@@ -55,7 +55,8 @@
  * code built without frame pointers (libc, libstdc++) can leave a
  * stale register that points at a stack redzone. The bounds checks
  * keep every load inside the thread's mapped stack, but sanitizers
- * must not second-guess them — so the handler alone opts out.
+ * must not second-guess them — so the handler and the copy helpers
+ * it calls opt out.
  */
 #if defined(__GNUC__)
 #define GPUPM_PROFILER_NO_SANITIZE \

@@ -43,11 +43,11 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <iosfwd>
 #include <map>
 #include <mutex>
 #include <string>
 #include <string_view>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -58,7 +58,11 @@ namespace obs
 
 class TraceStore;
 
-/** One completed span, in the Chrome trace-event vocabulary. */
+/**
+ * One completed span, in the Chrome trace-event vocabulary. The one
+ * span record: the tracer's event list, trace assembly and the
+ * TraceStore (trace_store.hh) all hold it as recorded.
+ */
 struct TraceEvent
 {
     std::string name;
@@ -90,6 +94,14 @@ TraceContext currentTraceContext();
 
 /** 64-bit ID as the canonical fixed-width lowercase hex string. */
 std::string traceIdHex(std::uint64_t id);
+
+/**
+ * Write a span's args as `,"args":{"key":"value",...}` (keys and
+ * values escaped), or nothing when it has none. Every JSON surface
+ * that prints spans — the Chrome trace, /api/traces and `gpupm
+ * traces --json` — writes them through this one function.
+ */
+void writeArgsJson(std::ostream &os, const TraceEvent &ev);
 
 /**
  * RAII adoption of a trace context on the current thread: install
@@ -161,7 +173,10 @@ class Tracer
     /** Microseconds since the tracer's epoch (monotonic clock). */
     std::int64_t nowUs() const;
 
-    /** Small ordinal of the calling thread (0 = first seen). */
+    /**
+     * Small ordinal of the calling thread (0 = first seen), drawn
+     * once per thread from an atomic counter; takes no lock.
+     */
     int threadOrdinal();
 
     /** Copy of everything collected so far. */
@@ -187,9 +202,9 @@ class Tracer
     std::chrono::steady_clock::time_point epoch_;
     std::atomic<std::uint64_t> id_counter_{1};
     std::uint64_t id_seed_ = 0x677075706d; // "gpupm"
+    std::atomic<int> next_tid_{0};
     mutable std::mutex mu_;
     std::vector<TraceEvent> events_;
-    std::map<std::thread::id, int> tids_;
     bool retain_events_ = true;
     TraceStore *store_ = nullptr;
     /** Per-trace buckets of completed child spans awaiting the root. */

@@ -1,12 +1,10 @@
 #include "trace_store.hh"
 
-#include <algorithm>
 #include <sstream>
 
 #include "common/json.hh"
 #include "common/numio.hh"
 #include "obs/standard.hh"
-#include "obs/trace.hh"
 
 namespace gpupm
 {
@@ -21,7 +19,7 @@ TraceStore::footprint(const StoredTrace &trace)
     std::size_t bytes = sizeof(StoredTrace);
     bytes += trace.root_name.size() + trace.root_cat.size();
     for (const auto &s : trace.spans) {
-        bytes += sizeof(StoredSpan);
+        bytes += sizeof(TraceEvent);
         bytes += s.name.size() + s.cat.size();
         for (const auto &kv : s.args)
             bytes += sizeof(kv) + kv.first.size() +
@@ -47,7 +45,29 @@ TraceStore::offer(StoredTrace trace)
         publishLocked();
         return;
     }
-    trace.seq = next_seq_++;
+    if (!trace.error) {
+        // Rank the newcomer in its category, where every resident is
+        // older and so ranks first on equal durations. Only arrivals
+        // change the protected set: evicting an unprotected or error
+        // trace leaves it as it was, and a protected one is evicted
+        // only when its category holds no other candidate.
+        std::size_t ahead = 0;
+        std::size_t held = 0;
+        StoredTrace *last = nullptr; // last-ranked protected resident
+        for (StoredTrace &r : traces_) {
+            if (r.error || r.root_cat != trace.root_cat)
+                continue;
+            ahead += r.dur_us >= trace.dur_us;
+            if (r.slow) {
+                ++held;
+                if (!last || r.dur_us <= last->dur_us)
+                    last = &r;
+            }
+        }
+        trace.slow = ahead < opts_.slow_per_cat;
+        if (trace.slow && held == opts_.slow_per_cat)
+            last->slow = false;
+    }
     bytes_ += trace.bytes;
     traces_.push_back(std::move(trace));
     while (bytes_ > opts_.max_bytes ||
@@ -59,59 +79,26 @@ TraceStore::offer(StoredTrace trace)
 void
 TraceStore::evictOneLocked()
 {
-    // Protected set: per root category, the slow_per_cat slowest
-    // non-error traces. Recomputed per eviction — the store holds at
-    // most max_traces entries, so this stays cheap.
-    std::vector<std::size_t> order;
-    order.reserve(traces_.size());
-    for (std::size_t i = 0; i < traces_.size(); ++i)
-        if (!traces_[i].error)
-            order.push_back(i);
-    std::sort(order.begin(), order.end(),
-              [this](std::size_t a, std::size_t b) {
-                  if (traces_[a].dur_us != traces_[b].dur_us)
-                      return traces_[a].dur_us > traces_[b].dur_us;
-                  return traces_[a].seq < traces_[b].seq;
-              });
-    std::vector<bool> protected_slow(traces_.size(), false);
-    {
-        std::vector<std::pair<std::string, std::size_t>> per_cat;
-        for (const std::size_t i : order) {
-            std::size_t taken = 0;
-            for (auto &pc : per_cat)
-                if (pc.first == traces_[i].root_cat) {
-                    taken = ++pc.second;
-                    break;
-                }
-            if (taken == 0) {
-                per_cat.emplace_back(traces_[i].root_cat, 1);
-                taken = 1;
-            }
-            if (taken <= opts_.slow_per_cat)
-                protected_slow[i] = true;
-        }
-    }
-
-    std::size_t victim = traces_.size();
-    // 1. Oldest boring trace (non-error, not protected-slow).
-    for (std::size_t i = 0; i < traces_.size(); ++i)
-        if (!traces_[i].error && !protected_slow[i]) {
-            victim = i;
+    // The oldest boring trace; failing that, the fastest protected
+    // one (the newer on equal durations); failing that, the oldest.
+    auto victim = traces_.end();
+    for (auto it = traces_.begin(); it != traces_.end(); ++it) {
+        if (it->error)
+            continue;
+        if (!it->slow) {
+            victim = it;
             break;
         }
-    // 2. Fastest protected-slow trace.
-    if (victim == traces_.size() && !order.empty())
-        victim = order.back();
-    // 3. Last resort: the oldest error trace.
-    if (victim == traces_.size())
-        victim = 0;
-
+        if (victim == traces_.end() || it->dur_us <= victim->dur_us)
+            victim = it;
+    }
+    if (victim == traces_.end())
+        victim = traces_.begin();
     ++evicted_;
-    if (traces_[victim].error)
+    if (victim->error)
         ++errors_evicted_;
-    bytes_ -= traces_[victim].bytes;
-    traces_.erase(traces_.begin() +
-                  static_cast<std::ptrdiff_t>(victim));
+    bytes_ -= victim->bytes;
+    traces_.erase(victim);
 }
 
 void
@@ -174,7 +161,7 @@ TraceStore::renderJson(const TraceQuery &q) const
            << ",\"error\":" << (t.error ? "true" : "false")
            << ",\"spans\":[";
         for (std::size_t k = 0; k < t.spans.size(); ++k) {
-            const StoredSpan &s = t.spans[k];
+            const TraceEvent &s = t.spans[k];
             if (k)
                 os << ",";
             os << "{\"name\":\"" << json::escape(s.name)
@@ -188,17 +175,7 @@ TraceStore::renderJson(const TraceQuery &q) const
                << ",\"dur_us\":" << numio::formatLong(s.dur_us)
                << ",\"tid\":" << s.tid
                << ",\"error\":" << (s.error ? "true" : "false");
-            if (!s.args.empty()) {
-                os << ",\"args\":{";
-                for (std::size_t a = 0; a < s.args.size(); ++a) {
-                    if (a)
-                        os << ",";
-                    os << "\"" << json::escape(s.args[a].first)
-                       << "\":\"" << json::escape(s.args[a].second)
-                       << "\"";
-                }
-                os << "}";
-            }
+            writeArgsJson(os, s);
             os << "}";
         }
         os << "]}";

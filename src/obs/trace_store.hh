@@ -10,8 +10,14 @@
  *
  *   1. "boring" traces first — no error span and not among the
  *      slowest `slow_per_cat` of their root category — oldest first;
- *   2. then protected-slow traces, fastest first;
+ *   2. then protected-slow traces, fastest first (the newer of two
+ *      equally fast ones);
  *   3. error/alert traces only as a last resort, oldest first.
+ *
+ * Which traces are protected changes only when a trace arrives, so
+ * offer() ranks the newcomer once against the residents and keeps the
+ * answer as a flag; eviction is one forward scan with no sort and no
+ * allocation (DESIGN.md §15 gives the invariant).
  *
  * So 100% of error traces are retained for as long as they alone fit
  * the bound, plus a reservoir of the slowest traces per category —
@@ -24,29 +30,17 @@
 #define GPUPM_OBS_TRACE_STORE_HH
 
 #include <cstdint>
+#include <deque>
 #include <mutex>
 #include <string>
-#include <utility>
 #include <vector>
+
+#include "obs/trace.hh"
 
 namespace gpupm
 {
 namespace obs
 {
-
-/** One completed span inside a stored trace. */
-struct StoredSpan
-{
-    std::string name;
-    std::string cat;
-    std::int64_t ts_us = 0;
-    std::int64_t dur_us = 0;
-    int tid = 0;
-    std::uint64_t span_id = 0;
-    std::uint64_t parent_span_id = 0; ///< 0 for the trace root
-    bool error = false;
-    std::vector<std::pair<std::string, std::string>> args;
-};
 
 /** A fully assembled trace (root + all recorded descendants). */
 struct StoredTrace
@@ -57,10 +51,11 @@ struct StoredTrace
     std::int64_t start_us = 0;
     std::int64_t dur_us = 0;
     bool error = false;  ///< any span marked error
-    std::uint64_t seq = 0; ///< arrival order (stamped by the store)
+    /** Among its category's slow_per_cat slowest (set by the store). */
+    bool slow = false;
     std::size_t bytes = 0; ///< exact accounted footprint
     /** Spans in completion order; the root is last. */
-    std::vector<StoredSpan> spans;
+    std::vector<TraceEvent> spans;
 };
 
 struct TraceStoreOptions
@@ -115,9 +110,8 @@ class TraceStore
 
     TraceStoreOptions opts_;
     mutable std::mutex mu_;
-    std::vector<StoredTrace> traces_; ///< seq-ascending arrival order
+    std::deque<StoredTrace> traces_; ///< arrival order, oldest first
     std::size_t bytes_ = 0;
-    std::uint64_t next_seq_ = 1;
     long offered_ = 0;
     long evicted_ = 0;
     long errors_offered_ = 0;

@@ -14,6 +14,7 @@
 
 #include "obs/metrics.hh"
 #include "obs/standard.hh"
+#include "obs/trace.hh"
 
 namespace
 {
@@ -130,6 +131,25 @@ TEST_F(MetricsTest, ConcurrentIncrementsAreNotLost)
                      static_cast<double>(kThreads) * kIters);
     EXPECT_DOUBLE_EQ(obs::simKernelExecutionsTotal().value(),
                      static_cast<double>(kThreads) * kIters);
+}
+
+TEST_F(MetricsTest, FirstBucketObservationsInATraceLeaveAnExemplar)
+{
+    // Microsecond observations all land in the first seconds bucket,
+    // as a monitor tick's probe timings do; that bucket holds the p99
+    // rank, so the trace they were made in becomes the exemplar.
+    auto &h = obs::Registry::global().histogram(
+            "t_exemplar_seconds", "help", obs::secondsBuckets());
+    std::uint64_t id = 0;
+    double value = 0.0;
+    {
+        obs::TraceContextScope scope({0xabcdefull, 0xabcdefull});
+        for (int i = 0; i < 12; ++i)
+            h.observe(5e-6);
+    }
+    ASSERT_TRUE(h.exemplar(&id, &value));
+    EXPECT_EQ(id, 0xabcdefull);
+    EXPECT_DOUBLE_EQ(value, 5e-6);
 }
 
 TEST_F(MetricsTest, QuantileOfEmptyHistogramIsZero)

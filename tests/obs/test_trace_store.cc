@@ -3,12 +3,18 @@
  * Tests of the bounded trace store's tail-sampling policy: exact
  * byte accounting, bound enforcement, boring-first eviction, 100%
  * error-trace retention, the slowest-per-category reservoir, query
- * filters, and the JSON rendering.
+ * filters, and the JSON rendering. A differential test replays random
+ * offer streams through the store and through a sort-per-eviction
+ * reference of the same policy.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <random>
 #include <string>
+#include <vector>
 
 #include "obs/metrics.hh"
 #include "obs/standard.hh"
@@ -39,14 +45,14 @@ makeTrace(std::uint64_t id, const std::string &cat,
     t.dur_us = dur_us;
     t.error = error;
     for (std::size_t i = 0; i < extra_spans; ++i) {
-        obs::StoredSpan s;
+        obs::TraceEvent s;
         s.name = "child";
         s.cat = cat;
         s.span_id = id * 1000 + i + 1;
         s.parent_span_id = id;
         t.spans.push_back(s);
     }
-    obs::StoredSpan root;
+    obs::TraceEvent root;
     root.name = t.root_name;
     root.cat = cat;
     root.span_id = id;
@@ -233,6 +239,123 @@ TEST_F(TraceStoreTest, RenderJsonCarriesHexIdsAndCounters)
     EXPECT_EQ(store.traceCount(), 0u);
     EXPECT_EQ(store.memoryBytes(), 0u);
     EXPECT_EQ(obs::traceStoreTraces().value(), 0.0);
+}
+
+/** One resident of the reference store: what its policy reads. */
+struct RefTrace
+{
+    std::uint64_t id = 0;
+    std::string cat;
+    std::int64_t dur_us = 0;
+    bool error = false;
+    std::size_t bytes = 0;
+    std::uint64_t seq = 0;
+};
+
+/**
+ * The tail-sampling policy as a sort per eviction: rank the non-error
+ * residents slowest first (older first on equal durations), protect
+ * the first slow_per_cat of each root category, then evict the oldest
+ * unprotected non-error trace, else the last-ranked protected one,
+ * else the oldest trace.
+ */
+struct RefStore
+{
+    obs::TraceStoreOptions opts;
+    std::vector<RefTrace> traces; ///< arrival order
+    std::size_t bytes = 0;
+    std::uint64_t next_seq = 1;
+    long evicted = 0;
+    long errors_evicted = 0;
+
+    void offer(RefTrace t)
+    {
+        if (t.bytes > opts.max_bytes) {
+            ++evicted;
+            errors_evicted += t.error;
+            return;
+        }
+        t.seq = next_seq++;
+        bytes += t.bytes;
+        traces.push_back(std::move(t));
+        while (bytes > opts.max_bytes || traces.size() > opts.max_traces)
+            evictOne();
+    }
+
+    void evictOne()
+    {
+        std::vector<std::size_t> order;
+        for (std::size_t i = 0; i < traces.size(); ++i)
+            if (!traces[i].error)
+                order.push_back(i);
+        std::sort(order.begin(), order.end(),
+                  [this](std::size_t a, std::size_t b) {
+                      if (traces[a].dur_us != traces[b].dur_us)
+                          return traces[a].dur_us > traces[b].dur_us;
+                      return traces[a].seq < traces[b].seq;
+                  });
+        std::vector<bool> protected_slow(traces.size(), false);
+        std::map<std::string, std::size_t> taken;
+        for (const std::size_t i : order)
+            protected_slow[i] = ++taken[traces[i].cat] <= opts.slow_per_cat;
+        std::size_t victim = traces.size();
+        for (std::size_t i = 0; i < traces.size() && victim == traces.size();
+             ++i)
+            if (!traces[i].error && !protected_slow[i])
+                victim = i;
+        if (victim == traces.size() && !order.empty())
+            victim = order.back();
+        if (victim == traces.size())
+            victim = 0;
+        ++evicted;
+        errors_evicted += traces[victim].error;
+        bytes -= traces[victim].bytes;
+        traces.erase(traces.begin() + static_cast<std::ptrdiff_t>(victim));
+    }
+};
+
+TEST_F(TraceStoreTest, EvictionMatchesTheSortPerEvictionReference)
+{
+    // Durations of 0-11 us make ties common; 10% of traces are
+    // errors; a third of the rounds bind on bytes (2-8 KB) as well as
+    // on the count, so one offer can evict several traces.
+    std::mt19937_64 rng(0x7a11u);
+    const char *const cats[] = {"monitor", "fleet", "cli"};
+    constexpr int kRounds = 256, kOffersPerRound = 400;
+    for (int round = 0; round < kRounds; ++round) {
+        obs::TraceStoreOptions opts;
+        opts.max_traces = 1 + rng() % 24;
+        opts.slow_per_cat = rng() % 5;
+        if (round % 3 == 0)
+            opts.max_bytes = 2048 + rng() % (6 * 1024 + 1);
+        const std::size_t n_cats = 1 + rng() % 3;
+        obs::TraceStore store(opts);
+        RefStore ref;
+        ref.opts = opts;
+        for (int i = 0; i < kOffersPerRound; ++i) {
+            const std::uint64_t id =
+                    static_cast<std::uint64_t>(round) * kOffersPerRound +
+                    static_cast<std::uint64_t>(i) + 1;
+            const std::string cat = cats[rng() % n_cats];
+            const auto dur = static_cast<std::int64_t>(rng() % 12);
+            const bool error = rng() % 10 == 0;
+            auto t = makeTrace(id, cat, dur, error, rng() % 6);
+            ref.offer({id, cat, dur, error,
+                       obs::TraceStore::footprint(t), 0});
+            store.offer(std::move(t));
+
+            const auto resident = store.query(obs::TraceQuery{});
+            ASSERT_EQ(resident.size(), ref.traces.size())
+                    << "round " << round << " offer " << i;
+            for (std::size_t k = 0; k < resident.size(); ++k)
+                ASSERT_EQ(resident[k].trace_id,
+                          ref.traces[ref.traces.size() - 1 - k].id)
+                        << "round " << round << " offer " << i;
+            ASSERT_EQ(store.evictedTotal(), ref.evicted);
+            ASSERT_EQ(store.errorsEvictedTotal(), ref.errors_evicted);
+            ASSERT_EQ(store.memoryBytes(), ref.bytes);
+        }
+    }
 }
 
 } // namespace

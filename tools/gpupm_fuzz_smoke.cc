@@ -176,10 +176,10 @@ goldenTraceStoreJson()
 {
     obs::TraceStore store;
     for (const std::uint64_t id : {0x1234u, 0x5678u}) {
-        obs::StoredSpan span;
+        obs::TraceEvent span;
         span.name = "monitor.tick";
         span.cat = "monitor";
-        span.span_id = id;
+        span.trace_id = span.span_id = id;
         span.args = {{"note", "tab\there"}};
         store.offer({.trace_id = id,
                      .root_name = span.name,

@@ -617,6 +617,37 @@ cmdMonitorSelftest(int argc, char **argv)
         return killAndFail("gpupm_trace_store_traces not > 0");
     if (prom.find(" # {trace_id=\"") == std::string::npos)
         return killAndFail("/metrics carries no trace exemplars");
+    // At least one exemplar must name a trace the store keeps. A
+    // tick's trace reaches the store only when its root span closes,
+    // so the lookups are retried once, a tick (50 ms) later.
+    const std::string ex_key = " # {trace_id=\"";
+    std::vector<std::string> exemplar_ids;
+    for (std::size_t at = prom.find(ex_key); at != std::string::npos;
+         at = prom.find(ex_key, at + 1))
+        exemplar_ids.push_back(prom.substr(at + ex_key.size(), 16));
+    std::string stored_id;
+    for (int attempt = 0; attempt < 2 && stored_id.empty(); ++attempt) {
+        if (attempt)
+            std::this_thread::sleep_for(std::chrono::milliseconds(50));
+        for (const auto &id : exemplar_ids) {
+            int status = 0;
+            std::string body, err;
+            if (httpExchange(port, "GET", "/api/traces?trace_id=" + id,
+                             5000, &status, &body, &err) &&
+                status == 200 &&
+                body.find("\"trace_id\":\"" + id + "\"") !=
+                        std::string::npos) {
+                stored_id = id;
+                break;
+            }
+        }
+    }
+    if (stored_id.empty())
+        return killAndFail("no /metrics exemplar names a trace in "
+                           "/api/traces");
+    std::fprintf(stderr,
+                 "gpupm_scrape: ok exemplar trace %s in /api/traces\n",
+                 stored_id.c_str());
 
     // Error paths: unknown route and non-GET method.
     if (checkEndpoint(port, "GET", "/nope", 404, {"unknown path"}) !=
