@@ -91,7 +91,7 @@ TEST_F(AlertsTest, ThresholdLifecyclePendingFiringResolved)
     EXPECT_FALSE(eng.anyFiring());
 
     // History holds the full lifecycle in order.
-    const auto &h = eng.snapshot()[0].history;
+    const auto h = eng.snapshot()[0].history;
     ASSERT_EQ(h.size(), 3u);
     EXPECT_EQ(h[0].state, obs::AlertState::Pending);
     EXPECT_EQ(h[1].state, obs::AlertState::Firing);
