@@ -92,6 +92,7 @@ measureValidationSet(const sim::PhysicalGpu &board,
 inline void
 saveCsv(const TextTable &table, const std::string &name)
 {
+    GPUPM_TRACE_SPAN("io", "bench.save_csv");
     std::error_code ec;
     std::filesystem::create_directories("bench_csv", ec);
     std::ofstream f("bench_csv/" + name + ".csv");

@@ -19,9 +19,12 @@ main(int argc, char **argv)
 {
     // Sampled by wall clock: the run is single-threaded and CPU-bound,
     // and CPU-time sampling is capped by the kernel tick (DESIGN.md
-    // §13), too few samples to gate category shares on.
+    // §13), too few samples to gate category shares on. The run takes
+    // tens of milliseconds, so a prime near 3 kHz gives it about a
+    // hundred samples.
     gpupm::obs::ProfilerOptions wall_clock;
     wall_clock.wall = true;
+    wall_clock.hz = 2999;
     gpupm::bench::BenchReporter bench_report(argc, argv,
                                              "fig7_validation",
                                              wall_clock);

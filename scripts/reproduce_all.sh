@@ -267,10 +267,13 @@ done
 build/tools/gpupm_bench_check validate "${bench_json[@]}"
 # The fig7 telemetry is additionally gated against its golden:
 # accuracy stats tightly (deterministic), wall-clock generously (the
-# golden's timing came from a different machine).
+# golden's timing came from a different machine). A run more than
+# twice as fast as its golden fails as "golden stale", so a speed-up
+# lands with its regenerated golden; the same holds for the fleet and
+# monitor-soak goldens below.
 build/tools/gpupm_bench_check bench "$work/BENCH_fig7_validation.json" \
     bench/golden/BENCH_fig7_validation.json --stat-tol=0.5 \
-    --time-factor=50
+    --time-factor=50 --stale-factor=2
 # The fig7 run's CPU-attribution block (sampled while the bench ran)
 # is gated against its golden: span attribution must hold the 90%
 # floor and no span category may grow its CPU share past the budget.
@@ -281,7 +284,8 @@ build/tools/gpupm_bench_check profile "$work/BENCH_fig7_validation.json" \
 # on it), wall-clock generously. A missing golden is a named
 # `missing-golden` failure (exit 3), never a silent skip.
 build/tools/gpupm_bench_check bench "$work/BENCH_fleet_campaign.json" \
-    bench/golden/BENCH_fleet.json --stat-tol=0.5 --time-factor=50
+    bench/golden/BENCH_fleet.json --stat-tol=0.5 --time-factor=50 \
+    --stale-factor=2
 # The monitor-soak telemetry budgets the sampling overhead with the
 # time-series store and alert engine on the tick path: deterministic
 # accuracy/memory stats tightly, wall-clock generously. The soak
@@ -289,7 +293,7 @@ build/tools/gpupm_bench_check bench "$work/BENCH_fleet_campaign.json" \
 # bound or the injected fault fails to fire and resolve.
 build/tools/gpupm_bench_check bench "$work/BENCH_monitor_soak.json" \
     bench/golden/BENCH_monitor_soak.json --stat-tol=0.5 \
-    --time-factor=50
+    --time-factor=50 --stale-factor=2
 echo "==================================================="
 echo "== per-bench wall-clock"
 echo "==================================================="

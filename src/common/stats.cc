@@ -193,35 +193,5 @@ pearson(std::span<const double> xs, std::span<const double> ys)
     return sxy / std::sqrt(sxx * syy);
 }
 
-void
-Accumulator::add(double x)
-{
-    if (n_ == 0) {
-        min_ = max_ = x;
-    } else {
-        min_ = std::min(min_, x);
-        max_ = std::max(max_, x);
-    }
-    ++n_;
-    sum_ += x;
-    sumsq_ += x * x;
-}
-
-double
-Accumulator::mean() const
-{
-    return n_ ? sum_ / static_cast<double>(n_) : 0.0;
-}
-
-double
-Accumulator::stddev() const
-{
-    if (n_ < 2)
-        return 0.0;
-    const double m = mean();
-    const double var = sumsq_ / static_cast<double>(n_) - m * m;
-    return var > 0.0 ? std::sqrt(var) : 0.0;
-}
-
 } // namespace stats
 } // namespace gpupm

@@ -7,7 +7,6 @@
 #ifndef GPUPM_COMMON_STATS_HH
 #define GPUPM_COMMON_STATS_HH
 
-#include <cstddef>
 #include <span>
 #include <vector>
 
@@ -78,39 +77,6 @@ std::vector<bool> madOutlierMask(std::span<const double> xs,
 
 /** Pearson correlation coefficient; 0 when either side is constant. */
 double pearson(std::span<const double> xs, std::span<const double> ys);
-
-/** Running accumulator for streams whose length is not known upfront. */
-class Accumulator
-{
-  public:
-    /** Insert one sample. */
-    void add(double x);
-
-    /** Number of samples so far. */
-    std::size_t count() const { return n_; }
-
-    /** Mean of samples so far; 0 when empty. */
-    double mean() const;
-
-    /** Population standard deviation so far; 0 for fewer than two. */
-    double stddev() const;
-
-    /** Smallest sample so far; 0 when empty. */
-    double minimum() const { return n_ ? min_ : 0.0; }
-
-    /** Largest sample so far; 0 when empty. */
-    double maximum() const { return n_ ? max_ : 0.0; }
-
-    /** Sum of all samples. */
-    double sum() const { return sum_; }
-
-  private:
-    std::size_t n_ = 0;
-    double sum_ = 0.0;
-    double sumsq_ = 0.0;
-    double min_ = 0.0;
-    double max_ = 0.0;
-};
 
 } // namespace stats
 } // namespace gpupm

@@ -86,13 +86,13 @@ Device::refreshPeriodMs() const
 }
 
 double
-Device::sampleSensor(double true_power_w)
+Device::sensorMean(double true_power_w, int readings)
 {
-    // Board sensors show proportional noise plus a small absolute
-    // floor; NVML reports milliwatts, so quantize there.
-    const double noisy = true_power_w +
-                         noise_.normal(0.0, 0.006 * true_power_w + 0.3);
-    return std::max(0.0, std::round(noisy * 1000.0) / 1000.0);
+    // Each reading carries proportional noise plus a small absolute
+    // floor, N(P, sigma^2). The mean of n independent readings is
+    // exactly N(P, sigma^2 / n), so one draw stands for the run.
+    const double sigma = 0.006 * true_power_w + 0.3;
+    return true_power_w + sigma / std::sqrt(readings) * noise_.normal();
 }
 
 Device::Fallback
@@ -142,27 +142,26 @@ Device::measureKernelPower(const sim::KernelDemand &demand,
 
     // Pick the repetition count so the run lasts at least
     // min_duration_s at the *fastest* configuration (Sec. V-A), so the
-    // same count works across the whole sweep.
-    const gpu::FreqConfig fastest{desc.maxCoreMhz(),
-                                  desc.mem_freqs_mhz.front()};
-    const double t_fastest =
-            board_.execute(demand, fastest).time_s;
+    // same count works across the whole sweep. That run depends only
+    // on the demand's contents, so a sweep over one kernel makes it
+    // once.
+    if (demand != sized_demand_) {
+        const gpu::FreqConfig fastest{desc.maxCoreMhz(),
+                                      desc.mem_freqs_mhz.front()};
+        sized_time_s_ = board_.execute(demand, fastest).time_s;
+        sized_demand_ = demand;
+    }
     const auto reps = static_cast<int>(
-            std::ceil(min_duration_s / std::max(t_fastest, 1e-9)));
+            std::ceil(min_duration_s / std::max(sized_time_s_, 1e-9)));
     m.run_duration_s = f.profile.time_s * reps;
 
     const double refresh_s = refreshPeriodMs() / 1000.0;
     m.samples_per_run = std::max(
             1, static_cast<int>(m.run_duration_s / refresh_s));
 
-    std::vector<double> run_means;
-    run_means.reserve(repetitions);
-    for (int r = 0; r < repetitions; ++r) {
-        stats::Accumulator acc;
-        for (int s = 0; s < m.samples_per_run; ++s)
-            acc.add(sampleSensor(f.true_power_w));
-        run_means.push_back(acc.mean());
-    }
+    std::vector<double> run_means(repetitions);
+    for (double &run_mean : run_means)
+        run_mean = sensorMean(f.true_power_w, m.samples_per_run);
     m.power_w = stats::median(run_means);
     return m;
 }
@@ -171,11 +170,7 @@ double
 Device::measureIdlePower(int samples)
 {
     GPUPM_ASSERT(samples >= 1, "samples must be >= 1");
-    const double true_power = board_.idlePower(clocks_).total_w;
-    stats::Accumulator acc;
-    for (int s = 0; s < samples; ++s)
-        acc.add(sampleSensor(true_power));
-    return acc.mean();
+    return sensorMean(board_.idlePower(clocks_).total_w, samples);
 }
 
 } // namespace nvml

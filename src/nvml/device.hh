@@ -9,9 +9,10 @@
  * (Tesla K40c), kernels are repeated until the run lasts at least one
  * second at the fastest configuration, the run's samples are averaged,
  * and the whole measurement is repeated 10 times with the median
- * reported. The board also enforces TDP by automatically falling back
- * to the closest core frequency that does not violate it (the Fig. 9
- * footnote behaviour).
+ * reported. A run's average is drawn in one step from the exact
+ * distribution of the mean of its samples. The board also enforces
+ * TDP by automatically falling back to the closest core frequency
+ * that does not violate it (the Fig. 9 footnote behaviour).
  */
 
 #ifndef GPUPM_NVML_DEVICE_HH
@@ -115,14 +116,19 @@ class Device
      * following the paper's methodology (repeat to >= min_duration at
      * the fastest configuration, average samples, median of
      * repetitions). Runs the simulated kernel once per step of the TDP
-     * fallback walk and once at the fastest configuration: twice when
-     * the requested clocks respect the power limit.
+     * fallback walk, plus once at the fastest configuration when the
+     * demand differs from the previous call's: once per cell when a
+     * sweep measures one kernel and the clocks respect the power
+     * limit.
      */
     PowerMeasurement measureKernelPower(const sim::KernelDemand &demand,
                                         int repetitions = 10,
                                         double min_duration_s = 1.0);
 
-    /** Average idle power at the current clocks (awake, no kernel). */
+    /**
+     * Average of `samples` idle sensor readings at the current clocks
+     * (awake, no kernel).
+     */
     double measureIdlePower(int samples = 20);
 
     /**
@@ -150,13 +156,19 @@ class Device
      */
     Fallback powerLimitFallback(const sim::KernelDemand &demand) const;
 
-    /** One noisy instantaneous sensor reading of a true power. */
-    double sampleSensor(double true_power_w);
+    /**
+     * Mean of `readings` noisy sensor readings of a true power, drawn
+     * as one normal from the mean's exact distribution.
+     */
+    double sensorMean(double true_power_w, int readings);
 
     const sim::PhysicalGpu &board_;
     gpu::FreqConfig clocks_;
     double power_limit_w_;
     Rng noise_;
+    /** Last demand run at the fastest configuration, and its time. */
+    sim::KernelDemand sized_demand_;
+    double sized_time_s_ = 0.0;
 };
 
 } // namespace nvml

@@ -79,6 +79,9 @@ struct KernelDemand
 
     /** Sum of all issued warp-instructions (incl. other). */
     double totalWarpInstructions() const;
+
+    /** Field-by-field equality, name included. */
+    bool operator==(const KernelDemand &) const = default;
 };
 
 } // namespace sim

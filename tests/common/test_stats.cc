@@ -131,29 +131,6 @@ TEST(Stats, PearsonConstantSeriesIsZero)
     EXPECT_DOUBLE_EQ(pearson(xs, c), 0.0);
 }
 
-TEST(Stats, AccumulatorMatchesBatch)
-{
-    Accumulator acc;
-    for (double x : kSample)
-        acc.add(x);
-    EXPECT_EQ(acc.count(), kSample.size());
-    EXPECT_DOUBLE_EQ(acc.mean(), mean(kSample));
-    EXPECT_NEAR(acc.stddev(), stddev(kSample), 1e-12);
-    EXPECT_DOUBLE_EQ(acc.minimum(), 1.0);
-    EXPECT_DOUBLE_EQ(acc.maximum(), 5.0);
-    EXPECT_DOUBLE_EQ(acc.sum(), 14.0);
-}
-
-TEST(Stats, AccumulatorEmptyDefaults)
-{
-    Accumulator acc;
-    EXPECT_EQ(acc.count(), 0u);
-    EXPECT_DOUBLE_EQ(acc.mean(), 0.0);
-    EXPECT_DOUBLE_EQ(acc.stddev(), 0.0);
-    EXPECT_DOUBLE_EQ(acc.minimum(), 0.0);
-    EXPECT_DOUBLE_EQ(acc.maximum(), 0.0);
-}
-
 TEST(Stats, MadKnownValue)
 {
     // median = 3, |x - 3| = {2, 2, 0, 1, 2} -> median 2.

@@ -1,8 +1,9 @@
 /**
  * @file
  * Tests of the NVML-style host facade: clock control, sampled power
- * measurement, TDP fallback, and the measurement's model runs against
- * a three-run reference.
+ * measurement, TDP fallback, the measurement's model runs against a
+ * three-run reference, and the one-step run mean against the
+ * per-reading average it replaces.
  */
 
 #include <gtest/gtest.h>
@@ -247,8 +248,9 @@ namespace
  * The measurement as it was before the TDP walk kept its profile: walk
  * down the core table running the kernel at each step, run it again at
  * the effective clocks, and run it at the fastest configuration to size
- * the repetitions. Only public PhysicalGpu calls, and the device's own
- * noise stream (Rng(seed).split(7)) and sensor quantization.
+ * the repetitions. It sizes on every call, so it is also the reference
+ * for the device's sizing memo. Only public PhysicalGpu calls, and the
+ * device's own noise stream (Rng(seed).split(7)) and run-mean draw.
  */
 struct ReferenceDevice
 {
@@ -261,12 +263,11 @@ struct ReferenceDevice
 
     void reseed(std::uint64_t seed) { noise = Rng(seed).split(7); }
 
-    double sampleSensor(double true_power_w)
+    double sensorMean(double true_power_w, int readings)
     {
-        const double noisy =
-                true_power_w +
-                noise.normal(0.0, 0.006 * true_power_w + 0.3);
-        return std::max(0.0, std::round(noisy * 1000.0) / 1000.0);
+        const double sigma = 0.006 * true_power_w + 0.3;
+        return true_power_w +
+               sigma / std::sqrt(readings) * noise.normal();
     }
 
     gpu::FreqConfig effectiveClocksFor(const sim::KernelDemand &demand)
@@ -309,12 +310,8 @@ struct ReferenceDevice
                 1, static_cast<int>(m.run_duration_s /
                                     (refresh_ms / 1000.0)));
         std::vector<double> run_means;
-        for (int r = 0; r < repetitions; ++r) {
-            stats::Accumulator acc;
-            for (int s = 0; s < m.samples_per_run; ++s)
-                acc.add(sampleSensor(true_power));
-            run_means.push_back(acc.mean());
-        }
+        for (int r = 0; r < repetitions; ++r)
+            run_means.push_back(sensorMean(true_power, m.samples_per_run));
         m.power_w = stats::median(run_means);
         return m;
     }
@@ -447,16 +444,53 @@ TEST(NvmlDeviceReference, DemandMutatedInPlaceMatchesReference)
     }
 }
 
-TEST(NvmlDeviceReference, PlainCampaignRunsTwoModelRunsPerPowerCell)
+TEST(NvmlDeviceReference, SizesOneDemandOncePerGrid)
+{
+    // One kernel over a board's whole grid, as a fresh copy per cell:
+    // a run per walk step per cell, and one fastest-configuration run
+    // for the whole grid.
+    for (auto kind : {gpu::DeviceKind::TitanXp,
+                      gpu::DeviceKind::GtxTitanX,
+                      gpu::DeviceKind::TeslaK40c}) {
+        sim::PhysicalGpu board(kind);
+        const auto &desc = board.descriptor();
+        nvml::Device dev(board);
+        ReferenceDevice ref{board, {}, 150.0, dev.refreshPeriodMs(),
+                            Rng()};
+        dev.setPowerLimit(150.0);
+        double runs = 0.0, walk_steps = 0.0;
+        std::uint64_t seed = 1;
+        for (const auto &cfg : desc.allConfigs()) {
+            dev.setApplicationClocks(cfg.mem_mhz, cfg.core_mhz);
+            ref.clocks = cfg;
+            dev.reseed(seed);
+            ref.reseed(seed);
+            ++seed;
+            const sim::KernelDemand d = moderateKernel();
+            const double before = executions();
+            const auto got = dev.measureKernelPower(d, 3);
+            runs += executions() - before;
+            expectSameMeasurement(got, ref.measure(d, 3, 1.0));
+            walk_steps += ref.last_walk_steps;
+        }
+        EXPECT_EQ(runs, walk_steps + 1.0) << desc.name;
+        EXPECT_GT(walk_steps, static_cast<double>(
+                                      desc.allConfigs().size()))
+                << desc.name << ": no cell fell back";
+    }
+}
+
+TEST(NvmlDeviceReference, PlainCampaignSizesEachBenchmarkOnce)
 {
     // A Fig. 7 campaign (5 repetitions, no fallbacks): one run per
-    // CUPTI profile plus two per power cell. The three-run measurement
-    // made 11,232 / 15,940 / 1,067.
+    // CUPTI profile and one per power cell, plus one sizing run per
+    // benchmark. Sizing every cell made 7,624 / 10,692 / 739, and the
+    // three-run measurement 11,232 / 15,940 / 1,067.
     const auto suite = ubench::buildSuite();
     const std::pair<gpu::DeviceKind, double> expected[] = {
-            {gpu::DeviceKind::TitanXp, 7624},
-            {gpu::DeviceKind::GtxTitanX, 10692},
-            {gpu::DeviceKind::TeslaK40c, 739}};
+            {gpu::DeviceKind::TitanXp, 4098},
+            {gpu::DeviceKind::GtxTitanX, 5526},
+            {gpu::DeviceKind::TeslaK40c, 493}};
     for (const auto &[kind, runs] : expected) {
         sim::PhysicalGpu board(kind);
         model::CampaignOptions opts;
@@ -465,6 +499,82 @@ TEST(NvmlDeviceReference, PlainCampaignRunsTwoModelRunsPerPowerCell)
         model::runTrainingCampaign(board, suite, opts);
         EXPECT_EQ(executions() - before, runs)
                 << board.descriptor().name;
+    }
+}
+
+} // namespace
+
+namespace
+{
+
+/** Two-sample Kolmogorov-Smirnov statistic, sup |F_a(x) - F_b(x)|. */
+double
+ksStatistic(std::vector<double> a, std::vector<double> b)
+{
+    std::sort(a.begin(), a.end());
+    std::sort(b.begin(), b.end());
+    std::size_t i = 0, j = 0;
+    double d = 0.0;
+    while (i < a.size() && j < b.size()) {
+        const double x = std::min(a[i], b[j]);
+        while (i < a.size() && a[i] <= x)
+            ++i;
+        while (j < b.size() && b[j] <= x)
+            ++j;
+        d = std::max(d, std::abs(static_cast<double>(i) / a.size() -
+                                 static_cast<double>(j) / b.size()));
+    }
+    return d;
+}
+
+TEST(NvmlDeviceDraw, RunMeanMatchesPerReadingAverage)
+{
+    // The device draws the mean of a run's n readings in one step. The
+    // reference averages n readings of the same noise, each quantized
+    // to 1 mW and clamped at 0 W, as the sensor once read them. A
+    // board whose idle power is exactly P feeds measureIdlePower(n).
+    constexpr int kDraws = 100000;
+    // Two-sample KS critical value at alpha = 1e-3, equal sizes.
+    const double ks_critical = 1.949 * std::sqrt(2.0 / kDraws);
+    const auto &desc =
+            gpu::DeviceDescriptor::get(gpu::DeviceKind::GtxTitanX);
+    std::uint64_t seed = 1;
+    for (double p : {30.0, 150.0, 250.0}) {
+        sim::GroundTruth truth;
+        truth.static_core_w = p;
+        truth.core_voltage = sim::VoltageCurve::constant(1.0);
+        const sim::PhysicalGpu board(desc, truth);
+        const double sigma = 0.006 * p + 0.3;
+        for (int n : {1, 10, 67, 200}) {
+            SCOPED_TRACE(::testing::Message() << p << " W, n = " << n);
+            nvml::Device dev(board, seed++);
+            ASSERT_EQ(board.idlePower(dev.currentClocks()).total_w, p);
+            Rng noise(seed++);
+            std::vector<double> drawn(kDraws), averaged(kDraws);
+            for (double &x : drawn)
+                x = dev.measureIdlePower(n);
+            for (double &x : averaged) {
+                double sum = 0.0;
+                for (int s = 0; s < n; ++s) {
+                    const double mw = std::round(
+                            (p + noise.normal(0.0, sigma)) * 1000.0);
+                    sum += std::max(0.0, mw / 1000.0);
+                }
+                x = sum / n;
+            }
+            const double v_drawn = std::pow(stats::stddev(drawn), 2);
+            const double v_avg = std::pow(stats::stddev(averaged), 2);
+            // Standard errors of a mean and of a normal variance.
+            const double mean_gap =
+                    stats::mean(drawn) - stats::mean(averaged);
+            EXPECT_LT(std::abs(mean_gap),
+                      4.0 * std::sqrt((v_drawn + v_avg) / kDraws));
+            EXPECT_LT(std::abs(v_drawn - v_avg),
+                      4.0 * std::sqrt(2.0 * (v_drawn * v_drawn +
+                                             v_avg * v_avg) /
+                                      (kDraws - 1)));
+            EXPECT_LT(ksStatistic(drawn, averaged), ks_critical);
+        }
     }
 }
 

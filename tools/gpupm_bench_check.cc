@@ -11,11 +11,16 @@
  *
  *   gpupm_bench_check bench <run.json> <golden.json>
  *                     [--stat-tol=<pp>] [--time-factor=<x>]
+ *                     [--stale-factor=<x>]
  *       Diff one bench telemetry run against a golden: every stat
  *       whose key contains "_pct" (an error metric, lower is better)
  *       may not exceed the golden by more than --stat-tol
  *       (default 2.0 percentage points), and the run's wall-clock may
  *       not exceed --time-factor (default 2.0) times the golden's.
+ *       With --stale-factor, a run faster than the golden's wall-clock
+ *       divided by it fails as "golden stale": a speed-up lands with
+ *       its regenerated golden. Off by default, because host speeds
+ *       differ.
  *
  *   gpupm_bench_check scoreboard <run> <golden>
  *                     [--mae-tol=<pp>] [--app-tol=<pp>]
@@ -34,18 +39,24 @@
  *       (default 10 percentage points) — the per-phase CPU budget a
  *       hot-path regression trips even when wall-clock noise hides it.
  *
- * Exit status: 0 pass, 1 regression or invalid artifact, 2 usage,
- * 3 missing or unreadable golden (named `missing-golden` error): a
- * gate whose golden vanished must fail loudly, never skip.
+ * Every flag takes a finite, non-negative number as `--flag=<x>`.
+ * Exit status: 0 pass, 1 regression, stale golden or invalid
+ * artifact, 2 usage (including a malformed flag value, named on
+ * stderr), 3 missing or unreadable golden (named `missing-golden`
+ * error): a gate whose golden vanished must fail loudly, never skip.
  */
 
+#include <algorithm>
+#include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "common/json.hh"
+#include "common/numio.hh"
 #include "core/model_io.hh"
 #include "obs/scoreboard.hh"
 
@@ -225,12 +236,13 @@ cmdValidate(const std::vector<std::string> &paths)
  * Gate a bench run against its golden. Error stats (keys containing
  * "_pct" — MAE-style, lower is better) may not exceed the golden by
  * more than stat_tol percentage points; wall-clock may not exceed
- * time_factor times the golden's. Stats present on only one side are
- * noted.
+ * time_factor times the golden's nor, when stale_factor is non-zero,
+ * fall below the golden's divided by stale_factor. Stats present on
+ * only one side are noted.
  */
 int
 cmdBench(const std::string &run_path, const std::string &golden_path,
-         double stat_tol, double time_factor)
+         double stat_tol, double time_factor, double stale_factor)
 {
     if (!readable(golden_path))
         return missingGolden(golden_path);
@@ -269,6 +281,12 @@ cmdBench(const std::string &run_path, const std::string &golden_path,
         std::printf("REGRESSION: wall-clock %.0f ms exceeds %.1fx "
                     "the golden's %.0f ms\n",
                     run.wall_ms, time_factor, golden.wall_ms);
+        ++regressions;
+    }
+    if (stale_factor > 0 && run.wall_ms < golden.wall_ms / stale_factor) {
+        std::printf("STALE: wall-clock %.0f ms is below the golden's "
+                    "%.0f ms / %.1f (golden stale: regenerate it)\n",
+                    run.wall_ms, golden.wall_ms, stale_factor);
         ++regressions;
     }
     std::printf("%s vs %s: %s (%d regression(s))\n", run_path.c_str(),
@@ -404,7 +422,8 @@ usage()
             "usage:\n"
             "  gpupm_bench_check validate <BENCH.json>...\n"
             "  gpupm_bench_check bench <run.json> <golden.json> "
-            "[--stat-tol=<pp>] [--time-factor=<x>]\n"
+            "[--stat-tol=<pp>] [--time-factor=<x>] "
+            "[--stale-factor=<x>]\n"
             "  gpupm_bench_check scoreboard <run> <golden> "
             "[--mae-tol=<pp>] [--app-tol=<pp>] [--max-tol=<pp>]\n"
             "  gpupm_bench_check profile <run.json> <golden.json> "
@@ -418,9 +437,18 @@ int
 main(int argc, char **argv)
 {
     std::vector<std::string> positional;
-    double stat_tol = 2.0, time_factor = 2.0;
+    double stat_tol = 2.0, time_factor = 2.0, stale_factor = 0.0;
     double share_tol = 10.0, min_attributed = 90.0;
     obs::ScoreboardTolerances tol;
+    const std::pair<std::string_view, double *> flags[] = {
+            {"--stat-tol", &stat_tol},
+            {"--time-factor", &time_factor},
+            {"--stale-factor", &stale_factor},
+            {"--mae-tol", &tol.overall_mae_pp},
+            {"--app-tol", &tol.per_app_mae_pp},
+            {"--max-tol", &tol.max_err_pp},
+            {"--share-tol", &share_tol},
+            {"--min-attributed", &min_attributed}};
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         if (arg.rfind("--", 0) != 0) {
@@ -429,27 +457,25 @@ main(int argc, char **argv)
         }
         const auto eq = arg.find('=');
         const std::string key = arg.substr(0, eq);
-        const double val = eq == std::string::npos
-                                   ? 0.0
-                                   : std::atof(arg.c_str() + eq + 1);
-        if (key == "--stat-tol")
-            stat_tol = val;
-        else if (key == "--time-factor")
-            time_factor = val;
-        else if (key == "--mae-tol")
-            tol.overall_mae_pp = val;
-        else if (key == "--app-tol")
-            tol.per_app_mae_pp = val;
-        else if (key == "--max-tol")
-            tol.max_err_pp = val;
-        else if (key == "--share-tol")
-            share_tol = val;
-        else if (key == "--min-attributed")
-            min_attributed = val;
-        else {
+        const auto flag = std::find_if(
+                std::begin(flags), std::end(flags),
+                [&key](const auto &row) { return row.first == key; });
+        if (flag == std::end(flags)) {
             std::fprintf(stderr, "unknown flag '%s'\n", key.c_str());
             return usage();
         }
+        double val = 0.0;
+        if (eq == std::string::npos ||
+            !numio::parseDouble(std::string_view(arg).substr(eq + 1),
+                                val) ||
+            !std::isfinite(val) || val < 0) {
+            std::fprintf(stderr,
+                         "bad value for flag '%s': want a finite, "
+                         "non-negative number\n",
+                         arg.c_str());
+            return 2;
+        }
+        *flag->second = val;
     }
     if (positional.size() < 2)
         return usage();
@@ -459,7 +485,7 @@ main(int argc, char **argv)
                 {positional.begin() + 1, positional.end()});
     if (cmd == "bench" && positional.size() == 3)
         return cmdBench(positional[1], positional[2], stat_tol,
-                        time_factor);
+                        time_factor, stale_factor);
     if (cmd == "scoreboard" && positional.size() == 3)
         return cmdScoreboard(positional[1], positional[2], tol);
     if (cmd == "profile" && positional.size() == 3)
