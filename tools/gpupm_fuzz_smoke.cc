@@ -132,8 +132,13 @@ goldenScoreboard()
                 s.baseline_w = {{"abe", s.measured_w * 1.15}};
                 samples.push_back(std::move(s));
             }
-    return obs::Scoreboard::fromSamples(1, "GTX Titan X", {975, 3505},
-                                        std::move(samples));
+    obs::Scoreboard sb = obs::Scoreboard::fromSamples(
+            1, "GTX Titan X", {975, 3505}, std::move(samples));
+    // Pin the provenance (version, build type, git sha, compiler,
+    // clock) so every build and every run fuzzes the same bytes.
+    sb.provenance = common::Provenance{};
+    sb.provenance.timestamp = "2026-01-01T00:00:00Z";
+    return sb;
 }
 
 /** A bench telemetry document in the BENCH_<name>.json schema. */
