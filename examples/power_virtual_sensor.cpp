@@ -18,6 +18,7 @@
 #include "common/table.hh"
 #include "core/campaign.hh"
 #include "core/metrics.hh"
+#include "core/model_io.hh"
 #include "core/predictor.hh"
 #include "workloads/workloads.hh"
 
@@ -33,13 +34,18 @@ main()
     const auto data = model::runTrainingCampaign(lab_board,
                                                  ubench::buildSuite());
     const auto fit = model::ModelEstimator().estimate(data);
-    const std::string exported = fit.model.serialize();
+    const std::string exported = model::serialize(fit.model);
     std::printf("lab: exported model (%zu bytes)\n", exported.size());
 
     // --- In the field: sensorless estimation from events only. ----
     const auto field_model =
-            model::DvfsPowerModel::deserialize(exported);
-    model::Predictor predictor(field_model);
+            model::tryParse<model::DvfsPowerModel>(exported);
+    if (!field_model.ok()) {
+        std::fprintf(stderr, "field: cannot read the model: %s\n",
+                     field_model.error().message.c_str());
+        return 1;
+    }
+    model::Predictor predictor(field_model.value());
 
     sim::PhysicalGpu field_board(gpu::DeviceKind::GtxTitanX);
     const auto &desc = field_board.descriptor();

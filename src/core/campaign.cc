@@ -278,7 +278,7 @@ runResilientTrainingCampaign(
         // checks — a valid prefix resumes, anything else re-runs, and
         // no cell can be double-counted either way.
         auto prev_res =
-                tryLoadCampaignCheckpoint(opts.checkpoint_path);
+                tryLoad<CampaignCheckpoint>(opts.checkpoint_path);
         if (!prev_res.ok()) {
             warn("ignoring unusable checkpoint '",
                        opts.checkpoint_path, "' [",
@@ -319,8 +319,10 @@ runResilientTrainingCampaign(
                measured_this_run >= opts.max_cells;
     };
     const auto save = [&] {
-        if (checkpointing)
-            saveCampaignCheckpoint(ck, opts.checkpoint_path);
+        if (checkpointing) {
+            const auto saved = trySave(ck, opts.checkpoint_path);
+            GPUPM_FATAL_IF(!saved.ok(), saved.error().message);
+        }
         since_checkpoint = 0;
     };
     const auto after_cell = [&] {

@@ -1,6 +1,5 @@
 #include "model_io.hh"
 
-#include <cmath>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -10,11 +9,6 @@
 
 #include "common/checksum.hh"
 #include "common/json.hh"
-#include "common/logging.hh"
-#include "common/numio.hh"
-#include "core/validate.hh"
-#include "obs/standard.hh"
-#include "obs/trace.hh"
 
 namespace gpupm
 {
@@ -48,135 +42,6 @@ fileKindName(FileKind kind)
     return "unknown";
 }
 
-namespace
-{
-
-/**
- * Internal unwinding channel of the parsers: parsing is deeply
- * recursive and almost every step can fail, so the failure travels as
- * an exception and is converted to an IoExpected error exactly once,
- * at the try* boundary. It never escapes this translation unit.
- */
-struct ParseFail
-{
-    IoStatus status;
-};
-
-template <typename... Args>
-[[noreturn]] void
-failParse(IoErrc code, Args &&...args)
-{
-    throw ParseFail{
-        {code, detail::concat(std::forward<Args>(args)...)}};
-}
-
-/**
- * Upper bound on any count declared inside a file. Honest artifacts
- * are far below it (83 benchmarks, a few hundred V-F configurations);
- * a fuzzed size field must not be able to drive allocation.
- */
-constexpr std::size_t kMaxCount = 100000;
-/** Upper bound on benchmarks x configurations cells. */
-constexpr std::size_t kMaxCells = 10000000;
-
-/** Whitespace-token scanner for the text payloads. */
-class TokenScanner
-{
-  public:
-    explicit TokenScanner(const std::string &text) : text_(text) {}
-
-    bool
-    atEnd()
-    {
-        skipSpace();
-        return pos_ == text_.size();
-    }
-
-    std::string_view
-    next(const char *what)
-    {
-        skipSpace();
-        if (pos_ == text_.size())
-            failParse(IoErrc::ParseError,
-                      "unexpected end of input while reading ", what);
-        const std::size_t start = pos_;
-        while (pos_ < text_.size() && !isSpace(text_[pos_]))
-            ++pos_;
-        return std::string_view(text_).substr(start, pos_ - start);
-    }
-
-    void
-    expect(std::string_view word)
-    {
-        const auto tok = next(
-                detail::concat("keyword '", word, "'").c_str());
-        if (tok != word)
-            failParse(IoErrc::ParseError, "expected '", word,
-                      "', got '", tok, "'");
-    }
-
-    /** A finite double ("nan"/"inf" tokens are a parse error). */
-    double
-    number(const char *what)
-    {
-        const auto tok = next(what);
-        double v = 0.0;
-        if (!numio::parseDouble(tok, v) || !std::isfinite(v))
-            failParse(IoErrc::ParseError,
-                      "bad or non-finite number for ", what, ": '",
-                      tok, "'");
-        return v;
-    }
-
-    long
-    integer(const char *what)
-    {
-        const auto tok = next(what);
-        long v = 0;
-        if (!numio::parseLong(tok, v))
-            failParse(IoErrc::ParseError, "bad integer for ", what,
-                      ": '", tok, "'");
-        return v;
-    }
-
-    int
-    intValue(const char *what)
-    {
-        const long v = integer(what);
-        if (v < -2147483647L || v > 2147483647L)
-            failParse(IoErrc::ParseError, what, " out of range: ", v);
-        return static_cast<int>(v);
-    }
-
-    /** A declared element count, bounded so it cannot drive OOM. */
-    std::size_t
-    count(const char *what, std::size_t max = kMaxCount)
-    {
-        const long v = integer(what);
-        if (v < 0 || static_cast<std::size_t>(v) > max)
-            failParse(IoErrc::ParseError, "implausible ", what, ": ",
-                      v);
-        return static_cast<std::size_t>(v);
-    }
-
-  private:
-    static bool
-    isSpace(char c)
-    {
-        return c == ' ' || c == '\t' || c == '\n' || c == '\r';
-    }
-
-    void
-    skipSpace()
-    {
-        while (pos_ < text_.size() && isSpace(text_[pos_]))
-            ++pos_;
-    }
-
-    const std::string &text_;
-    std::size_t pos_ = 0;
-};
-
 gpu::DeviceKind
 deviceKindOf(long kind)
 {
@@ -185,15 +50,15 @@ deviceKindOf(long kind)
     return static_cast<gpu::DeviceKind>(kind);
 }
 
+namespace
+{
+
+/** Upper bound on benchmarks x configurations cells. */
+constexpr std::size_t kMaxCells = 10000000;
+
 // -- v2 envelope -----------------------------------------------------
 
 constexpr std::string_view kEnvelopeMagic = "gpupm-file";
-
-struct Envelope
-{
-    FileKind kind = FileKind::Model;
-    std::string payload;
-};
 
 bool
 hasEnvelope(const std::string &text)
@@ -214,12 +79,13 @@ fileKindOf(std::string_view token)
 }
 
 /**
- * Verify and strip the envelope, in trust order: kind, version,
- * declared payload size (truncation), checksum (corruption). Only
- * then does the payload reach a parser.
+ * Verify and strip the envelope of a `want` file, in trust order:
+ * kind, version, declared payload size (truncation), checksum
+ * (corruption), and last that it holds a `want`. Only then does the
+ * payload reach a parser.
  */
-Envelope
-unwrapEnvelope(const std::string &text)
+std::string
+unwrapEnvelope(const std::string &text, FileKind want)
 {
     const std::size_t eol = text.find('\n');
     if (eol == std::string::npos)
@@ -229,12 +95,11 @@ unwrapEnvelope(const std::string &text)
 
     TokenScanner s(header);
     s.expect(kEnvelopeMagic);
-    Envelope env;
-    env.kind = fileKindOf(s.next("artifact kind"));
+    const FileKind kind = fileKindOf(s.next("artifact kind"));
     const auto version = s.next("format version");
     if (version != "v2")
         failParse(IoErrc::VersionMismatch, "unsupported ",
-                  fileKindName(env.kind), " file version '", version,
+                  fileKindName(kind), " file version '", version,
                   "' (this build reads v2 and legacy v0)");
     s.expect("crc32");
     std::uint32_t declared_crc = 0;
@@ -248,168 +113,25 @@ unwrapEnvelope(const std::string &text)
         failParse(IoErrc::ParseError,
                   "trailing tokens in envelope header");
 
-    env.payload = text.substr(eol + 1);
+    std::string payload = text.substr(eol + 1);
     if (declared_bytes < 0 ||
-        static_cast<std::size_t>(declared_bytes) != env.payload.size())
+        static_cast<std::size_t>(declared_bytes) != payload.size())
         failParse(IoErrc::ParseError, "envelope declares ",
                   declared_bytes, " payload bytes but ",
-                  env.payload.size(), " are present (truncated or "
+                  payload.size(), " are present (truncated or "
                   "trailing data)");
 
-    const std::uint32_t actual_crc = checksum::crc32(env.payload);
+    const std::uint32_t actual_crc = checksum::crc32(payload);
     if (actual_crc != declared_crc)
         failParse(IoErrc::ChecksumMismatch, "payload crc32 ",
                   checksum::crc32Hex(actual_crc),
                   " does not match declared ",
                   checksum::crc32Hex(declared_crc));
-    return env;
-}
-
-// -- File access -----------------------------------------------------
-
-IoExpected<std::string>
-tryReadFile(const std::string &path)
-{
-    std::ifstream in(path, std::ios::binary);
-    if (!in)
-        return IoStatus{IoErrc::IoError,
-                        detail::concat("cannot open '", path,
-                                       "' for reading")};
-    std::ostringstream os;
-    os << in.rdbuf();
-    if (in.bad())
-        return IoStatus{IoErrc::IoError,
-                        detail::concat("read from '", path,
-                                       "' failed")};
-    return os.str();
-}
-
-IoExpected<bool>
-tryWriteFile(const std::string &path, const std::string &text)
-{
-    GPUPM_TRACE_SPAN_NAMED(span, "io", "io.write");
-    span.arg("path", path);
-    span.arg("bytes", (long)text.size());
-    std::ofstream out(path, std::ios::binary);
-    if (!out) {
-        obs::ioSaveFailuresTotal().inc();
-        return IoStatus{IoErrc::IoError,
-                        detail::concat("cannot open '", path,
-                                       "' for writing")};
-    }
-    out << text;
-    out.flush();
-    if (!out) {
-        obs::ioSaveFailuresTotal().inc();
-        return IoStatus{IoErrc::IoError,
-                        detail::concat("write to '", path,
-                                       "' failed")};
-    }
-    obs::ioSavesTotal().inc();
-    return true;
-}
-
-// -- Model payload ---------------------------------------------------
-
-DvfsPowerModel
-parseModelPayload(const std::string &payload)
-{
-    TokenScanner s(payload);
-    s.expect("gpupm-model");
-    const auto version = s.next("model payload version");
-    if (version != "v1")
-        failParse(IoErrc::VersionMismatch,
-                  "unsupported model payload version '", version,
-                  "'");
-
-    s.expect("device");
-    const gpu::DeviceKind kind =
-            deviceKindOf(s.integer("device kind"));
-
-    s.expect("reference");
-    gpu::FreqConfig ref;
-    ref.core_mhz = s.intValue("reference core MHz");
-    ref.mem_mhz = s.intValue("reference memory MHz");
-
-    s.expect("beta");
-    ModelParams p;
-    p.beta0 = s.number("beta0");
-    p.beta1 = s.number("beta1");
-    p.beta2 = s.number("beta2");
-    p.beta3 = s.number("beta3");
-
-    s.expect("omega");
-    for (double &w : p.omega)
-        w = s.number("omega coefficient");
-
-    s.expect("voltages");
-    const std::size_t n = s.count("voltage pair count");
-    DvfsPowerModel m(kind, ref, p);
-    for (std::size_t i = 0; i < n; ++i) {
-        gpu::FreqConfig cfg;
-        cfg.core_mhz = s.intValue("voltage-table core MHz");
-        cfg.mem_mhz = s.intValue("voltage-table memory MHz");
-        VoltagePair v;
-        v.core = s.number("core voltage");
-        v.mem = s.number("memory voltage");
-        if (v.core <= 0.0 || v.mem <= 0.0)
-            failParse(IoErrc::ParseError,
-                      "non-positive voltage at (", cfg.core_mhz,
-                      ", ", cfg.mem_mhz, ") MHz");
-        m.setVoltages(cfg, v);
-    }
-    if (!s.atEnd())
-        failParse(IoErrc::ParseError,
-                  "trailing content after the voltage table");
-    return m;
-}
-
-// -- Campaign payload ------------------------------------------------
-
-TrainingData
-parseCampaignPayload(const std::string &payload)
-{
-    TokenScanner s(payload);
-    s.expect("gpupm-campaign");
-    const auto version = s.next("campaign payload version");
-    if (version != "v1")
-        failParse(IoErrc::VersionMismatch,
-                  "unsupported campaign payload version '", version,
-                  "'");
-
-    TrainingData data;
-    s.expect("device");
-    data.device = deviceKindOf(s.integer("device kind"));
-
-    s.expect("reference");
-    data.reference.core_mhz = s.intValue("reference core MHz");
-    data.reference.mem_mhz = s.intValue("reference memory MHz");
-
-    s.expect("configs");
-    const std::size_t nc = s.count("configuration count");
-    data.configs.resize(nc);
-    for (auto &cfg : data.configs) {
-        cfg.core_mhz = s.intValue("config core MHz");
-        cfg.mem_mhz = s.intValue("config memory MHz");
-    }
-
-    s.expect("benchmarks");
-    const std::size_t nb = s.count("benchmark count");
-    if (nb != 0 && nc > kMaxCells / nb)
-        failParse(IoErrc::ParseError, "implausible campaign size: ",
-                  nb, " benchmarks x ", nc, " configurations");
-    data.utils.resize(nb);
-    data.power_w.assign(nb, std::vector<double>(nc));
-    for (std::size_t b = 0; b < nb; ++b) {
-        for (double &u : data.utils[b])
-            u = s.number("utilization");
-        for (double &p : data.power_w[b])
-            p = s.number("power sample");
-    }
-    if (!s.atEnd())
-        failParse(IoErrc::ParseError,
-                  "trailing content after the benchmark rows");
-    return data;
+    if (kind != want)
+        failParse(IoErrc::ParseError, "file holds a ",
+                  fileKindName(kind), ", expected a ",
+                  fileKindName(want));
+    return payload;
 }
 
 // -- JSON payloads (checkpoint, scoreboard) --------------------------
@@ -498,8 +220,265 @@ putConfig(std::ostringstream &os, const gpu::FreqConfig &cfg)
        << std::to_string(cfg.mem_mhz) << "]";
 }
 
+} // namespace
+
+// -- Model -----------------------------------------------------------
+
+std::string
+Codec<DvfsPowerModel>::write(const DvfsPowerModel &model)
+{
+    // Numbers go through numio so the encoding does not depend on the
+    // process locale and doubles round-trip bit-exactly.
+    const ModelParams &p = model.params();
+    std::ostringstream os;
+    os << "gpupm-model v1\n";
+    os << "device "
+       << std::to_string(static_cast<int>(model.deviceKind())) << "\n";
+    os << "reference " << std::to_string(model.reference().core_mhz)
+       << " " << std::to_string(model.reference().mem_mhz) << "\n";
+    os << "beta " << numio::formatDouble(p.beta0) << " "
+       << numio::formatDouble(p.beta1) << " "
+       << numio::formatDouble(p.beta2) << " "
+       << numio::formatDouble(p.beta3) << "\n";
+    os << "omega";
+    for (double w : p.omega)
+        os << " " << numio::formatDouble(w);
+    os << "\n";
+    os << "voltages " << std::to_string(model.voltageTable().size())
+       << "\n";
+    for (const auto &[key, v] : model.voltageTable()) {
+        os << std::to_string(key.first) << " "
+           << std::to_string(key.second) << " "
+           << numio::formatDouble(v.core) << " "
+           << numio::formatDouble(v.mem) << "\n";
+    }
+    return os.str();
+}
+
+DvfsPowerModel
+Codec<DvfsPowerModel>::parse(const std::string &payload)
+{
+    TokenScanner s(payload);
+    s.expect("gpupm-model");
+    const auto version = s.next("model payload version");
+    if (version != "v1")
+        failParse(IoErrc::VersionMismatch,
+                  "unsupported model payload version '", version,
+                  "'");
+
+    s.expect("device");
+    const gpu::DeviceKind kind =
+            deviceKindOf(s.integer("device kind"));
+
+    s.expect("reference");
+    gpu::FreqConfig ref;
+    ref.core_mhz = s.intValue("reference core MHz");
+    ref.mem_mhz = s.intValue("reference memory MHz");
+
+    s.expect("beta");
+    ModelParams p;
+    p.beta0 = s.number("beta0");
+    p.beta1 = s.number("beta1");
+    p.beta2 = s.number("beta2");
+    p.beta3 = s.number("beta3");
+
+    s.expect("omega");
+    for (double &w : p.omega)
+        w = s.number("omega coefficient");
+
+    s.expect("voltages");
+    const std::size_t n = s.count("voltage pair count");
+    DvfsPowerModel m(kind, ref, p);
+    for (std::size_t i = 0; i < n; ++i) {
+        gpu::FreqConfig cfg;
+        cfg.core_mhz = s.intValue("voltage-table core MHz");
+        cfg.mem_mhz = s.intValue("voltage-table memory MHz");
+        VoltagePair v;
+        v.core = s.number("core voltage");
+        v.mem = s.number("memory voltage");
+        if (v.core <= 0.0 || v.mem <= 0.0)
+            failParse(IoErrc::ParseError,
+                      "non-positive voltage at (", cfg.core_mhz,
+                      ", ", cfg.mem_mhz, ") MHz");
+        m.setVoltages(cfg, v);
+    }
+    if (!s.atEnd())
+        failParse(IoErrc::ParseError,
+                  "trailing content after the voltage table");
+    return m;
+}
+
+// -- Campaign --------------------------------------------------------
+
+std::string
+Codec<TrainingData>::write(const TrainingData &data)
+{
+    std::ostringstream os;
+    os << "gpupm-campaign v1\n";
+    os << "device " << std::to_string(static_cast<int>(data.device))
+       << "\n";
+    os << "reference " << std::to_string(data.reference.core_mhz)
+       << " " << std::to_string(data.reference.mem_mhz) << "\n";
+    os << "configs " << std::to_string(data.configs.size()) << "\n";
+    for (const auto &cfg : data.configs)
+        os << std::to_string(cfg.core_mhz) << " "
+           << std::to_string(cfg.mem_mhz) << "\n";
+    os << "benchmarks " << std::to_string(data.utils.size()) << "\n";
+    for (std::size_t b = 0; b < data.utils.size(); ++b) {
+        for (double u : data.utils[b])
+            os << numio::formatDouble(u) << " ";
+        os << "\n";
+        for (double p : data.power_w[b])
+            os << numio::formatDouble(p) << " ";
+        os << "\n";
+    }
+    return os.str();
+}
+
+TrainingData
+Codec<TrainingData>::parse(const std::string &payload)
+{
+    TokenScanner s(payload);
+    s.expect("gpupm-campaign");
+    const auto version = s.next("campaign payload version");
+    if (version != "v1")
+        failParse(IoErrc::VersionMismatch,
+                  "unsupported campaign payload version '", version,
+                  "'");
+
+    TrainingData data;
+    s.expect("device");
+    data.device = deviceKindOf(s.integer("device kind"));
+
+    s.expect("reference");
+    data.reference.core_mhz = s.intValue("reference core MHz");
+    data.reference.mem_mhz = s.intValue("reference memory MHz");
+
+    s.expect("configs");
+    const std::size_t nc = s.count("configuration count");
+    data.configs.resize(nc);
+    for (auto &cfg : data.configs) {
+        cfg.core_mhz = s.intValue("config core MHz");
+        cfg.mem_mhz = s.intValue("config memory MHz");
+    }
+
+    s.expect("benchmarks");
+    const std::size_t nb = s.count("benchmark count");
+    if (nb != 0 && nc > kMaxCells / nb)
+        failParse(IoErrc::ParseError, "implausible campaign size: ",
+                  nb, " benchmarks x ", nc, " configurations");
+    data.utils.resize(nb);
+    data.power_w.assign(nb, std::vector<double>(nc));
+    for (std::size_t b = 0; b < nb; ++b) {
+        for (double &u : data.utils[b])
+            u = s.number("utilization");
+        for (double &p : data.power_w[b])
+            p = s.number("power sample");
+    }
+    if (!s.atEnd())
+        failParse(IoErrc::ParseError,
+                  "trailing content after the benchmark rows");
+    return data;
+}
+
+// -- Checkpoint (JSON) -----------------------------------------------
+
+std::string
+Codec<CampaignCheckpoint>::write(const CampaignCheckpoint &ck)
+{
+    std::ostringstream os;
+    os << "{\n";
+    os << "\"format\":\"gpupm-checkpoint\",\n\"version\":1,\n";
+    os << "\"seed\":" << std::to_string(ck.seed) << ",\n";
+    os << "\"device\":"
+       << std::to_string(static_cast<int>(ck.device)) << ",\n";
+    os << "\"reference\":";
+    putConfig(os, ck.reference);
+    os << ",\n\"configs\":[";
+    for (std::size_t i = 0; i < ck.configs.size(); ++i) {
+        if (i)
+            os << ",";
+        putConfig(os, ck.configs[i]);
+    }
+    os << "],\n\"benchmarks\":[";
+    for (std::size_t i = 0; i < ck.benchmark_names.size(); ++i) {
+        if (i)
+            os << ",";
+        os << '"' << json::escape(ck.benchmark_names[i]) << '"';
+    }
+    os << "],\n\"utils_done\":[";
+    for (std::size_t i = 0; i < ck.utils_done.size(); ++i)
+        os << (i ? "," : "") << (ck.utils_done[i] ? 1 : 0);
+    os << "],\n\"utils\":[";
+    for (std::size_t b = 0; b < ck.utils.size(); ++b) {
+        os << (b ? ",[" : "[");
+        for (std::size_t i = 0; i < gpu::kNumComponents; ++i) {
+            if (i)
+                os << ",";
+            os << numio::formatDouble(ck.utils[b][i]);
+        }
+        os << "]";
+    }
+    os << "],\n\"power_done\":[";
+    for (std::size_t b = 0; b < ck.power_done.size(); ++b) {
+        os << (b ? ",[" : "[");
+        for (std::size_t c = 0; c < ck.power_done[b].size(); ++c)
+            os << (c ? "," : "") << (ck.power_done[b][c] ? 1 : 0);
+        os << "]";
+    }
+    os << "],\n\"power_w\":[";
+    for (std::size_t b = 0; b < ck.power_w.size(); ++b) {
+        os << (b ? ",\n[" : "\n[");
+        for (std::size_t c = 0; c < ck.power_w[b].size(); ++c) {
+            if (c)
+                os << ",";
+            os << numio::formatDouble(ck.power_w[b][c]);
+        }
+        os << "]";
+    }
+    const CampaignReport &r = ck.report;
+    os << "],\n\"report\":{";
+    os << "\"cells_total\":" << r.cells_total << ",";
+    os << "\"cells_done\":" << r.cells_done << ",";
+    os << "\"cells_resumed\":" << r.cells_resumed << ",";
+    os << "\"cells_failed\":" << r.cells_failed << ",";
+    os << "\"faults_injected\":" << r.faults_injected << ",\n";
+    os << "\"attempts\":" << r.totals.attempts << ",";
+    os << "\"retries\":" << r.totals.retries << ",";
+    os << "\"timeouts\":" << r.totals.timeouts << ",";
+    os << "\"call_failures\":" << r.totals.call_failures << ",";
+    os << "\"corrupt_samples\":" << r.totals.corrupt_samples << ",";
+    os << "\"outliers_rejected\":" << r.totals.outliers_rejected
+       << ",";
+    os << "\"quarantined_calls\":" << r.totals.quarantined_calls
+       << ",";
+    os << "\"backoff_total_s\":"
+       << numio::formatDouble(r.totals.backoff_total_s);
+    os << ",\n\"quarantined\":[";
+    for (std::size_t i = 0; i < r.quarantined.size(); ++i) {
+        if (i)
+            os << ",";
+        putConfig(os, r.quarantined[i]);
+    }
+    os << "],\n\"benchmark_reports\":[";
+    for (std::size_t b = 0; b < r.benchmarks.size(); ++b) {
+        const BenchmarkReport &br = r.benchmarks[b];
+        os << (b ? ",\n{" : "\n{");
+        os << "\"name\":\"" << json::escape(br.name) << '"';
+        os << ",\"retries\":" << br.retries;
+        os << ",\"call_failures\":" << br.call_failures;
+        os << ",\"timeouts\":" << br.timeouts;
+        os << ",\"outliers_rejected\":" << br.outliers_rejected;
+        os << ",\"corrupt_samples\":" << br.corrupt_samples;
+        os << ",\"faults_injected\":" << br.faults_injected;
+        os << "}";
+    }
+    os << "]}\n}\n";
+    return os.str();
+}
+
 CampaignCheckpoint
-parseCheckpointPayload(const std::string &payload)
+Codec<CampaignCheckpoint>::parse(const std::string &payload)
 {
     const json::Value root = parseJson(payload);
     if (str(at(root, "format")) != "gpupm-checkpoint" ||
@@ -601,7 +580,16 @@ parseCheckpointPayload(const std::string &payload)
     return ck;
 }
 
-// -- Scoreboard payload (JSON, schema gpupm_scoreboard_version 1) ----
+// -- Scoreboard (JSON, schema gpupm_scoreboard_version 1) -------------
+
+std::string
+Codec<obs::Scoreboard>::write(const obs::Scoreboard &sb)
+{
+    return sb.toJson(true);
+}
+
+namespace
+{
 
 obs::ScoreStats
 scoreStatsOf(const json::Value &v)
@@ -618,8 +606,10 @@ scoreStatsOf(const json::Value &v)
     return st;
 }
 
+} // namespace
+
 obs::Scoreboard
-parseScoreboardPayload(const std::string &payload)
+Codec<obs::Scoreboard>::parse(const std::string &payload)
 {
     const json::Value root = parseJson(payload);
     if (integer(at(root, "gpupm_scoreboard_version")) != 1)
@@ -713,92 +703,20 @@ parseScoreboardPayload(const std::string &payload)
     return sb;
 }
 
-// -- Shared load policy ----------------------------------------------
+// -- The shared path ---------------------------------------------------
 
-/**
- * The one place the loading policy lives: unwrap (or accept legacy),
- * parse, optionally validate, and convert the internal unwinding
- * channel into a typed result.
- */
-template <typename T>
-IoExpected<T>
-parseWithPolicy(const std::string &text, FileKind want,
-                const LoadOptions &opts,
-                T (*parse_payload)(const std::string &),
-                ValidationReport (*validate)(const T &))
+std::string
+payloadOf(const std::string &text, FileKind want,
+          const LoadOptions &opts)
 {
-    try {
-        std::string payload;
-        if (hasEnvelope(text)) {
-            Envelope env = unwrapEnvelope(text);
-            if (env.kind != want)
-                failParse(IoErrc::ParseError, "file holds a ",
-                          fileKindName(env.kind), ", expected a ",
-                          fileKindName(want));
-            payload = std::move(env.payload);
-        } else {
-            if (!opts.allow_legacy)
-                failParse(IoErrc::VersionMismatch,
-                          "legacy (pre-envelope) ",
-                          fileKindName(want),
-                          " file: no version or checksum to verify");
-            payload = text;
-        }
-        // Payload errors name the artifact: "scoreboard: missing
-        // field 'provenance'".
-        T value = [&] {
-            try {
-                return parse_payload(payload);
-            } catch (const ParseFail &f) {
-                failParse(f.status.code, fileKindName(want), ": ",
-                          f.status.message);
-            }
-        }();
-        if (opts.validate) {
-            GPUPM_TRACE_SPAN("io", "io.validate");
-            const ValidationReport report = validate(value);
-            if (!report.ok())
-                failParse(IoErrc::ValidationError, report.summary());
-        }
-        return value;
-    } catch (const ParseFail &f) {
-        return f.status;
-    } catch (const std::exception &e) {
-        // A parser slipping through on hostile input (e.g. an assert
-        // in a constructor) still surfaces as a typed error, never as
-        // an aborted process.
-        return IoStatus{IoErrc::ParseError, e.what()};
-    }
+    if (hasEnvelope(text))
+        return unwrapEnvelope(text, want);
+    if (!opts.allow_legacy)
+        failParse(IoErrc::VersionMismatch, "legacy (pre-envelope) ",
+                  fileKindName(want),
+                  " file: no version or checksum to verify");
+    return text;
 }
-
-template <typename T>
-IoExpected<T>
-loadWithPolicy(const std::string &path, FileKind want,
-               const LoadOptions &opts,
-               T (*parse_payload)(const std::string &),
-               ValidationReport (*validate)(const T &))
-{
-    GPUPM_TRACE_SPAN_NAMED(span, "io", "io.load");
-    span.arg("path", path);
-    span.arg("kind", fileKindName(want));
-    auto text = tryReadFile(path);
-    if (!text.ok()) {
-        obs::ioLoadFailuresTotal().inc();
-        return text.error();
-    }
-    auto res = parseWithPolicy<T>(text.value(), want, opts,
-                                  parse_payload, validate);
-    if (!res.ok()) {
-        obs::ioLoadFailuresTotal().inc();
-        return IoStatus{res.error().code,
-                        detail::concat("'", path, "': ",
-                                       res.error().message)};
-    }
-    obs::ioLoadsTotal().inc();
-    return res;
-}
-
-} // namespace
 
 std::string
 wrapEnvelope(FileKind kind, const std::string &payload)
@@ -818,47 +736,59 @@ wrapEnvelope(FileKind kind, const std::string &payload)
 IoExpected<std::string>
 tryUnwrapEnvelope(const std::string &text, FileKind want)
 {
-    try {
-        Envelope env = unwrapEnvelope(text);
-        if (env.kind != want)
-            failParse(IoErrc::ParseError, "file holds a ",
-                      fileKindName(env.kind), ", expected a ",
-                      fileKindName(want));
-        return std::move(env.payload);
-    } catch (const ParseFail &f) {
-        return f.status;
-    } catch (const std::exception &e) {
-        return IoStatus{IoErrc::ParseError, e.what()};
-    }
+    return typed([&] { return unwrapEnvelope(text, want); });
 }
 
 IoExpected<std::string>
-tryReadFileText(const std::string &path)
+tryReadFile(const std::string &path)
 {
-    return tryReadFile(path);
+    std::ifstream in(path, std::ios::binary);
+    if (!in)
+        return IoStatus{IoErrc::IoError,
+                        detail::concat("cannot open '", path,
+                                       "' for reading")};
+    std::ostringstream os;
+    os << in.rdbuf();
+    if (in.bad())
+        return IoStatus{IoErrc::IoError,
+                        detail::concat("read from '", path,
+                                       "' failed")};
+    return os.str();
 }
 
 IoExpected<bool>
 tryWriteFileAtomic(const std::string &path, const std::string &text)
 {
+    GPUPM_TRACE_SPAN_NAMED(span, "io", "io.write");
+    span.arg("path", path);
+    span.arg("bytes", (long)text.size());
     const std::string tmp = path + ".tmp";
-    const auto written = tryWriteFile(tmp, text);
-    if (!written.ok())
-        return written;
     std::error_code ec;
+    const auto failed = [](std::string message) {
+        obs::ioSaveFailuresTotal().inc();
+        return IoStatus{IoErrc::IoError, std::move(message)};
+    };
+    std::ofstream out(tmp, std::ios::binary);
+    if (!out)
+        return failed(detail::concat("cannot open '", tmp,
+                                     "' for writing"));
+    out << text;
+    out.close();
+    if (!out)
+        return failed(detail::concat("write to '", tmp, "' failed"));
     std::filesystem::rename(tmp, path, ec);
     if (ec)
-        return IoStatus{IoErrc::IoError,
-                        detail::concat("cannot move '", tmp,
-                                       "' into place at '", path,
-                                       "': ", ec.message())};
+        return failed(detail::concat("cannot move '", tmp,
+                                     "' into place at '", path,
+                                     "': ", ec.message()));
+    obs::ioSavesTotal().inc();
     return true;
 }
 
 IoExpected<FileKind>
 detectFileKind(const std::string &text)
 {
-    try {
+    return typed([&] {
         if (hasEnvelope(text)) {
             const std::size_t eol = text.find('\n');
             const std::string header =
@@ -886,316 +816,7 @@ detectFileKind(const std::string &text)
         failParse(IoErrc::ParseError,
                   "unrecognized file content (neither a v2 envelope "
                   "nor a legacy gpupm artifact)");
-    } catch (const ParseFail &f) {
-        return f.status;
-    }
-}
-
-// -- Models ----------------------------------------------------------
-
-std::string
-serializeModel(const DvfsPowerModel &model)
-{
-    return wrapEnvelope(FileKind::Model, model.serialize());
-}
-
-IoExpected<DvfsPowerModel>
-tryParseModel(const std::string &text, const LoadOptions &opts)
-{
-    return parseWithPolicy<DvfsPowerModel>(
-            text, FileKind::Model, opts, parseModelPayload,
-            validateModel);
-}
-
-IoExpected<DvfsPowerModel>
-tryLoadModel(const std::string &path, const LoadOptions &opts)
-{
-    return loadWithPolicy<DvfsPowerModel>(
-            path, FileKind::Model, opts, parseModelPayload,
-            validateModel);
-}
-
-IoExpected<bool>
-trySaveModel(const DvfsPowerModel &model, const std::string &path)
-{
-    return tryWriteFile(path, serializeModel(model));
-}
-
-void
-saveModel(const DvfsPowerModel &model, const std::string &path)
-{
-    const auto res = trySaveModel(model, path);
-    GPUPM_FATAL_IF(!res.ok(), res.error().message);
-}
-
-DvfsPowerModel
-loadModel(const std::string &path)
-{
-    auto res = tryLoadModel(path);
-    GPUPM_FATAL_IF(!res.ok(), "cannot load model [",
-                   ioErrcName(res.error().code), "]: ",
-                   res.error().message);
-    return res.value();
-}
-
-// -- Training campaigns ----------------------------------------------
-
-std::string
-serializeTrainingData(const TrainingData &data)
-{
-    std::ostringstream os;
-    os << "gpupm-campaign v1\n";
-    os << "device " << std::to_string(static_cast<int>(data.device))
-       << "\n";
-    os << "reference " << std::to_string(data.reference.core_mhz)
-       << " " << std::to_string(data.reference.mem_mhz) << "\n";
-    os << "configs " << std::to_string(data.configs.size()) << "\n";
-    for (const auto &cfg : data.configs)
-        os << std::to_string(cfg.core_mhz) << " "
-           << std::to_string(cfg.mem_mhz) << "\n";
-    os << "benchmarks " << std::to_string(data.utils.size()) << "\n";
-    for (std::size_t b = 0; b < data.utils.size(); ++b) {
-        for (double u : data.utils[b])
-            os << numio::formatDouble(u) << " ";
-        os << "\n";
-        for (double p : data.power_w[b])
-            os << numio::formatDouble(p) << " ";
-        os << "\n";
-    }
-    return wrapEnvelope(FileKind::Campaign, os.str());
-}
-
-IoExpected<TrainingData>
-tryParseTrainingData(const std::string &text, const LoadOptions &opts)
-{
-    return parseWithPolicy<TrainingData>(
-            text, FileKind::Campaign, opts, parseCampaignPayload,
-            validateTrainingData);
-}
-
-IoExpected<TrainingData>
-tryLoadTrainingData(const std::string &path, const LoadOptions &opts)
-{
-    return loadWithPolicy<TrainingData>(
-            path, FileKind::Campaign, opts, parseCampaignPayload,
-            validateTrainingData);
-}
-
-IoExpected<bool>
-trySaveTrainingData(const TrainingData &data, const std::string &path)
-{
-    return tryWriteFile(path, serializeTrainingData(data));
-}
-
-TrainingData
-deserializeTrainingData(const std::string &text)
-{
-    auto res = tryParseTrainingData(text);
-    GPUPM_FATAL_IF(!res.ok(), "cannot parse campaign [",
-                   ioErrcName(res.error().code), "]: ",
-                   res.error().message);
-    return res.value();
-}
-
-void
-saveTrainingData(const TrainingData &data, const std::string &path)
-{
-    const auto res = trySaveTrainingData(data, path);
-    GPUPM_FATAL_IF(!res.ok(), res.error().message);
-}
-
-TrainingData
-loadTrainingData(const std::string &path)
-{
-    auto res = tryLoadTrainingData(path);
-    GPUPM_FATAL_IF(!res.ok(), "cannot load campaign [",
-                   ioErrcName(res.error().code), "]: ",
-                   res.error().message);
-    return res.value();
-}
-
-// -- Campaign checkpoints --------------------------------------------
-
-std::string
-serializeCampaignCheckpoint(const CampaignCheckpoint &ck)
-{
-    std::ostringstream os;
-    os << "{\n";
-    os << "\"format\":\"gpupm-checkpoint\",\n\"version\":1,\n";
-    os << "\"seed\":" << std::to_string(ck.seed) << ",\n";
-    os << "\"device\":"
-       << std::to_string(static_cast<int>(ck.device)) << ",\n";
-    os << "\"reference\":";
-    putConfig(os, ck.reference);
-    os << ",\n\"configs\":[";
-    for (std::size_t i = 0; i < ck.configs.size(); ++i) {
-        if (i)
-            os << ",";
-        putConfig(os, ck.configs[i]);
-    }
-    os << "],\n\"benchmarks\":[";
-    for (std::size_t i = 0; i < ck.benchmark_names.size(); ++i) {
-        if (i)
-            os << ",";
-        os << '"' << json::escape(ck.benchmark_names[i]) << '"';
-    }
-    os << "],\n\"utils_done\":[";
-    for (std::size_t i = 0; i < ck.utils_done.size(); ++i)
-        os << (i ? "," : "") << (ck.utils_done[i] ? 1 : 0);
-    os << "],\n\"utils\":[";
-    for (std::size_t b = 0; b < ck.utils.size(); ++b) {
-        os << (b ? ",[" : "[");
-        for (std::size_t i = 0; i < gpu::kNumComponents; ++i) {
-            if (i)
-                os << ",";
-            os << numio::formatDouble(ck.utils[b][i]);
-        }
-        os << "]";
-    }
-    os << "],\n\"power_done\":[";
-    for (std::size_t b = 0; b < ck.power_done.size(); ++b) {
-        os << (b ? ",[" : "[");
-        for (std::size_t c = 0; c < ck.power_done[b].size(); ++c)
-            os << (c ? "," : "") << (ck.power_done[b][c] ? 1 : 0);
-        os << "]";
-    }
-    os << "],\n\"power_w\":[";
-    for (std::size_t b = 0; b < ck.power_w.size(); ++b) {
-        os << (b ? ",\n[" : "\n[");
-        for (std::size_t c = 0; c < ck.power_w[b].size(); ++c) {
-            if (c)
-                os << ",";
-            os << numio::formatDouble(ck.power_w[b][c]);
-        }
-        os << "]";
-    }
-    const CampaignReport &r = ck.report;
-    os << "],\n\"report\":{";
-    os << "\"cells_total\":" << r.cells_total << ",";
-    os << "\"cells_done\":" << r.cells_done << ",";
-    os << "\"cells_resumed\":" << r.cells_resumed << ",";
-    os << "\"cells_failed\":" << r.cells_failed << ",";
-    os << "\"faults_injected\":" << r.faults_injected << ",\n";
-    os << "\"attempts\":" << r.totals.attempts << ",";
-    os << "\"retries\":" << r.totals.retries << ",";
-    os << "\"timeouts\":" << r.totals.timeouts << ",";
-    os << "\"call_failures\":" << r.totals.call_failures << ",";
-    os << "\"corrupt_samples\":" << r.totals.corrupt_samples << ",";
-    os << "\"outliers_rejected\":" << r.totals.outliers_rejected
-       << ",";
-    os << "\"quarantined_calls\":" << r.totals.quarantined_calls
-       << ",";
-    os << "\"backoff_total_s\":"
-       << numio::formatDouble(r.totals.backoff_total_s);
-    os << ",\n\"quarantined\":[";
-    for (std::size_t i = 0; i < r.quarantined.size(); ++i) {
-        if (i)
-            os << ",";
-        putConfig(os, r.quarantined[i]);
-    }
-    os << "],\n\"benchmark_reports\":[";
-    for (std::size_t b = 0; b < r.benchmarks.size(); ++b) {
-        const BenchmarkReport &br = r.benchmarks[b];
-        os << (b ? ",\n{" : "\n{");
-        os << "\"name\":\"" << json::escape(br.name) << '"';
-        os << ",\"retries\":" << br.retries;
-        os << ",\"call_failures\":" << br.call_failures;
-        os << ",\"timeouts\":" << br.timeouts;
-        os << ",\"outliers_rejected\":" << br.outliers_rejected;
-        os << ",\"corrupt_samples\":" << br.corrupt_samples;
-        os << ",\"faults_injected\":" << br.faults_injected;
-        os << "}";
-    }
-    os << "]}\n}\n";
-    return wrapEnvelope(FileKind::Checkpoint, os.str());
-}
-
-IoExpected<CampaignCheckpoint>
-tryParseCampaignCheckpoint(const std::string &text,
-                           const LoadOptions &opts)
-{
-    return parseWithPolicy<CampaignCheckpoint>(
-            text, FileKind::Checkpoint, opts, parseCheckpointPayload,
-            validateCheckpoint);
-}
-
-IoExpected<CampaignCheckpoint>
-tryLoadCampaignCheckpoint(const std::string &path,
-                          const LoadOptions &opts)
-{
-    return loadWithPolicy<CampaignCheckpoint>(
-            path, FileKind::Checkpoint, opts, parseCheckpointPayload,
-            validateCheckpoint);
-}
-
-IoExpected<bool>
-trySaveCampaignCheckpoint(const CampaignCheckpoint &ck,
-                          const std::string &path)
-{
-    // Write-then-rename so an interrupted write never corrupts an
-    // existing checkpoint (rename within a directory is atomic on
-    // POSIX filesystems).
-    return tryWriteFileAtomic(path, serializeCampaignCheckpoint(ck));
-}
-
-CampaignCheckpoint
-deserializeCampaignCheckpoint(const std::string &text)
-{
-    auto res = tryParseCampaignCheckpoint(text);
-    GPUPM_FATAL_IF(!res.ok(), "cannot parse checkpoint [",
-                   ioErrcName(res.error().code), "]: ",
-                   res.error().message);
-    return res.value();
-}
-
-void
-saveCampaignCheckpoint(const CampaignCheckpoint &ck,
-                       const std::string &path)
-{
-    const auto res = trySaveCampaignCheckpoint(ck, path);
-    GPUPM_FATAL_IF(!res.ok(), res.error().message);
-}
-
-CampaignCheckpoint
-loadCampaignCheckpoint(const std::string &path)
-{
-    auto res = tryLoadCampaignCheckpoint(path);
-    GPUPM_FATAL_IF(!res.ok(), "cannot load checkpoint [",
-                   ioErrcName(res.error().code), "]: ",
-                   res.error().message);
-    return res.value();
-}
-
-// -- Accuracy scoreboards --------------------------------------------
-
-std::string
-serializeScoreboard(const obs::Scoreboard &sb, bool include_samples)
-{
-    return wrapEnvelope(FileKind::Scoreboard,
-                        sb.toJson(include_samples));
-}
-
-IoExpected<obs::Scoreboard>
-tryParseScoreboard(const std::string &text, const LoadOptions &opts)
-{
-    return parseWithPolicy<obs::Scoreboard>(
-            text, FileKind::Scoreboard, opts, parseScoreboardPayload,
-            validateScoreboard);
-}
-
-IoExpected<obs::Scoreboard>
-tryLoadScoreboard(const std::string &path, const LoadOptions &opts)
-{
-    return loadWithPolicy<obs::Scoreboard>(
-            path, FileKind::Scoreboard, opts, parseScoreboardPayload,
-            validateScoreboard);
-}
-
-IoExpected<bool>
-trySaveScoreboard(const obs::Scoreboard &sb, const std::string &path,
-                  bool include_samples)
-{
-    return tryWriteFile(path, serializeScoreboard(sb, include_samples));
+    });
 }
 
 } // namespace model

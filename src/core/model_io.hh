@@ -1,6 +1,7 @@
 /**
  * @file
- * File persistence for models, training campaigns and checkpoints.
+ * File persistence for models, training campaigns, checkpoints,
+ * scoreboards and fleet shards.
  *
  * A real deployment separates the expensive measurement campaign from
  * model fitting and from prediction-time use: the campaign output and
@@ -17,31 +18,38 @@
  *     gpupm-file <kind> v2 crc32 <8-hex> bytes <n>\n
  *     <payload: exactly n bytes>
  *
- * where <kind> is model | campaign | checkpoint and the CRC32 (IEEE,
- * zlib variant) covers the payload bytes. Loaders verify the kind,
- * version, declared size (truncation) and checksum (corruption)
- * before parsing, and still accept legacy v0 files — payloads written
- * before the envelope existed — unless LoadOptions says otherwise.
- * Checkpoint payloads remain plain JSON: `tail -n +2 ck | jq .`.
+ * where <kind> is model | campaign | checkpoint | scoreboard |
+ * fleetshard | fleet and the CRC32 (IEEE, zlib variant) covers the
+ * payload bytes. Loaders verify the kind, version, declared size
+ * (truncation) and checksum (corruption) before parsing, and still
+ * accept legacy v0 files — payloads written before the envelope
+ * existed — unless LoadOptions says otherwise. Checkpoint payloads
+ * remain plain JSON: `tail -n +2 ck | jq .`.
  *
- * Every loader exists in two forms: a typed `try*` form returning
- * IoExpected (the deployment-facing API: ParseError, VersionMismatch,
- * ChecksumMismatch, IoError, ValidationError) and the original
- * fatal-on-error convenience wrapper used by code that has no
- * recovery story anyway.
+ * Each artifact kind is one row, a Codec<T> specialization: its
+ * FileKind, payload writer, payload parser and validator. Every kind
+ * goes through the same four calls, serialize / tryParse / tryLoad /
+ * trySave, and every failure comes back as a typed IoStatus
+ * (ParseError, VersionMismatch, ChecksumMismatch, IoError,
+ * ValidationError).
  */
 
 #ifndef GPUPM_CORE_MODEL_IO_HH
 #define GPUPM_CORE_MODEL_IO_HH
 
+#include <algorithm>
+#include <cmath>
+#include <cstddef>
+#include <exception>
 #include <string>
 #include <string_view>
+#include <utility>
 
-#include "core/campaign.hh"
-#include "core/estimator.hh"
-#include "core/power_model.hh"
-#include "core/resilient.hh"
-#include "obs/scoreboard.hh"
+#include "common/logging.hh"
+#include "common/numio.hh"
+#include "core/validate.hh"
+#include "obs/standard.hh"
+#include "obs/trace.hh"
 
 namespace gpupm
 {
@@ -107,15 +115,13 @@ std::string wrapEnvelope(FileKind kind, const std::string &payload);
  * Verify and strip a v2 envelope of the expected kind: magic, kind,
  * version, declared payload size and CRC32 are checked in trust order
  * and the payload returned. Typed errors (ParseError /
- * VersionMismatch / ChecksumMismatch), never an exception — the
- * fleet-shard checkpoint loader runs this on files a crashed or
- * chaos-killed writer may have torn.
+ * VersionMismatch / ChecksumMismatch), never an exception.
  */
 IoExpected<std::string> tryUnwrapEnvelope(const std::string &text,
                                           FileKind want);
 
 /** Read a whole file as bytes (typed IoError on failure). */
-IoExpected<std::string> tryReadFileText(const std::string &path);
+IoExpected<std::string> tryReadFile(const std::string &path);
 
 /**
  * Write a file crash-safely: the bytes go to `path + ".tmp"` first
@@ -132,120 +138,319 @@ IoExpected<bool> tryWriteFileAtomic(const std::string &path,
  */
 IoExpected<FileKind> detectFileKind(const std::string &text);
 
-// -- Models ----------------------------------------------------------
-
-/** Serialize a fitted model (v2 envelope around the text payload). */
-std::string serializeModel(const DvfsPowerModel &model);
-
-/** Parse serializeModel output or a legacy v0 model payload. */
-IoExpected<DvfsPowerModel>
-tryParseModel(const std::string &text, const LoadOptions &opts = {});
-
-/** Read and parse a model file. */
-IoExpected<DvfsPowerModel>
-tryLoadModel(const std::string &path, const LoadOptions &opts = {});
-
-/** Write a fitted model to a file. The value is always `true`. */
-IoExpected<bool> trySaveModel(const DvfsPowerModel &model,
-                              const std::string &path);
-
-/** Write a fitted model to a file (fatal on I/O failure). */
-void saveModel(const DvfsPowerModel &model, const std::string &path);
-
-/** Read a model written by saveModel (fatal on any error). */
-DvfsPowerModel loadModel(const std::string &path);
-
-// -- Training campaigns ----------------------------------------------
-
-/** Serialize a campaign (v2 envelope around the text payload). */
-std::string serializeTrainingData(const TrainingData &data);
-
-/** Parse serializeTrainingData output or a legacy v0 payload. */
-IoExpected<TrainingData>
-tryParseTrainingData(const std::string &text,
-                     const LoadOptions &opts = {});
-
-/** Read and parse a campaign file. */
-IoExpected<TrainingData>
-tryLoadTrainingData(const std::string &path,
-                    const LoadOptions &opts = {});
-
-/** Write a campaign to a file. The value is always `true`. */
-IoExpected<bool> trySaveTrainingData(const TrainingData &data,
-                                     const std::string &path);
-
-/** Parse serializeTrainingData output (fatal on error). */
-TrainingData deserializeTrainingData(const std::string &text);
-
-/** Write a training campaign to a file (fatal on I/O failure). */
-void saveTrainingData(const TrainingData &data,
-                      const std::string &path);
-
-/** Read a campaign written by saveTrainingData (fatal on error). */
-TrainingData loadTrainingData(const std::string &path);
-
-// -- Campaign checkpoints --------------------------------------------
+// -- Payload parsing -------------------------------------------------
 
 /**
- * Serialize a partially executed campaign (v2 envelope around a JSON
- * payload). Doubles are written at round-trip precision so a resumed
- * campaign reproduces an uninterrupted one bit-for-bit.
+ * Unwinding channel of the payload parsers: parsing is deeply nested
+ * and almost every step can fail, so a failure travels as this
+ * exception and tryParse turns it into an IoStatus. It never escapes
+ * the typed API.
  */
-std::string serializeCampaignCheckpoint(const CampaignCheckpoint &ck);
+struct ParseFail
+{
+    IoStatus status;
+};
 
-/** Parse serializeCampaignCheckpoint output or legacy v0 JSON. */
-IoExpected<CampaignCheckpoint>
-tryParseCampaignCheckpoint(const std::string &text,
-                           const LoadOptions &opts = {});
-
-/** Read and parse a checkpoint file. */
-IoExpected<CampaignCheckpoint>
-tryLoadCampaignCheckpoint(const std::string &path,
-                          const LoadOptions &opts = {});
+template <typename... Args>
+[[noreturn]] void
+failParse(IoErrc code, Args &&...args)
+{
+    throw ParseFail{
+        {code, detail::concat(std::forward<Args>(args)...)}};
+}
 
 /**
- * Write a checkpoint to a file. The write goes to a temporary file
- * first and is renamed into place, so a crash mid-write cannot leave
- * a truncated checkpoint behind. The value is always `true`.
+ * Upper bound on any count declared inside a file. Honest artifacts
+ * are far below it (83 benchmarks, a few hundred V-F configurations);
+ * a fuzzed size field must not be able to drive allocation.
  */
-IoExpected<bool> trySaveCampaignCheckpoint(const CampaignCheckpoint &ck,
-                                           const std::string &path);
+constexpr std::size_t kMaxCount = 100000;
 
-// -- Accuracy scoreboards --------------------------------------------
+/** A device kind read from a file (ParseError when out of range). */
+gpu::DeviceKind deviceKindOf(long kind);
+
+/** Whitespace-token scanner for the text payloads. */
+class TokenScanner
+{
+  public:
+    explicit TokenScanner(const std::string &text) : text_(text) {}
+
+    bool
+    atEnd()
+    {
+        skipSpace();
+        return pos_ == text_.size();
+    }
+
+    std::string_view
+    next(const char *what)
+    {
+        skipSpace();
+        if (pos_ == text_.size())
+            failParse(IoErrc::ParseError,
+                      "unexpected end of input while reading ", what);
+        const std::size_t start = pos_;
+        while (pos_ < text_.size() && !isSpace(text_[pos_]))
+            ++pos_;
+        return std::string_view(text_).substr(start, pos_ - start);
+    }
+
+    void
+    expect(std::string_view word)
+    {
+        const auto tok = next(
+                detail::concat("keyword '", word, "'").c_str());
+        if (tok != word)
+            failParse(IoErrc::ParseError, "expected '", word,
+                      "', got '", tok, "'");
+    }
+
+    /** A finite double ("nan"/"inf" tokens are a parse error). */
+    double
+    number(const char *what)
+    {
+        const auto tok = next(what);
+        double v = 0.0;
+        if (!numio::parseDouble(tok, v) || !std::isfinite(v))
+            failParse(IoErrc::ParseError,
+                      "bad or non-finite number for ", what, ": '",
+                      tok, "'");
+        return v;
+    }
+
+    long
+    integer(const char *what)
+    {
+        const auto tok = next(what);
+        long v = 0;
+        if (!numio::parseLong(tok, v))
+            failParse(IoErrc::ParseError, "bad integer for ", what,
+                      ": '", tok, "'");
+        return v;
+    }
+
+    int
+    intValue(const char *what)
+    {
+        const long v = integer(what);
+        if (v < -2147483647L || v > 2147483647L)
+            failParse(IoErrc::ParseError, what, " out of range: ", v);
+        return static_cast<int>(v);
+    }
+
+    /** A declared element count, bounded so it cannot drive OOM. */
+    std::size_t
+    count(const char *what, std::size_t max = kMaxCount)
+    {
+        const long v = integer(what);
+        if (v < 0 || static_cast<std::size_t>(v) > max)
+            failParse(IoErrc::ParseError, "implausible ", what, ": ",
+                      v);
+        return static_cast<std::size_t>(v);
+    }
+
+    /**
+     * The rest of the current line after the one space that follows
+     * the last token: free text such as a message, possibly empty.
+     */
+    std::string_view
+    restOfLine(const char *what)
+    {
+        if (pos_ == text_.size() || text_[pos_] != ' ')
+            failParse(IoErrc::ParseError, "missing ", what);
+        const std::size_t start = pos_ + 1;
+        pos_ = std::min(text_.find('\n', start), text_.size());
+        return std::string_view(text_).substr(start, pos_ - start);
+    }
+
+  private:
+    static bool
+    isSpace(char c)
+    {
+        return c == ' ' || c == '\t' || c == '\n' || c == '\r';
+    }
+
+    void
+    skipSpace()
+    {
+        while (pos_ < text_.size() && isSpace(text_[pos_]))
+            ++pos_;
+    }
+
+    const std::string &text_;
+    std::size_t pos_ = 0;
+};
 
 /**
- * Serialize an accuracy scoreboard (v2 envelope around the JSON
- * payload). Summary-only when include_samples is false — the form
- * golden scoreboards under bench/golden/ are stored in.
+ * The payload of file content: the verified envelope's, which must
+ * hold a `want`, or the whole text when it is a legacy payload and
+ * opts accepts those. Throws ParseFail.
  */
-std::string serializeScoreboard(const obs::Scoreboard &sb,
-                                bool include_samples = true);
+std::string payloadOf(const std::string &text, FileKind want,
+                      const LoadOptions &opts);
 
-/** Parse serializeScoreboard output or a legacy raw JSON payload. */
-IoExpected<obs::Scoreboard>
-tryParseScoreboard(const std::string &text,
-                   const LoadOptions &opts = {});
+/**
+ * Run one parsing step and return its value, or the typed error it
+ * failed with. An exception a parser lets slip on hostile input (an
+ * assert in a constructor, say) is a ParseError too.
+ */
+template <typename Step>
+auto
+typed(Step &&step) -> IoExpected<decltype(step())>
+{
+    try {
+        return step();
+    } catch (const ParseFail &f) {
+        return f.status;
+    } catch (const std::exception &e) {
+        return IoStatus{IoErrc::ParseError, e.what()};
+    }
+}
 
-/** Read and parse a scoreboard file. */
-IoExpected<obs::Scoreboard>
-tryLoadScoreboard(const std::string &path,
-                  const LoadOptions &opts = {});
+// -- Artifact rows ---------------------------------------------------
 
-/** Write a scoreboard to a file. The value is always `true`. */
-IoExpected<bool> trySaveScoreboard(const obs::Scoreboard &sb,
-                                   const std::string &path,
-                                   bool include_samples = true);
+/**
+ * One row of the artifact table, specialized once per kind:
+ *   kind      the envelope's FileKind;
+ *   write     the payload writer (serialize wraps it in the envelope);
+ *   parse     the payload parser, failing through failParse;
+ *   validate  what LoadOptions::validate runs on a parsed value.
+ * The fleet shard's row lives in fleet/shard_io.hh.
+ */
+template <typename T>
+struct Codec;
 
-/** Parse serializeCampaignCheckpoint output (fatal on error). */
-CampaignCheckpoint
-deserializeCampaignCheckpoint(const std::string &text);
+template <>
+struct Codec<DvfsPowerModel>
+{
+    static constexpr FileKind kind = FileKind::Model;
+    static constexpr auto validate = &validateModel;
+    static std::string write(const DvfsPowerModel &model);
+    static DvfsPowerModel parse(const std::string &payload);
+};
 
-/** Write a checkpoint to a file (fatal on failure). */
-void saveCampaignCheckpoint(const CampaignCheckpoint &ck,
-                            const std::string &path);
+template <>
+struct Codec<TrainingData>
+{
+    static constexpr FileKind kind = FileKind::Campaign;
+    static constexpr auto validate = &validateTrainingData;
+    static std::string write(const TrainingData &data);
+    static TrainingData parse(const std::string &payload);
+};
 
-/** Read a checkpoint written by saveCampaignCheckpoint. */
-CampaignCheckpoint loadCampaignCheckpoint(const std::string &path);
+/**
+ * Checkpoint doubles are written at round-trip precision, so a
+ * resumed campaign reproduces an uninterrupted one bit for bit.
+ */
+template <>
+struct Codec<CampaignCheckpoint>
+{
+    static constexpr FileKind kind = FileKind::Checkpoint;
+    static constexpr auto validate = &validateCheckpoint;
+    static std::string write(const CampaignCheckpoint &ck);
+    static CampaignCheckpoint parse(const std::string &payload);
+};
+
+/**
+ * Scoreboards are written with their residual samples; the legacy
+ * form is the raw JSON, summary-only or not, that `gpupm audit
+ * --json` prints and bench/golden/ stores.
+ */
+template <>
+struct Codec<obs::Scoreboard>
+{
+    static constexpr FileKind kind = FileKind::Scoreboard;
+    static constexpr auto validate = &validateScoreboard;
+    static std::string write(const obs::Scoreboard &sb);
+    static obs::Scoreboard parse(const std::string &payload);
+};
+
+// -- The one path every kind takes -----------------------------------
+
+/** A file's content: the row's payload inside the v2 envelope. */
+template <typename T>
+std::string
+serialize(const T &value)
+{
+    return wrapEnvelope(Codec<T>::kind, Codec<T>::write(value));
+}
+
+/**
+ * Parse file content: unwrap the envelope (or accept a legacy
+ * payload), parse the payload, and validate it when opts asks.
+ * Payload errors name their kind: "scoreboard: missing field
+ * 'provenance'".
+ */
+template <typename T>
+IoExpected<T>
+tryParse(const std::string &text, const LoadOptions &opts = {})
+{
+    return typed([&] {
+        const std::string payload =
+                payloadOf(text, Codec<T>::kind, opts);
+        T value = [&] {
+            try {
+                return Codec<T>::parse(payload);
+            } catch (const ParseFail &f) {
+                failParse(f.status.code, fileKindName(Codec<T>::kind),
+                          ": ", f.status.message);
+            }
+        }();
+        if (opts.validate) {
+            GPUPM_TRACE_SPAN("io", "io.validate");
+            const ValidationReport report = Codec<T>::validate(value);
+            if (!report.ok())
+                failParse(IoErrc::ValidationError, report.summary());
+        }
+        return value;
+    });
+}
+
+/** Read and parse a file; a parse error names the path. */
+template <typename T>
+IoExpected<T>
+tryLoad(const std::string &path, const LoadOptions &opts = {})
+{
+    GPUPM_TRACE_SPAN_NAMED(span, "io", "io.load");
+    span.arg("path", path);
+    span.arg("kind", fileKindName(Codec<T>::kind));
+    const IoExpected<std::string> text = tryReadFile(path);
+    if (!text.ok()) {
+        obs::ioLoadFailuresTotal().inc();
+        return text.error();
+    }
+    IoExpected<T> res = tryParse<T>(text.value(), opts);
+    if (!res.ok()) {
+        obs::ioLoadFailuresTotal().inc();
+        return IoStatus{res.error().code,
+                        detail::concat("'", path, "': ",
+                                       res.error().message)};
+    }
+    obs::ioLoadsTotal().inc();
+    return res;
+}
+
+/** Write a file crash-safely (tryWriteFileAtomic). */
+template <typename T>
+IoExpected<bool>
+trySave(const T &value, const std::string &path)
+{
+    return tryWriteFileAtomic(path, serialize(value));
+}
+
+// -- Forwards kept for perfbench/ -------------------------------------
+
+inline std::string
+serializeModel(const DvfsPowerModel &model)
+{
+    return serialize(model);
+}
+
+inline IoExpected<DvfsPowerModel>
+tryParseModel(const std::string &text, const LoadOptions &opts = {})
+{
+    return tryParse<DvfsPowerModel>(text, opts);
+}
 
 } // namespace model
 } // namespace gpupm

@@ -2,12 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
 #include <vector>
 
 #include "common/logging.hh"
-#include "common/numio.hh"
-#include "core/model_io.hh"
 
 namespace gpupm
 {
@@ -150,47 +147,6 @@ DvfsPowerModel::predict(const gpu::ComponentArray &util,
                         const gpu::FreqConfig &cfg) const
 {
     return predictWithVoltages(util, cfg, voltages(cfg));
-}
-
-std::string
-DvfsPowerModel::serialize() const
-{
-    // Legacy-shaped payload (no envelope); model_io::serializeModel
-    // wraps it in the versioned, checksummed envelope for files.
-    // Numbers go through numio so the encoding does not depend on the
-    // process locale and doubles round-trip bit-exactly.
-    std::ostringstream os;
-    os << "gpupm-model v1\n";
-    os << "device " << std::to_string(static_cast<int>(kind_))
-       << "\n";
-    os << "reference " << std::to_string(reference_.core_mhz) << " "
-       << std::to_string(reference_.mem_mhz) << "\n";
-    os << "beta " << numio::formatDouble(params_.beta0) << " "
-       << numio::formatDouble(params_.beta1) << " "
-       << numio::formatDouble(params_.beta2) << " "
-       << numio::formatDouble(params_.beta3) << "\n";
-    os << "omega";
-    for (double w : params_.omega)
-        os << " " << numio::formatDouble(w);
-    os << "\n";
-    os << "voltages " << std::to_string(voltages_.size()) << "\n";
-    for (const auto &[key, v] : voltages_) {
-        os << std::to_string(key.first) << " "
-           << std::to_string(key.second) << " "
-           << numio::formatDouble(v.core) << " "
-           << numio::formatDouble(v.mem) << "\n";
-    }
-    return os.str();
-}
-
-DvfsPowerModel
-DvfsPowerModel::deserialize(const std::string &text)
-{
-    auto res = tryParseModel(text);
-    GPUPM_FATAL_IF(!res.ok(), "cannot parse model [",
-                   ioErrcName(res.error().code), "]: ",
-                   res.error().message);
-    return res.value();
 }
 
 } // namespace model

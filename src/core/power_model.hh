@@ -16,7 +16,6 @@
 #define GPUPM_CORE_POWER_MODEL_HH
 
 #include <map>
-#include <string>
 
 #include "gpu/device.hh"
 
@@ -118,12 +117,6 @@ class DvfsPowerModel
     {
         return voltages_;
     }
-
-    /** Serialize to a human-readable text form. */
-    std::string serialize() const;
-
-    /** Parse a model back from serialize() output (fatal on error). */
-    static DvfsPowerModel deserialize(const std::string &text);
 
   private:
     gpu::DeviceKind kind_ = gpu::DeviceKind::GtxTitanX;

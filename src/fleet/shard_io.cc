@@ -20,12 +20,6 @@ using model::IoStatus;
 
 constexpr std::string_view kPayloadMagic = "gpupm-fleetshard-v1";
 
-IoStatus
-parseError(const std::string &message)
-{
-    return IoStatus{IoErrc::ParseError, message};
-}
-
 std::string
 deviceLine(const DeviceSpec &spec)
 {
@@ -34,6 +28,44 @@ deviceLine(const DeviceSpec &spec)
        << spec.seed << ' ' << (spec.poison_nan ? 1 : 0) << ' '
        << (spec.poison_config ? 1 : 0);
     return os.str();
+}
+
+/** Shard checkpoints have no legacy form: no envelope, no trust. */
+constexpr model::LoadOptions kEnvelopeOnly{.allow_legacy = false};
+
+/** A parsed checkpoint's result, once it is known to be `shard`'s. */
+IoExpected<ShardResult>
+checked(const IoExpected<ShardCheckpoint> &parsed,
+        const FleetOptions &opts, const ShardSpec &shard)
+{
+    if (!parsed.ok())
+        return parsed.error();
+    const ShardCheckpoint &ck = parsed.value();
+    const auto mismatch = [](std::string message) {
+        return IoStatus{IoErrc::ValidationError, std::move(message)};
+    };
+    if (ck.fingerprint != fleetFingerprint(opts, shard))
+        return mismatch("checkpoint fingerprint does not match this "
+                        "fleet configuration");
+    if (ck.result.index != shard.index)
+        return mismatch("checkpoint is for a different shard");
+    if (ck.result.outcomes.size() != shard.devices.size())
+        return mismatch("checkpoint device count does not match the "
+                        "shard");
+    for (std::size_t i = 0; i < shard.devices.size(); ++i)
+    {
+        const DeviceOutcome &o = ck.result.outcomes[i];
+        const DeviceSpec &spec = shard.devices[i];
+        if (o.id != spec.id || o.kind != spec.kind)
+            return mismatch(detail::concat(
+                    "checkpoint outcome ", i, " is device ", o.id,
+                    " (kind ", static_cast<int>(o.kind),
+                    "), the shard's is device ", spec.id, " (kind ",
+                    static_cast<int>(spec.kind), ")"));
+    }
+    ShardResult result = ck.result;
+    result.resumed = true;
+    return result;
 }
 
 } // namespace
@@ -62,13 +94,38 @@ fleetFingerprint(const FleetOptions &opts, const ShardSpec &shard)
             checksum::crc32(os.str()));
 }
 
-std::string
-serializeShardResult(const ShardResult &result,
-                     const FleetOptions &opts, const ShardSpec &shard)
+model::IoExpected<ShardResult>
+tryParseShardResult(const std::string &text, const FleetOptions &opts,
+                    const ShardSpec &shard)
 {
+    return checked(model::tryParse<ShardCheckpoint>(text, kEnvelopeOnly),
+                   opts, shard);
+}
+
+model::IoExpected<ShardResult>
+tryLoadShardResult(const std::string &path, const FleetOptions &opts,
+                   const ShardSpec &shard)
+{
+    return checked(model::tryLoad<ShardCheckpoint>(path, kEnvelopeOnly),
+                   opts, shard);
+}
+
+} // namespace fleet
+
+namespace model
+{
+
+using fleet::DeviceFailKind;
+using fleet::DeviceOutcome;
+using fleet::ShardCheckpoint;
+
+std::string
+Codec<ShardCheckpoint>::write(const ShardCheckpoint &ck)
+{
+    const fleet::ShardResult &result = ck.result;
     std::ostringstream os;
-    os << kPayloadMagic << '\n'
-       << "fingerprint " << fleetFingerprint(opts, shard) << '\n'
+    os << fleet::kPayloadMagic << '\n'
+       << "fingerprint " << ck.fingerprint << '\n'
        << "shard " << result.index << " attempts " << result.attempts
        << " devices " << result.outcomes.size() << '\n';
     for (const DeviceOutcome &o : result.outcomes)
@@ -85,117 +142,53 @@ serializeShardResult(const ShardResult &result,
            << o.fit_iterations << '\n';
         os << "message " << o.message << '\n';
     }
-    return model::wrapEnvelope(model::FileKind::FleetShard, os.str());
+    return os.str();
 }
 
-model::IoExpected<ShardResult>
-tryParseShardResult(const std::string &text, const FleetOptions &opts,
-                    const ShardSpec &shard)
+ShardCheckpoint
+Codec<ShardCheckpoint>::parse(const std::string &payload)
 {
-    IoExpected<std::string> payload = model::tryUnwrapEnvelope(
-            text, model::FileKind::FleetShard);
-    if (!payload.ok())
-        return payload.error();
-
-    std::istringstream is(payload.value());
-    std::string line;
-    if (!std::getline(is, line) || line != kPayloadMagic)
-        return parseError("missing fleetshard payload magic");
-
-    if (!std::getline(is, line))
-        return parseError("missing fingerprint line");
+    TokenScanner s(payload);
+    s.expect(fleet::kPayloadMagic);
+    ShardCheckpoint ck;
+    s.expect("fingerprint");
+    ck.fingerprint = s.next("fingerprint");
+    s.expect("shard");
+    ck.result.index = s.intValue("shard index");
+    s.expect("attempts");
+    ck.result.attempts = s.intValue("attempt count");
+    s.expect("devices");
+    ck.result.outcomes.resize(s.count("device count"));
+    for (DeviceOutcome &o : ck.result.outcomes)
     {
-        std::istringstream ls(line);
-        std::string tag, fp;
-        if (!(ls >> tag >> fp) || tag != "fingerprint")
-            return parseError("malformed fingerprint line");
-        if (fp != fleetFingerprint(opts, shard))
-            return IoStatus{
-                    IoErrc::ValidationError,
-                    "checkpoint fingerprint does not match this "
-                    "fleet configuration"};
+        s.expect("device");
+        o.id = s.integer("device id");
+        o.kind = deviceKindOf(s.integer("device kind"));
+        o.ok = s.count("ok flag", 1) == 1;
+        const std::string_view fail = s.next("failure kind");
+        o.fail = fleet::deviceFailKindOf(fail);
+        if (fleet::deviceFailKindName(o.fail) != fail)
+            failParse(IoErrc::ParseError, "unknown failure kind '",
+                      fail, "'");
+        if (o.ok != (o.fail == DeviceFailKind::None))
+            failParse(IoErrc::ParseError, "device ", o.id,
+                      o.ok ? " is ok" : " failed",
+                      " but its failure kind is '", fail, "'");
+        o.stats.samples = static_cast<long>(s.count("sample count"));
+        o.stats.mae_pct = s.number("MAE");
+        o.stats.rmse_w = s.number("RMSE");
+        o.stats.max_err_pct = s.number("max error");
+        o.stats.mean_measured_w = s.number("mean measured power");
+        o.fit_rmse_w = s.number("fit RMSE");
+        o.fit_iterations = static_cast<int>(s.count("fit iterations"));
+        s.expect("message");
+        o.message = s.restOfLine("device message");
     }
-
-    ShardResult result;
-    long n_devices = 0;
-    {
-        if (!std::getline(is, line))
-            return parseError("missing shard header line");
-        std::istringstream ls(line);
-        std::string t1, t2, t3;
-        if (!(ls >> t1 >> result.index >> t2 >> result.attempts >>
-              t3 >> n_devices) ||
-            t1 != "shard" || t2 != "attempts" || t3 != "devices")
-            return parseError("malformed shard header line");
-        if (result.index != shard.index)
-            return IoStatus{IoErrc::ValidationError,
-                            "checkpoint is for a different shard"};
-        if (n_devices < 0 ||
-            n_devices !=
-                    static_cast<long>(shard.devices.size()))
-            return IoStatus{IoErrc::ValidationError,
-                            "checkpoint device count does not match "
-                            "the shard"};
-    }
-
-    for (long i = 0; i < n_devices; ++i)
-    {
-        if (!std::getline(is, line))
-            return parseError("truncated device list");
-        std::istringstream ls(line);
-        std::string tag, fail_name;
-        DeviceOutcome o;
-        int kind = 0, ok = 0;
-        std::string mae, rmse, maxerr, meanmeas, fitrmse;
-        if (!(ls >> tag >> o.id >> kind >> ok >> fail_name >>
-              o.stats.samples >> mae >> rmse >> maxerr >> meanmeas >>
-              fitrmse >> o.fit_iterations) ||
-            tag != "device")
-            return parseError("malformed device line");
-        if (kind < 0 || kind > 2)
-            return parseError("device kind out of range");
-        o.kind = static_cast<gpu::DeviceKind>(kind);
-        o.ok = ok != 0;
-        o.fail = deviceFailKindOf(fail_name);
-        if (!o.ok && o.fail == DeviceFailKind::None)
-            return parseError("failed device with no failure kind");
-        if (!numio::parseDouble(mae, o.stats.mae_pct) ||
-            !numio::parseDouble(rmse, o.stats.rmse_w) ||
-            !numio::parseDouble(maxerr,
-                                        o.stats.max_err_pct) ||
-            !numio::parseDouble(meanmeas,
-                                        o.stats.mean_measured_w) ||
-            !numio::parseDouble(fitrmse, o.fit_rmse_w))
-            return parseError("unparseable device statistics");
-
-        if (!std::getline(is, line) ||
-            line.rfind("message ", 0) != 0)
-            return parseError("missing device message line");
-        o.message = line.substr(8);
-        result.outcomes.push_back(std::move(o));
-    }
-    result.resumed = true;
-    return result;
+    if (!s.atEnd())
+        failParse(IoErrc::ParseError,
+                  "trailing content after the device list");
+    return ck;
 }
 
-model::IoExpected<ShardResult>
-tryLoadShardResult(const std::string &path, const FleetOptions &opts,
-                   const ShardSpec &shard)
-{
-    IoExpected<std::string> text = model::tryReadFileText(path);
-    if (!text.ok())
-        return text.error();
-    return tryParseShardResult(text.value(), opts, shard);
-}
-
-model::IoExpected<bool>
-trySaveShardResult(const ShardResult &result,
-                   const FleetOptions &opts, const ShardSpec &shard,
-                   const std::string &path)
-{
-    return model::tryWriteFileAtomic(
-            path, serializeShardResult(result, opts, shard));
-}
-
-} // namespace fleet
+} // namespace model
 } // namespace gpupm

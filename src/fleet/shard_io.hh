@@ -12,8 +12,9 @@
  *
  * Stale checkpoints are rejected by fingerprint: a CRC32 over every
  * option that shapes device outcomes plus the shard's device specs,
- * so changing the fleet seed, the campaign knobs or the sharding
- * invalidates old checkpoints instead of silently merging them.
+ * stored in the file, so changing the fleet seed, the campaign knobs
+ * or the sharding invalidates old checkpoints instead of silently
+ * merging them.
  */
 
 #ifndef GPUPM_FLEET_SHARD_IO_HH
@@ -40,33 +41,51 @@ std::string shardCheckpointPath(const std::string &dir, int index);
 std::string fleetFingerprint(const FleetOptions &opts,
                              const ShardSpec &shard);
 
-/** Serialize a shard result (v2 fleetshard envelope). */
-std::string serializeShardResult(const ShardResult &result,
-                                 const FleetOptions &opts,
-                                 const ShardSpec &shard);
+/** What a shard checkpoint file holds. */
+struct ShardCheckpoint
+{
+    /** fleetFingerprint() of the run that wrote it. */
+    std::string fingerprint;
+    ShardResult result;
+};
 
 /**
- * Parse serializeShardResult output, verifying the envelope and the
- * fingerprint against (opts, shard). Typed errors throughout:
- * ParseError / ChecksumMismatch / VersionMismatch from the envelope,
- * ValidationError when the checkpoint is from a different fleet
- * configuration or shard.
+ * Parse a shard checkpoint and check that it belongs to (opts,
+ * shard). Typed errors throughout: ParseError / ChecksumMismatch /
+ * VersionMismatch from the envelope and the payload, ValidationError
+ * when the fingerprint, the shard index or any outcome's device id
+ * and kind do not match. A file without its envelope is never
+ * trusted.
  */
 model::IoExpected<ShardResult>
 tryParseShardResult(const std::string &text, const FleetOptions &opts,
                     const ShardSpec &shard);
 
-/** Read + parse + verify a shard checkpoint file. */
+/** Read a shard checkpoint file and check it as above. */
 model::IoExpected<ShardResult>
 tryLoadShardResult(const std::string &path, const FleetOptions &opts,
                    const ShardSpec &shard);
 
-/** Write a shard checkpoint (write-to-temp + atomic rename). */
-model::IoExpected<bool>
-trySaveShardResult(const ShardResult &result, const FleetOptions &opts,
-                   const ShardSpec &shard, const std::string &path);
-
 } // namespace fleet
+
+namespace model
+{
+
+/** The fleet shard's row of the artifact table (see Codec). */
+template <>
+struct Codec<fleet::ShardCheckpoint>
+{
+    static constexpr FileKind kind = FileKind::FleetShard;
+    static ValidationReport
+    validate(const fleet::ShardCheckpoint &)
+    {
+        return {"fleetshard", {}};
+    }
+    static std::string write(const fleet::ShardCheckpoint &ck);
+    static fleet::ShardCheckpoint parse(const std::string &payload);
+};
+
+} // namespace model
 } // namespace gpupm
 
 #endif // GPUPM_FLEET_SHARD_IO_HH

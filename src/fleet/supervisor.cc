@@ -181,8 +181,9 @@ struct FleetRun
             dying.outcomes = att.outcomes;
             if (!ck_path.empty())
                 writeTornCheckpoint(
-                        ck_path, serializeShardResult(dying, opts,
-                                                      shard));
+                        ck_path,
+                        model::serialize(ShardCheckpoint{
+                                fleetFingerprint(opts, shard), dying}));
             failed = true;
             why = "chaos kill mid-checkpoint";
         }
@@ -195,8 +196,10 @@ struct FleetRun
             result.outcomes = std::move(att.outcomes);
             if (!ck_path.empty())
             {
-                model::IoExpected<bool> saved = trySaveShardResult(
-                        result, opts, shard, ck_path);
+                model::IoExpected<bool> saved = model::trySave(
+                        ShardCheckpoint{fleetFingerprint(opts, shard),
+                                        result},
+                        ck_path);
                 if (!saved.ok())
                     warn("fleet shard ", shard.index,
                          ": checkpoint write failed [",

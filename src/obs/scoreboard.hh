@@ -106,7 +106,7 @@ struct Scoreboard
 
     /**
      * JSON payload (schema gpupm_scoreboard_version 1), without the
-     * file envelope — model::serializeScoreboard wraps it. Summary-only
+     * file envelope — model::serialize wraps it. Summary-only
      * when include_samples is false (golden scoreboards keep just the
      * aggregates).
      */

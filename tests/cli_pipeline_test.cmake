@@ -14,6 +14,16 @@ if(NOT rc EQUAL 0)
     message(FATAL_ERROR "fit failed: ${rc}")
 endif()
 
+# A save that cannot open its file is a typed error, not a fatal
+# report naming a source line.
+execute_process(COMMAND ${CLI} fit ${WORK}/tx.campaign
+                        ${WORK}/no/such/dir/tx.model
+                RESULT_VARIABLE rc ERROR_VARIABLE err)
+if(NOT rc EQUAL 1 OR NOT err MATCHES "error \\[io-error\\]"
+   OR err MATCHES "fatal:")
+    message(FATAL_ERROR "fit into a missing directory: ${rc}: ${err}")
+endif()
+
 execute_process(COMMAND ${CLI} info ${WORK}/tx.model
                 RESULT_VARIABLE rc OUTPUT_VARIABLE out)
 if(NOT rc EQUAL 0)

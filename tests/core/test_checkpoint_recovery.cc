@@ -71,7 +71,7 @@ TEST(CheckpointRecovery, TruncationAtEveryByteIsATypedError)
     ASSERT_GT(full.size(), 100u);
 
     for (std::size_t cut = 0; cut < full.size(); ++cut) {
-        auto torn = model::tryParseCampaignCheckpoint(
+        auto torn = model::tryParse<model::CampaignCheckpoint>(
                 full.substr(0, cut));
         ASSERT_FALSE(torn.ok()) << "prefix of " << cut
                                 << " bytes parsed as complete";
@@ -84,7 +84,7 @@ TEST(CheckpointRecovery, TruncationAtEveryByteIsATypedError)
                 << model::ioErrcName(code);
     }
     // The whole file still loads.
-    EXPECT_TRUE(model::tryParseCampaignCheckpoint(full).ok());
+    EXPECT_TRUE(model::tryParse<model::CampaignCheckpoint>(full).ok());
     std::filesystem::remove_all(dir);
 }
 
@@ -124,8 +124,8 @@ TEST(CheckpointRecovery, ResumeNeverDoubleCountsCells)
     EXPECT_EQ(resumed.report.cells_resumed, 5);
     EXPECT_EQ(resumed.report.cells_done,
               resumed.report.cells_total);
-    EXPECT_EQ(model::serializeTrainingData(resumed.data),
-              model::serializeTrainingData(whole.data));
+    EXPECT_EQ(model::serialize(resumed.data),
+              model::serialize(whole.data));
     std::filesystem::remove_all(dir);
 }
 
@@ -171,8 +171,8 @@ TEST(CheckpointRecovery, TornCheckpointFallsBackToAFreshStart)
             be_rec, tc.suite, torn_opts);
     ASSERT_TRUE(recovered.complete);
     EXPECT_EQ(recovered.report.cells_resumed, 0);
-    EXPECT_EQ(model::serializeTrainingData(recovered.data),
-              model::serializeTrainingData(whole.data));
+    EXPECT_EQ(model::serialize(recovered.data),
+              model::serialize(whole.data));
     std::filesystem::remove_all(dir);
 }
 

@@ -41,8 +41,10 @@ tempPath(const char *name)
 TEST(ModelIo, CampaignRoundTripsExactly)
 {
     const auto &data = campaign();
-    const auto parsed = model::deserializeTrainingData(
-            model::serializeTrainingData(data));
+    const auto res =
+            model::tryParse<model::TrainingData>(model::serialize(data));
+    ASSERT_TRUE(res.ok()) << res.error().message;
+    const auto &parsed = res.value();
     EXPECT_EQ(parsed.device, data.device);
     EXPECT_EQ(parsed.reference, data.reference);
     ASSERT_EQ(parsed.configs.size(), data.configs.size());
@@ -59,9 +61,10 @@ TEST(ModelIo, CampaignRoundTripsExactly)
 TEST(ModelIo, CampaignFileRoundTrip)
 {
     const std::string path = tempPath("gpupm_test.campaign");
-    model::saveTrainingData(campaign(), path);
-    const auto loaded = model::loadTrainingData(path);
-    EXPECT_EQ(loaded.configs.size(), campaign().configs.size());
+    ASSERT_TRUE(model::trySave(campaign(), path).ok());
+    const auto loaded = model::tryLoad<model::TrainingData>(path);
+    ASSERT_TRUE(loaded.ok()) << loaded.error().message;
+    EXPECT_EQ(loaded.value().configs.size(), campaign().configs.size());
     std::remove(path.c_str());
 }
 
@@ -69,8 +72,10 @@ TEST(ModelIo, ModelFileRoundTrip)
 {
     const auto fit = model::ModelEstimator().estimate(campaign());
     const std::string path = tempPath("gpupm_test.model");
-    model::saveModel(fit.model, path);
-    const auto loaded = model::loadModel(path);
+    ASSERT_TRUE(model::trySave(fit.model, path).ok());
+    const auto res = model::tryLoad<model::DvfsPowerModel>(path);
+    ASSERT_TRUE(res.ok()) << res.error().message;
+    const auto &loaded = res.value();
     gpu::ComponentArray u{};
     u[componentIndex(Component::SP)] = 0.6;
     u[componentIndex(Component::Dram)] = 0.4;
@@ -85,12 +90,21 @@ TEST(ModelIo, ModelFileRoundTrip)
 
 TEST(ModelIo, MissingFilesAreFatal)
 {
-    EXPECT_THROW(model::loadModel("/nonexistent/path.model"),
-                 std::runtime_error);
-    EXPECT_THROW(model::loadTrainingData("/nonexistent/c.campaign"),
-                 std::runtime_error);
-    EXPECT_THROW(model::deserializeTrainingData("garbage"),
-                 std::runtime_error);
+    // Fatal to the load, not to the process: typed errors.
+    EXPECT_EQ(model::tryLoad<model::DvfsPowerModel>(
+                      "/nonexistent/path.model")
+                      .error()
+                      .code,
+              model::IoErrc::IoError);
+    EXPECT_EQ(model::tryLoad<model::TrainingData>(
+                      "/nonexistent/c.campaign")
+                      .error()
+                      .code,
+              model::IoErrc::IoError);
+    EXPECT_EQ(model::tryParse<model::TrainingData>("garbage")
+                      .error()
+                      .code,
+              model::IoErrc::ParseError);
 }
 
 TEST(Interpolation, ExactOnGridPointsMatchesTable)
@@ -214,8 +228,10 @@ sampleCheckpoint()
 TEST(ModelIo, CampaignCheckpointRoundTripsExactly)
 {
     const auto ck = sampleCheckpoint();
-    const auto text = model::serializeCampaignCheckpoint(ck);
-    const auto back = model::deserializeCampaignCheckpoint(text);
+    const auto res =
+            model::tryParse<model::CampaignCheckpoint>(model::serialize(ck));
+    ASSERT_TRUE(res.ok()) << res.error().message;
+    const auto &back = res.value();
 
     EXPECT_EQ(back.seed, ck.seed);
     EXPECT_EQ(back.device, ck.device);
@@ -252,22 +268,27 @@ TEST(ModelIo, CheckpointSaveIsAtomicAndLoadable)
              "gpupm_test_checkpoint.json")
                     .string();
     const auto ck = sampleCheckpoint();
-    model::saveCampaignCheckpoint(ck, path);
+    ASSERT_TRUE(model::trySave(ck, path).ok());
     // No temporary file is left behind by the rename-into-place.
     EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
-    const auto back = model::loadCampaignCheckpoint(path);
-    EXPECT_EQ(back.seed, ck.seed);
-    EXPECT_EQ(back.configs, ck.configs);
+    const auto back = model::tryLoad<model::CampaignCheckpoint>(path);
+    ASSERT_TRUE(back.ok()) << back.error().message;
+    EXPECT_EQ(back.value().seed, ck.seed);
+    EXPECT_EQ(back.value().configs, ck.configs);
     std::filesystem::remove(path);
 }
 
 TEST(ModelIo, CheckpointRejectsGarbage)
 {
-    EXPECT_THROW(model::deserializeCampaignCheckpoint("not json"),
-                 std::runtime_error);
-    EXPECT_THROW(model::deserializeCampaignCheckpoint(
-                         "{\"format\":\"something-else\"}"),
-                 std::runtime_error);
+    EXPECT_EQ(model::tryParse<model::CampaignCheckpoint>("not json")
+                      .error()
+                      .code,
+              model::IoErrc::ParseError);
+    EXPECT_EQ(model::tryParse<model::CampaignCheckpoint>(
+                      "{\"format\":\"something-else\"}")
+                      .error()
+                      .code,
+              model::IoErrc::VersionMismatch);
 }
 
 // ---- v2 envelope, legacy compatibility and malformed-file corpus ----
@@ -310,10 +331,9 @@ stompCrc(std::string text)
 
 TEST(ModelIoV2, EnvelopeShapeAndKindDetection)
 {
-    const auto m = model::serializeModel(handModel());
-    const auto c = model::serializeTrainingData(campaign());
-    const auto k =
-            model::serializeCampaignCheckpoint(sampleCheckpoint());
+    const auto m = model::serialize(handModel());
+    const auto c = model::serialize(campaign());
+    const auto k = model::serialize(sampleCheckpoint());
     EXPECT_EQ(m.rfind("gpupm-file model v2 crc32 ", 0), 0u) << m;
     EXPECT_EQ(c.rfind("gpupm-file campaign v2 crc32 ", 0), 0u);
     EXPECT_EQ(k.rfind("gpupm-file checkpoint v2 crc32 ", 0), 0u);
@@ -325,7 +345,7 @@ TEST(ModelIoV2, EnvelopeShapeAndKindDetection)
     EXPECT_EQ(model::detectFileKind(k).value(),
               model::FileKind::Checkpoint);
     // Legacy forms are still recognized.
-    EXPECT_EQ(model::detectFileKind(handModel().serialize()).value(),
+    EXPECT_EQ(model::detectFileKind(legacyOf(m)).value(),
               model::FileKind::Model);
     EXPECT_EQ(model::detectFileKind(legacyOf(c)).value(),
               model::FileKind::Campaign);
@@ -341,19 +361,19 @@ TEST(ModelIoV2, EnvelopeShapeAndKindDetection)
 TEST(ModelIoV2, TypedRoundTripsAllThreeFormats)
 {
     const auto m0 = handModel();
-    auto m = model::tryParseModel(model::serializeModel(m0));
+    auto m = model::tryParse<model::DvfsPowerModel>(model::serialize(m0));
     ASSERT_TRUE(m.ok()) << m.error().message;
     EXPECT_DOUBLE_EQ(m.value().params().beta0, m0.params().beta0);
     EXPECT_EQ(m.value().voltageTable().size(),
               m0.voltageTable().size());
 
-    auto c = model::tryParseTrainingData(
-            model::serializeTrainingData(campaign()));
+    auto c = model::tryParse<model::TrainingData>(
+            model::serialize(campaign()));
     ASSERT_TRUE(c.ok()) << c.error().message;
     EXPECT_EQ(c.value().configs, campaign().configs);
 
-    auto k = model::tryParseCampaignCheckpoint(
-            model::serializeCampaignCheckpoint(sampleCheckpoint()));
+    auto k = model::tryParse<model::CampaignCheckpoint>(
+            model::serialize(sampleCheckpoint()));
     ASSERT_TRUE(k.ok()) << k.error().message;
     EXPECT_EQ(k.value().benchmark_names,
               sampleCheckpoint().benchmark_names);
@@ -363,14 +383,13 @@ TEST(ModelIoV2, LegacyFilesLoadByDefaultButNotUnderStrict)
 {
     const model::LoadOptions strict{.allow_legacy = false,
                                     .validate = false};
-    const auto lm = handModel().serialize();
-    const auto lc = legacyOf(model::serializeTrainingData(campaign()));
-    const auto lk = legacyOf(
-            model::serializeCampaignCheckpoint(sampleCheckpoint()));
+    const auto lm = legacyOf(model::serialize(handModel()));
+    const auto lc = legacyOf(model::serialize(campaign()));
+    const auto lk = legacyOf(model::serialize(sampleCheckpoint()));
 
-    EXPECT_TRUE(model::tryParseModel(lm).ok());
-    EXPECT_TRUE(model::tryParseTrainingData(lc).ok());
-    EXPECT_TRUE(model::tryParseCampaignCheckpoint(lk).ok());
+    EXPECT_TRUE(model::tryParse<model::DvfsPowerModel>(lm).ok());
+    EXPECT_TRUE(model::tryParse<model::TrainingData>(lc).ok());
+    EXPECT_TRUE(model::tryParse<model::CampaignCheckpoint>(lk).ok());
 
     for (const auto *legacy : {&lm, &lc, &lk}) {
         model::IoExpected<model::FileKind> kind =
@@ -379,13 +398,16 @@ TEST(ModelIoV2, LegacyFilesLoadByDefaultButNotUnderStrict)
         model::IoStatus err = [&] {
             switch (kind.value()) {
               case model::FileKind::Model:
-                return model::tryParseModel(*legacy, strict).error();
+                return model::tryParse<model::DvfsPowerModel>(*legacy,
+                                                              strict)
+                        .error();
               case model::FileKind::Campaign:
-                return model::tryParseTrainingData(*legacy, strict)
+                return model::tryParse<model::TrainingData>(*legacy,
+                                                            strict)
                         .error();
               default:
-                return model::tryParseCampaignCheckpoint(*legacy,
-                                                         strict)
+                return model::tryParse<model::CampaignCheckpoint>(
+                               *legacy, strict)
                         .error();
             }
         }();
@@ -397,11 +419,12 @@ TEST(ModelIoV2, LegacyFilesLoadByDefaultButNotUnderStrict)
 
 TEST(ModelIoV2, TruncationIsAParseError)
 {
-    const auto text = model::serializeModel(handModel());
+    const auto text = model::serialize(handModel());
     for (const std::size_t keep :
          {std::size_t{0}, std::size_t{5}, text.size() / 2,
           text.size() - 1}) {
-        auto res = model::tryParseModel(text.substr(0, keep));
+        auto res = model::tryParse<model::DvfsPowerModel>(
+                text.substr(0, keep));
         ASSERT_FALSE(res.ok()) << "kept " << keep << " bytes";
         EXPECT_EQ(res.error().code, model::IoErrc::ParseError)
                 << res.error().message;
@@ -410,12 +433,12 @@ TEST(ModelIoV2, TruncationIsAParseError)
 
 TEST(ModelIoV2, PayloadBitFlipIsAChecksumMismatch)
 {
-    auto text = model::serializeTrainingData(campaign());
+    auto text = model::serialize(campaign());
     // Stomp a payload byte without changing the size.
     const auto pos = text.find('\n') + 10;
     ASSERT_LT(pos, text.size());
     text[pos] = text[pos] == 'x' ? 'y' : 'x';
-    auto res = model::tryParseTrainingData(text);
+    auto res = model::tryParse<model::TrainingData>(text);
     ASSERT_FALSE(res.ok());
     EXPECT_EQ(res.error().code, model::IoErrc::ChecksumMismatch)
             << res.error().message;
@@ -423,25 +446,25 @@ TEST(ModelIoV2, PayloadBitFlipIsAChecksumMismatch)
 
 TEST(ModelIoV2, WrongVersionIsAVersionMismatch)
 {
-    auto text = model::serializeModel(handModel());
+    auto text = model::serialize(handModel());
     text.replace(text.find(" v2 "), 4, " v9 ");
-    auto res = model::tryParseModel(text);
+    auto res = model::tryParse<model::DvfsPowerModel>(text);
     ASSERT_FALSE(res.ok());
     EXPECT_EQ(res.error().code, model::IoErrc::VersionMismatch);
 }
 
 TEST(ModelIoV2, WrongChecksumFieldIsAChecksumMismatch)
 {
-    auto res = model::tryParseCampaignCheckpoint(stompCrc(
-            model::serializeCampaignCheckpoint(sampleCheckpoint())));
+    auto res = model::tryParse<model::CampaignCheckpoint>(stompCrc(
+            model::serialize(sampleCheckpoint())));
     ASSERT_FALSE(res.ok());
     EXPECT_EQ(res.error().code, model::IoErrc::ChecksumMismatch);
 }
 
 TEST(ModelIoV2, KindMismatchIsAParseError)
 {
-    auto res = model::tryParseTrainingData(
-            model::serializeModel(handModel()));
+    auto res = model::tryParse<model::TrainingData>(
+            model::serialize(handModel()));
     ASSERT_FALSE(res.ok());
     EXPECT_EQ(res.error().code, model::IoErrc::ParseError);
     EXPECT_NE(res.error().message.find("expected a campaign"),
@@ -451,14 +474,14 @@ TEST(ModelIoV2, KindMismatchIsAParseError)
 
 TEST(ModelIoV2, SmuggledNanIsAParseError)
 {
-    auto res = model::tryParseModel(
+    auto res = model::tryParse<model::DvfsPowerModel>(
             "gpupm-model v1\ndevice 0\nreference 975 3505\n"
             "beta nan 1 1 1\n");
     ASSERT_FALSE(res.ok());
     EXPECT_EQ(res.error().code, model::IoErrc::ParseError);
 
     // JSON checkpoints cannot smuggle non-finite values either.
-    auto ck = model::tryParseCampaignCheckpoint(
+    auto ck = model::tryParse<model::CampaignCheckpoint>(
             "{\"format\":\"gpupm-checkpoint\",\"version\":1,"
             "\"seed\":nan}");
     ASSERT_FALSE(ck.ok());
@@ -468,7 +491,7 @@ TEST(ModelIoV2, SmuggledNanIsAParseError)
 TEST(ModelIoV2, HostileSizesAndDepthsAreParseErrors)
 {
     // A fuzzed count field must not drive a giant allocation.
-    auto big = model::tryParseTrainingData(
+    auto big = model::tryParse<model::TrainingData>(
             "gpupm-campaign v1\ndevice 0\nreference 975 3505\n"
             "configs 999999999\n");
     ASSERT_FALSE(big.ok());
@@ -476,12 +499,12 @@ TEST(ModelIoV2, HostileSizesAndDepthsAreParseErrors)
 
     // Deep JSON nesting must not blow the stack.
     auto deep =
-            model::tryParseCampaignCheckpoint(std::string(300, '['));
+            model::tryParse<model::CampaignCheckpoint>(std::string(300, '['));
     ASSERT_FALSE(deep.ok());
     EXPECT_EQ(deep.error().code, model::IoErrc::ParseError);
 
     // Out-of-range literals surface as parse errors, not UB.
-    auto huge = model::tryParseModel(
+    auto huge = model::tryParse<model::DvfsPowerModel>(
             "gpupm-model v1\ndevice 0\nreference 975 3505\n"
             "beta 1e999 1 1 1\n");
     ASSERT_FALSE(huge.ok());
@@ -495,7 +518,8 @@ TEST(ModelIoV2, ValidateOnLoadRejectsImplausibleModels)
     const model::LoadOptions opts{.allow_legacy = true,
                                   .validate = true};
     auto res =
-            model::tryParseModel(model::serializeModel(bad), opts);
+            model::tryParse<model::DvfsPowerModel>(model::serialize(bad),
+                                                   opts);
     ASSERT_FALSE(res.ok());
     EXPECT_EQ(res.error().code, model::IoErrc::ValidationError);
     EXPECT_NE(res.error().message.find("coefficient-negative"),
@@ -504,12 +528,14 @@ TEST(ModelIoV2, ValidateOnLoadRejectsImplausibleModels)
 
     // The same artifact still parses when validation is off.
     EXPECT_TRUE(
-            model::tryParseModel(model::serializeModel(bad)).ok());
+            model::tryParse<model::DvfsPowerModel>(model::serialize(bad))
+                    .ok());
 }
 
 TEST(ModelIoV2, MissingFileIsATypedIoError)
 {
-    auto res = model::tryLoadModel("/nonexistent/dir/x.model");
+    auto res = model::tryLoad<model::DvfsPowerModel>(
+            "/nonexistent/dir/x.model");
     ASSERT_FALSE(res.ok());
     EXPECT_EQ(res.error().code, model::IoErrc::IoError);
     // The path appears in the message for diagnosability.
@@ -520,9 +546,9 @@ TEST(ModelIoV2, MissingFileIsATypedIoError)
 TEST(ModelIoV2, TypedSaveAndLoadRoundTrip)
 {
     const std::string path = tempPath("gpupm_test_typed.model");
-    auto saved = model::trySaveModel(handModel(), path);
+    auto saved = model::trySave(handModel(), path);
     ASSERT_TRUE(saved.ok()) << saved.error().message;
-    auto loaded = model::tryLoadModel(path);
+    auto loaded = model::tryLoad<model::DvfsPowerModel>(path);
     ASSERT_TRUE(loaded.ok()) << loaded.error().message;
     EXPECT_DOUBLE_EQ(loaded.value().params().beta3,
                      handModel().params().beta3);

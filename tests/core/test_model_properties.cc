@@ -10,6 +10,7 @@
 #include "common/random.hh"
 #include "core/campaign.hh"
 #include "core/latency_scaler.hh"
+#include "core/model_io.hh"
 #include "core/predictor.hh"
 #include "workloads/workloads.hh"
 
@@ -122,7 +123,10 @@ TEST_P(ModelProperty, SerializationRoundTripsExactly)
 {
     Rng rng(GetParam() * 101);
     const auto &m = fitted().model;
-    const auto n = model::DvfsPowerModel::deserialize(m.serialize());
+    const auto parsed =
+            model::tryParse<model::DvfsPowerModel>(model::serialize(m));
+    ASSERT_TRUE(parsed.ok()) << parsed.error().message;
+    const auto &n = parsed.value();
     const auto &dev =
             gpu::DeviceDescriptor::get(gpu::DeviceKind::GtxTitanX);
     for (int rep = 0; rep < 8; ++rep) {

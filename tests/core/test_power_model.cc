@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/model_io.hh"
 #include "core/power_model.hh"
 
 namespace
@@ -113,8 +114,10 @@ TEST(PowerModel, PredictWithExplicitVoltages)
 TEST(PowerModel, SerializeDeserializeRoundTrip)
 {
     const auto m = sampleModel();
-    const std::string text = m.serialize();
-    const auto n = model::DvfsPowerModel::deserialize(text);
+    const auto parsed =
+            model::tryParse<model::DvfsPowerModel>(model::serialize(m));
+    ASSERT_TRUE(parsed.ok()) << parsed.error().message;
+    const auto &n = parsed.value();
 
     EXPECT_EQ(n.deviceKind(), m.deviceKind());
     EXPECT_EQ(n.reference(), m.reference());
@@ -133,14 +136,17 @@ TEST(PowerModel, SerializeDeserializeRoundTrip)
 
 TEST(PowerModel, DeserializeRejectsGarbage)
 {
-    EXPECT_THROW(model::DvfsPowerModel::deserialize("not a model"),
-                 std::runtime_error);
-    // A hostile payload surfaces as a typed parse error (wrapped as
-    // runtime_error by the fatal-on-error wrapper), never as an
+    EXPECT_EQ(model::tryParse<model::DvfsPowerModel>("not a model")
+                      .error()
+                      .code,
+              model::IoErrc::ParseError);
+    // A hostile payload surfaces as a typed parse error, never as an
     // assertion abort.
-    EXPECT_THROW(model::DvfsPowerModel::deserialize(
-                         "gpupm-model v1\ndevice 9\n"),
-                 std::runtime_error);
+    EXPECT_EQ(model::tryParse<model::DvfsPowerModel>(
+                      "gpupm-model v1\ndevice 9\n")
+                      .error()
+                      .code,
+              model::IoErrc::ParseError);
 }
 
 TEST(PowerModel, NonPositiveVoltagePanics)

@@ -59,10 +59,10 @@ tempPath(const char *name)
 TEST(ScoreboardIo, V2RoundTripWithSamples)
 {
     const auto sb = handScoreboard();
-    const auto text = model::serializeScoreboard(sb, true);
+    const auto text = model::serialize(sb);
     EXPECT_EQ(text.rfind("gpupm-file scoreboard v2 crc32 ", 0), 0u)
             << text.substr(0, 60);
-    auto back = model::tryParseScoreboard(text);
+    auto back = model::tryParse<obs::Scoreboard>(text);
     ASSERT_TRUE(back.ok()) << back.error().message;
     const auto &b = back.value();
     EXPECT_EQ(b.device, sb.device);
@@ -90,8 +90,9 @@ TEST(ScoreboardIo, V2RoundTripWithSamples)
 TEST(ScoreboardIo, SummaryOnlyFormDropsResidualsKeepsAggregates)
 {
     const auto sb = handScoreboard();
-    auto back = model::tryParseScoreboard(
-            model::serializeScoreboard(sb, false));
+    auto back = model::tryParse<obs::Scoreboard>(
+            model::wrapEnvelope(model::FileKind::Scoreboard,
+                                sb.toJson(false)));
     ASSERT_TRUE(back.ok()) << back.error().message;
     EXPECT_TRUE(back.value().samples.empty());
     EXPECT_EQ(back.value().overall.samples, sb.overall.samples);
@@ -105,7 +106,7 @@ TEST(ScoreboardIo, KindDetectionCoversEnvelopeAndRawJson)
 {
     const auto sb = handScoreboard();
     auto enveloped =
-            model::detectFileKind(model::serializeScoreboard(sb));
+            model::detectFileKind(model::serialize(sb));
     ASSERT_TRUE(enveloped.ok());
     EXPECT_EQ(enveloped.value(), model::FileKind::Scoreboard);
     // The raw JSON payload (what `gpupm audit --json` prints and the
@@ -119,25 +120,25 @@ TEST(ScoreboardIo, LegacyRawJsonLoadsByDefaultButNotUnderStrict)
 {
     const auto sb = handScoreboard();
     const auto raw = sb.toJson(true);
-    auto back = model::tryParseScoreboard(raw);
+    auto back = model::tryParse<obs::Scoreboard>(raw);
     ASSERT_TRUE(back.ok()) << back.error().message;
     EXPECT_EQ(back.value().overall.samples, sb.overall.samples);
 
     const model::LoadOptions strict{.allow_legacy = false,
                                     .validate = false};
-    auto rejected = model::tryParseScoreboard(raw, strict);
+    auto rejected = model::tryParse<obs::Scoreboard>(raw, strict);
     ASSERT_FALSE(rejected.ok());
     EXPECT_EQ(rejected.error().code, model::IoErrc::VersionMismatch);
 }
 
 TEST(ScoreboardIo, TruncationIsAParseError)
 {
-    const auto text =
-            model::serializeScoreboard(handScoreboard(), true);
+    const auto text = model::serialize(handScoreboard());
     for (const std::size_t keep :
          {std::size_t{0}, std::size_t{5}, text.size() / 2,
           text.size() - 1}) {
-        auto res = model::tryParseScoreboard(text.substr(0, keep));
+        auto res =
+                model::tryParse<obs::Scoreboard>(text.substr(0, keep));
         ASSERT_FALSE(res.ok()) << "kept " << keep << " bytes";
         EXPECT_EQ(res.error().code, model::IoErrc::ParseError)
                 << res.error().message;
@@ -146,11 +147,11 @@ TEST(ScoreboardIo, TruncationIsAParseError)
 
 TEST(ScoreboardIo, PayloadBitFlipIsAChecksumMismatch)
 {
-    auto text = model::serializeScoreboard(handScoreboard(), true);
+    auto text = model::serialize(handScoreboard());
     const auto pos = text.find("mae_pct") + 2;
     ASSERT_LT(pos, text.size());
     text[pos] = text[pos] == 'x' ? 'y' : 'x';
-    auto res = model::tryParseScoreboard(text);
+    auto res = model::tryParse<obs::Scoreboard>(text);
     ASSERT_FALSE(res.ok());
     EXPECT_EQ(res.error().code, model::IoErrc::ChecksumMismatch)
             << res.error().message;
@@ -158,9 +159,9 @@ TEST(ScoreboardIo, PayloadBitFlipIsAChecksumMismatch)
 
 TEST(ScoreboardIo, WrongVersionIsAVersionMismatch)
 {
-    auto text = model::serializeScoreboard(handScoreboard());
+    auto text = model::serialize(handScoreboard());
     text.replace(text.find(" v2 "), 4, " v9 ");
-    auto res = model::tryParseScoreboard(text);
+    auto res = model::tryParse<obs::Scoreboard>(text);
     ASSERT_FALSE(res.ok());
     EXPECT_EQ(res.error().code, model::IoErrc::VersionMismatch);
 }
@@ -174,14 +175,14 @@ TEST(ScoreboardIo, PayloadErrorsNameTheirArtifact)
     ASSERT_NE(from, std::string::npos);
     ASSERT_NE(to, std::string::npos);
     raw.erase(from, to - from);
-    auto sb = model::tryParseScoreboard(raw);
+    auto sb = model::tryParse<obs::Scoreboard>(raw);
     ASSERT_FALSE(sb.ok());
     EXPECT_EQ(sb.error().code, model::IoErrc::ParseError);
     EXPECT_EQ(sb.error().message,
               "scoreboard: missing field 'provenance'");
 
     // The same defect in a checkpoint names the checkpoint.
-    auto ck = model::tryParseCampaignCheckpoint(
+    auto ck = model::tryParse<model::CampaignCheckpoint>(
             "{\"format\":\"gpupm-checkpoint\",\"version\":1}");
     ASSERT_FALSE(ck.ok());
     EXPECT_EQ(ck.error().code, model::IoErrc::ParseError);
@@ -190,10 +191,10 @@ TEST(ScoreboardIo, PayloadErrorsNameTheirArtifact)
 
 TEST(ScoreboardIo, GarbageIsATypedParseError)
 {
-    auto res = model::tryParseScoreboard("not a scoreboard");
+    auto res = model::tryParse<obs::Scoreboard>("not a scoreboard");
     ASSERT_FALSE(res.ok());
     EXPECT_EQ(res.error().code, model::IoErrc::ParseError);
-    auto empty = model::tryParseScoreboard("");
+    auto empty = model::tryParse<obs::Scoreboard>("");
     ASSERT_FALSE(empty.ok());
 }
 
@@ -204,13 +205,13 @@ TEST(ScoreboardIo, TamperedHeadlineMaeFailsValidateOnLoad)
     const auto report = model::validateScoreboard(sb);
     EXPECT_FALSE(report.ok());
 
-    const auto text = model::serializeScoreboard(sb, true);
+    const auto text = model::serialize(sb);
     // Parses fine when validation is off...
-    EXPECT_TRUE(model::tryParseScoreboard(text).ok());
+    EXPECT_TRUE(model::tryParse<obs::Scoreboard>(text).ok());
     // ...but a --validate load rejects it.
     const model::LoadOptions checked{.allow_legacy = true,
                                      .validate = true};
-    auto res = model::tryParseScoreboard(text, checked);
+    auto res = model::tryParse<obs::Scoreboard>(text, checked);
     ASSERT_FALSE(res.ok());
     EXPECT_EQ(res.error().code, model::IoErrc::ValidationError);
     EXPECT_NE(res.error().message.find("summary-samples-inconsistent"),
@@ -234,16 +235,16 @@ TEST(ScoreboardIo, FileRoundTripViaTypedSaveAndLoad)
 {
     const std::string path = tempPath("gpupm_test.scoreboard");
     const auto sb = handScoreboard();
-    auto saved = model::trySaveScoreboard(sb, path);
+    auto saved = model::trySave(sb, path);
     ASSERT_TRUE(saved.ok()) << saved.error().message;
-    auto loaded = model::tryLoadScoreboard(
+    auto loaded = model::tryLoad<obs::Scoreboard>(
             path, {.allow_legacy = true, .validate = true});
     ASSERT_TRUE(loaded.ok()) << loaded.error().message;
     EXPECT_DOUBLE_EQ(loaded.value().overall.mae_pct,
                      sb.overall.mae_pct);
     std::remove(path.c_str());
 
-    auto missing = model::tryLoadScoreboard("/nonexistent/x.sb");
+    auto missing = model::tryLoad<obs::Scoreboard>("/nonexistent/x.sb");
     ASSERT_FALSE(missing.ok());
     EXPECT_EQ(missing.error().code, model::IoErrc::IoError);
 }

@@ -47,6 +47,15 @@ testShard(const fleet::FleetOptions &opts)
     return shard;
 }
 
+/** The checkpoint file of `result`, as the supervisor writes it. */
+std::string
+shardText(const fleet::ShardResult &result,
+          const fleet::FleetOptions &opts, const fleet::ShardSpec &shard)
+{
+    return model::serialize(fleet::ShardCheckpoint{
+            fleet::fleetFingerprint(opts, shard), result});
+}
+
 /** A shard result with one healthy and one failed device. */
 fleet::ShardResult
 testResult()
@@ -84,8 +93,7 @@ TEST(ShardIo, RoundTripPreservesEveryField)
     const auto shard = testShard(opts);
     const auto result = testResult();
 
-    const std::string text =
-            fleet::serializeShardResult(result, opts, shard);
+    const std::string text = shardText(result, opts, shard);
     auto parsed = fleet::tryParseShardResult(text, opts, shard);
     ASSERT_TRUE(parsed.ok())
             << model::ioErrcName(parsed.error().code) << ": "
@@ -108,8 +116,7 @@ TEST(ShardIo, FingerprintRejectsAForeignConfiguration)
 {
     const auto opts = testOpts();
     const auto shard = testShard(opts);
-    const std::string text =
-            fleet::serializeShardResult(testResult(), opts, shard);
+    const std::string text = shardText(testResult(), opts, shard);
 
     // Any knob that shapes device outcomes invalidates the file.
     fleet::FleetOptions other = opts;
@@ -138,8 +145,7 @@ TEST(ShardIo, TruncationAtEveryByteIsATypedError)
 {
     const auto opts = testOpts();
     const auto shard = testShard(opts);
-    const std::string full =
-            fleet::serializeShardResult(testResult(), opts, shard);
+    const std::string full = shardText(testResult(), opts, shard);
     ASSERT_GT(full.size(), 100u);
 
     for (std::size_t cut = 0; cut < full.size(); ++cut) {
@@ -161,13 +167,59 @@ TEST(ShardIo, CorruptedPayloadByteIsDetected)
 {
     const auto opts = testOpts();
     const auto shard = testShard(opts);
-    std::string text =
-            fleet::serializeShardResult(testResult(), opts, shard);
+    std::string text = shardText(testResult(), opts, shard);
     text[text.size() / 2] ^= 0x20;
     auto corrupt = fleet::tryParseShardResult(text, opts, shard);
     ASSERT_FALSE(corrupt.ok());
     EXPECT_EQ(corrupt.error().code,
               model::IoErrc::ChecksumMismatch);
+}
+
+TEST(ShardIo, RejectsPayloadsAValidEnvelopeWouldCarry)
+{
+    // Each edit is re-wrapped in a valid envelope, so it gets past
+    // the CRC32 to the payload reader, which must refuse it: a resumed
+    // fleet merges whatever this reader lets through.
+    const auto opts = testOpts();
+    const auto shard = testShard(opts);
+    const std::string text = shardText(testResult(), opts, shard);
+    const std::string payload = text.substr(text.find('\n') + 1);
+    struct Case
+    {
+        const char *what;
+        std::string from, to;
+        model::IoErrc want;
+    };
+    const Case cases[] = {
+            {"nan statistic", " 7.25 ", " nan ",
+             model::IoErrc::ParseError},
+            {"negative sample count", "none 6 ", "none -6 ",
+             model::IoErrc::ParseError},
+            {"trailing token on a device line", " 12\n", " 12 99\n",
+             model::IoErrc::ParseError},
+            {"trailing line after the last device", "samples\n",
+             "samples\nmessage again\n", model::IoErrc::ParseError},
+            {"repeated device id", "device 3 ", "device 2 ",
+             model::IoErrc::ValidationError},
+            {"device id not in the shard", "device 3 ", "device 7 ",
+             model::IoErrc::ValidationError},
+            {"kind other than the spec's", "device 2 2 ", "device 2 1 ",
+             model::IoErrc::ValidationError},
+            {"ok device with a failure kind", " 1 none ",
+             " 1 fit-failed ", model::IoErrc::ParseError},
+    };
+    for (const Case &c : cases) {
+        std::string edited = payload;
+        const std::size_t at = edited.find(c.from);
+        ASSERT_NE(at, std::string::npos) << c.what;
+        edited.replace(at, c.from.size(), c.to);
+        const auto res = fleet::tryParseShardResult(
+                model::wrapEnvelope(model::FileKind::FleetShard, edited),
+                opts, shard);
+        ASSERT_FALSE(res.ok()) << c.what << " was accepted";
+        EXPECT_EQ(res.error().code, c.want)
+                << c.what << ": " << res.error().message;
+    }
 }
 
 TEST(ShardIo, SaveAndLoadThroughAFile)
@@ -183,8 +235,9 @@ TEST(ShardIo, SaveAndLoadThroughAFile)
     const std::string path =
             fleet::shardCheckpointPath(dir, shard.index);
 
-    ASSERT_TRUE(fleet::trySaveShardResult(result, opts, shard, path)
-                        .ok());
+    const fleet::ShardCheckpoint ck{fleet::fleetFingerprint(opts, shard),
+                                    result};
+    ASSERT_TRUE(model::trySave(ck, path).ok());
     auto loaded = fleet::tryLoadShardResult(path, opts, shard);
     ASSERT_TRUE(loaded.ok());
     EXPECT_EQ(loaded.value().outcomes, result.outcomes);

@@ -41,82 +41,41 @@ corpusFile(const char *name)
     return os.str();
 }
 
-template <typename Parse, typename Write>
+template <typename T>
 void
-expectSameBytes(const char *name, Parse parse, Write write)
+expectSameBytes(const char *name)
 {
     const std::string text = corpusFile(name);
     ASSERT_FALSE(text.empty()) << name << " is missing or empty";
-    const auto parsed = parse(text);
+    const auto parsed = model::tryParse<T>(text);
     ASSERT_TRUE(parsed.ok()) << name << ": " << parsed.error().message;
-    EXPECT_EQ(write(parsed.value()), text)
+    EXPECT_EQ(model::serialize(parsed.value()), text)
             << name << " no longer writes back byte for byte";
 }
 
 TEST(ArtifactCorpus, ModelWritesBackTheSameBytes)
 {
-    expectSameBytes(
-            "k40c.model",
-            [](const std::string &t) { return model::tryParseModel(t); },
-            [](const auto &m) { return model::serializeModel(m); });
+    expectSameBytes<model::DvfsPowerModel>("k40c.model");
 }
 
 TEST(ArtifactCorpus, CampaignWritesBackTheSameBytes)
 {
-    expectSameBytes(
-            "k40c.campaign",
-            [](const std::string &t) {
-                return model::tryParseTrainingData(t);
-            },
-            [](const auto &d) { return model::serializeTrainingData(d); });
+    expectSameBytes<model::TrainingData>("k40c.campaign");
 }
 
 TEST(ArtifactCorpus, CheckpointWritesBackTheSameBytes)
 {
-    expectSameBytes(
-            "k40c.checkpoint",
-            [](const std::string &t) {
-                return model::tryParseCampaignCheckpoint(t);
-            },
-            [](const auto &ck) {
-                return model::serializeCampaignCheckpoint(ck);
-            });
+    expectSameBytes<model::CampaignCheckpoint>("k40c.checkpoint");
 }
 
 TEST(ArtifactCorpus, ScoreboardWritesBackTheSameBytes)
 {
-    expectSameBytes(
-            "k40c.scoreboard",
-            [](const std::string &t) {
-                return model::tryParseScoreboard(t);
-            },
-            [](const auto &sb) { return model::serializeScoreboard(sb); });
+    expectSameBytes<obs::Scoreboard>("k40c.scoreboard");
 }
 
 TEST(ArtifactCorpus, FleetShardWritesBackTheSameBytes)
 {
-    fleet::FleetOptions opts;
-    opts.devices = 4;
-    opts.shards = 2;
-    opts.seed = 1234;
-    fleet::ShardSpec shard;
-    shard.index = 1;
-    for (long id = 2; id < opts.devices; ++id) {
-        fleet::DeviceSpec spec;
-        spec.id = id;
-        spec.kind = gpu::kAllDevices[static_cast<std::size_t>(id) %
-                                     gpu::kAllDevices.size()];
-        spec.seed = 1000u + static_cast<std::uint64_t>(id);
-        shard.devices.push_back(spec);
-    }
-    expectSameBytes(
-            "shard-1.ck",
-            [&](const std::string &t) {
-                return fleet::tryParseShardResult(t, opts, shard);
-            },
-            [&](const auto &r) {
-                return fleet::serializeShardResult(r, opts, shard);
-            });
+    expectSameBytes<fleet::ShardCheckpoint>("shard-1.ck");
 }
 
 } // namespace

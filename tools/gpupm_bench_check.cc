@@ -115,14 +115,14 @@ readable(const std::string &path)
     std::error_code ec;
     if (!std::filesystem::is_regular_file(path, ec) || ec)
         return false;
-    return model::tryReadFileText(path).ok();
+    return model::tryReadFile(path).ok();
 }
 
 /** Load + structurally validate one bench telemetry file. */
 bool
 loadBenchRun(const std::string &path, BenchRun &run)
 {
-    const auto text = model::tryReadFileText(path);
+    const auto text = model::tryReadFile(path);
     if (!text.ok()) {
         std::fprintf(stderr, "%s: cannot read file\n", path.c_str());
         return false;
@@ -389,7 +389,7 @@ cmdScoreboard(const std::string &run_path,
 {
     if (!readable(golden_path))
         return missingGolden(golden_path);
-    auto run = model::tryLoadScoreboard(run_path);
+    auto run = model::tryLoad<obs::Scoreboard>(run_path);
     if (!run.ok()) {
         std::fprintf(stderr, "%s: load failed [%s]: %s\n",
                      run_path.c_str(),
@@ -398,7 +398,7 @@ cmdScoreboard(const std::string &run_path,
                      run.error().message.c_str());
         return 1;
     }
-    auto golden = model::tryLoadScoreboard(golden_path);
+    auto golden = model::tryLoad<obs::Scoreboard>(golden_path);
     if (!golden.ok()) {
         std::fprintf(stderr, "%s: load failed [%s]: %s\n",
                      golden_path.c_str(),

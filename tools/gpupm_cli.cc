@@ -65,6 +65,7 @@
 #include "core/model_io.hh"
 #include "core/predictor.hh"
 #include "core/validate.hh"
+#include "fleet/shard_io.hh"
 #include "fleet/supervisor.hh"
 #include "obs/alerts.hh"
 #include "obs/convergence.hh"
@@ -774,7 +775,9 @@ cmdCampaign(const Args &args, const CliFlags &flags)
                      board.descriptor().name.c_str());
         data = model::runTrainingCampaign(board, ubench::buildSuite());
     }
-    model::saveTrainingData(*data, args[1]);
+    const auto saved = model::trySave(*data, args[1]);
+    if (!saved.ok())
+        return reportLoadFailure(saved.error());
     reportWritten(true, "campaign", args[1]);
     return 0;
 }
@@ -805,7 +808,9 @@ fitAndSave(const model::TrainingData &data, const std::string &out,
                  "condition %.1e)\n",
                  fit.iterations, fit.rmse_w, fit.design_rank,
                  fit.condition_number);
-    model::saveModel(fit.model, out);
+    const auto saved = model::trySave(fit.model, out);
+    if (!saved.ok())
+        return reportLoadFailure(saved.error());
     reportWritten(true, "model", out);
     return 0;
 }
@@ -825,7 +830,8 @@ cmdFit(const Args &args, const CliFlags &flags)
         const auto data = runResilientCampaign(*kind, flags);
         return data ? fitAndSave(*data, args[1], flags) : 3;
     }
-    auto data = model::tryLoadTrainingData(args[0], loadOptionsOf(flags));
+    auto data = model::tryLoad<model::TrainingData>(args[0],
+                                                   loadOptionsOf(flags));
     if (!data.ok())
         return reportLoadFailure(data.error());
     return fitAndSave(data.value(), args[1], flags);
@@ -840,11 +846,26 @@ struct FileCheck
     model::ValidationReport report;
 };
 
+/** Parse `text` as a T, then validate what it parsed. */
+template <typename T>
+void
+checkAs(FileCheck &fc, const std::string &text,
+        const model::LoadOptions &opts)
+{
+    const auto parsed = model::tryParse<T>(text, opts);
+    if (!parsed.ok()) {
+        fc.load_error = parsed.error();
+        return;
+    }
+    fc.loaded = true;
+    fc.report = model::Codec<T>::validate(parsed.value());
+}
+
 FileCheck
 checkFile(const std::string &path, const model::LoadOptions &opts)
 {
     FileCheck fc;
-    const auto read = model::tryReadFileText(path);
+    const auto read = model::tryReadFile(path);
     if (!read.ok()) {
         fc.load_error = read.error();
         return fc;
@@ -857,44 +878,32 @@ checkFile(const std::string &path, const model::LoadOptions &opts)
     }
     fc.kind = std::string(model::fileKindName(kind.value()));
 
-    // Every kind parses, then validates what it parsed.
-    const auto check = [&fc](auto parsed, auto validate) {
-        if (!parsed.ok()) {
-            fc.load_error = parsed.error();
-            return;
-        }
-        fc.loaded = true;
-        fc.report = validate(parsed.value());
-    };
     switch (kind.value()) {
       case model::FileKind::Model:
-        check(model::tryParseModel(text, opts), model::validateModel);
+        checkAs<model::DvfsPowerModel>(fc, text, opts);
         break;
       case model::FileKind::Campaign:
-        check(model::tryParseTrainingData(text, opts),
-              model::validateTrainingData);
+        checkAs<model::TrainingData>(fc, text, opts);
         break;
       case model::FileKind::Checkpoint:
-        check(model::tryParseCampaignCheckpoint(text, opts),
-              model::validateCheckpoint);
+        checkAs<model::CampaignCheckpoint>(fc, text, opts);
         break;
       case model::FileKind::Scoreboard:
-        check(model::tryParseScoreboard(text, opts),
-              model::validateScoreboard);
+        checkAs<obs::Scoreboard>(fc, text, opts);
         break;
       case model::FileKind::FleetShard:
-      case model::FileKind::Fleet:
-        // Fleet artifacts are envelope-checked here (magic, kind,
-        // size, CRC32); the payload can only be interpreted against
-        // its fleet configuration, which the supervisor does on
-        // resume via the embedded fingerprint.
-        check(model::tryUnwrapEnvelope(text, kind.value()),
-              [&fc](const std::string &) {
-                  model::ValidationReport envelope_only;
-                  envelope_only.subject = fc.kind;
-                  return envelope_only;
-              });
+        checkAs<fleet::ShardCheckpoint>(fc, text, opts);
         break;
+      case model::FileKind::Fleet: {
+        // The merged fleet report is envelope-checked only (magic,
+        // kind, size, CRC32): nothing reads its payload back.
+        const auto payload = model::tryUnwrapEnvelope(text, kind.value());
+        fc.loaded = payload.ok();
+        if (!payload.ok())
+            fc.load_error = payload.error();
+        fc.report.subject = fc.kind;
+        break;
+      }
     }
     return fc;
 }
@@ -949,7 +958,8 @@ cmdValidate(const Args &paths, const CliFlags &flags)
 int
 cmdInfo(const Args &args, const CliFlags &flags)
 {
-    auto res = model::tryLoadModel(args[0], loadOptionsOf(flags));
+    auto res = model::tryLoad<model::DvfsPowerModel>(
+            args[0], loadOptionsOf(flags));
     if (!res.ok())
         return reportLoadFailure(res.error());
     const auto m = res.value();
@@ -988,7 +998,8 @@ loadAndProfile(const Args &args, const CliFlags &flags,
                std::optional<model::DvfsPowerModel> &m,
                gpu::ComponentArray &util)
 {
-    auto res = model::tryLoadModel(args[0], loadOptionsOf(flags));
+    auto res = model::tryLoad<model::DvfsPowerModel>(
+            args[0], loadOptionsOf(flags));
     if (!res.ok())
         return reportLoadFailure(res.error());
     m = res.value();
@@ -1094,7 +1105,8 @@ cmdAudit(const Args &args, const CliFlags &flags)
     auto kind = parseDevice(target);
     std::optional<model::DvfsPowerModel> m;
     if (!kind || fileExists(target)) {
-        auto res = model::tryLoadModel(target, loadOptionsOf(flags));
+        auto res = model::tryLoad<model::DvfsPowerModel>(
+                target, loadOptionsOf(flags));
         if (!res.ok())
             return reportLoadFailure(res.error());
         m = res.value();
@@ -1175,8 +1187,7 @@ cmdAudit(const Args &args, const CliFlags &flags)
                  sb.overall.rmse_w, sb.overall.max_err_pct);
 
     if (!flags.scoreboard_out.empty()) {
-        auto saved = model::trySaveScoreboard(sb,
-                                              flags.scoreboard_out);
+        auto saved = model::trySave(sb, flags.scoreboard_out);
         if (!saved.ok())
             return reportLoadFailure(saved.error());
         reportWritten(true, "scoreboard", flags.scoreboard_out);
@@ -1403,7 +1414,7 @@ std::optional<double>
 driftEnvelopeFromGolden(const std::string &path,
                         const std::string &device)
 {
-    const auto text = model::tryReadFileText(path);
+    const auto text = model::tryReadFile(path);
     json::Value root;
     json::Error err;
     if (!text.ok() || !json::parse(text.value(), root, err)) {

@@ -202,6 +202,8 @@ goldenShardResult()
     fleet::ShardResult result;
     result.index = 0;
     result.outcomes.resize(2);
+    result.outcomes[0].id = 0;
+    result.outcomes[1].id = 1;
     result.outcomes[0].ok = true;
     result.outcomes[0].stats.mae_pct = 7.25;
     result.outcomes[1].fail = fleet::DeviceFailKind::CorruptData;
@@ -331,15 +333,13 @@ fuzzFormat(const char *name, const std::string &golden,
 int
 main()
 {
-    const auto model_text = model::serializeModel(goldenModel());
-    const auto campaign_text =
-            model::serializeTrainingData(goldenCampaign());
-    const auto checkpoint_text =
-            model::serializeCampaignCheckpoint(goldenCheckpoint());
-    const auto scoreboard_text =
-            model::serializeScoreboard(goldenScoreboard());
+    const auto model_text = model::serialize(goldenModel());
+    const auto campaign_text = model::serialize(goldenCampaign());
+    const auto checkpoint_text = model::serialize(goldenCheckpoint());
+    const auto scoreboard_text = model::serialize(goldenScoreboard());
     // Legacy (pre-envelope) forms exercise the v0 compatibility path.
-    const auto legacy_model = goldenModel().serialize();
+    const auto legacy_model =
+            model_text.substr(model_text.find('\n') + 1);
     const auto legacy_campaign =
             campaign_text.substr(campaign_text.find('\n') + 1);
     const auto legacy_checkpoint =
@@ -349,16 +349,16 @@ main()
     const auto legacy_scoreboard = goldenScoreboard().toJson(true);
 
     const auto parse_model = [](const std::string &t) {
-        return model::tryParseModel(t);
+        return model::tryParse<model::DvfsPowerModel>(t);
     };
     const auto parse_campaign = [](const std::string &t) {
-        return model::tryParseTrainingData(t);
+        return model::tryParse<model::TrainingData>(t);
     };
     const auto parse_checkpoint = [](const std::string &t) {
-        return model::tryParseCampaignCheckpoint(t);
+        return model::tryParse<model::CampaignCheckpoint>(t);
     };
     const auto parse_scoreboard = [](const std::string &t) {
-        return model::tryParseScoreboard(t);
+        return model::tryParse<obs::Scoreboard>(t);
     };
     // The shared JSON reader and the shard loader have no validate
     // step; parsing is all there is to fuzz.
@@ -377,6 +377,7 @@ main()
     const fleet::FleetOptions fleet_opts;
     fleet::ShardSpec shard;
     shard.devices.resize(2);
+    shard.devices[1].id = 1;
     const auto parse_shard = [&](const std::string &t) {
         return fleet::tryParseShardResult(t, fleet_opts, shard);
     };
@@ -386,9 +387,9 @@ main()
         return parse_shard(
                 model::wrapEnvelope(model::FileKind::FleetShard, t));
     };
-    const auto shard_text =
-            fleet::serializeShardResult(goldenShardResult(), fleet_opts,
-                                        shard);
+    const auto shard_text = model::serialize(fleet::ShardCheckpoint{
+            fleet::fleetFingerprint(fleet_opts, shard),
+            goldenShardResult()});
     common::Provenance prov;
     prov.timestamp = "2026-01-01T00:00:00Z";
     const auto prov_json = common::toJson(prov);
