@@ -95,7 +95,7 @@ main(int argc, char **argv)
 
     // Fixed-accounting bound: a pure function of the configured caps.
     const std::size_t mem_bound =
-            sizeof(obs::Tsdb) + topts.stripes * 512 +
+            sizeof(obs::Tsdb) +
             topts.max_series *
                     (topts.raw_capacity * sizeof(obs::TsPoint) +
                      2 * topts.tier_capacity * sizeof(obs::TsBucket) +

@@ -45,8 +45,9 @@ main(int argc, char **argv)
         return os.str();
     });
     row("Core freq. range (MHz)", [&](const gpu::DeviceDescriptor &d) {
-        return "[" + str(d.maxCoreMhz()) + ":" + str(d.minCoreMhz()) +
-               "]";
+        std::ostringstream os;
+        os << '[' << d.maxCoreMhz() << ':' << d.minCoreMhz() << ']';
+        return os.str();
     });
     row("Number of core freq. levels",
         [&](const gpu::DeviceDescriptor &d) {

@@ -5,7 +5,9 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-cmake -B build -G Ninja
+# Warnings fail the main build, so a new one cannot hide among old
+# ones.
+cmake -B build -G Ninja -DCMAKE_COMPILE_WARNING_AS_ERROR=ON
 cmake --build build
 ctest --test-dir build --output-on-failure
 
@@ -162,9 +164,10 @@ if [ "${GPUPM_SKIP_TSAN:-0}" != "1" ]; then
     mkdir -p build-tsan/fleet_serve_work
     build-tsan/tools/gpupm_scrape fleet-selftest build-tsan/tools/gpupm \
         --work=build-tsan/fleet_serve_work
-    # The live daemon under TSan: HTTP workers read the trace store
-    # and registry that sampler ticks write, and /profilez lands
-    # SIGPROF on the sampling thread while collect() reads the ring.
+    # The live daemon under TSan: HTTP workers read the trace store,
+    # tsdb and registry that the main thread's ticks write, and
+    # /profilez lands SIGPROF on that thread while collect() reads
+    # the ring.
     echo "== tsan: gpupm monitor scrape selftest"
     mkdir -p build-tsan/monitor_work
     build-tsan/tools/gpupm_scrape monitor-selftest \

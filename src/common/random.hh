@@ -19,6 +19,20 @@
 namespace gpupm
 {
 
+/**
+ * The splitmix64 output function of `x` (Steele, Lea & Flood 2014):
+ * one golden-ratio step, then the avalanche finalizer. Seeds the Rng
+ * state, mints trace ids and composes fleet seeding and chaos keys.
+ */
+constexpr std::uint64_t
+mix64(std::uint64_t x)
+{
+    x += 0x9e3779b97f4a7c15ull;
+    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
+    x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
+    return x ^ (x >> 31);
+}
+
 /** Seeded, splittable PRNG with normal/uniform helpers. */
 class Rng
 {
@@ -26,14 +40,10 @@ class Rng
     /** Construct from a 64-bit seed via splitmix64 expansion. */
     explicit Rng(std::uint64_t seed = 0x9e3779b97f4a7c15ull)
     {
-        std::uint64_t x = seed;
+        // splitmix64 steps — decorrelate consecutive seeds.
         for (auto &word : state_) {
-            // splitmix64 step — decorrelates consecutive seeds.
-            x += 0x9e3779b97f4a7c15ull;
-            std::uint64_t z = x;
-            z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-            z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-            word = z ^ (z >> 31);
+            word = mix64(seed);
+            seed += 0x9e3779b97f4a7c15ull;
         }
     }
 

@@ -318,10 +318,16 @@ runResilientTrainingCampaign(
         return opts.max_cells > 0 &&
                measured_this_run >= opts.max_cells;
     };
+    // A checkpoint that cannot be written stops the run with a typed
+    // error: measuring on would lose the work it was meant to keep.
+    std::optional<IoStatus> save_error;
     const auto save = [&] {
-        if (checkpointing) {
+        if (checkpointing && !save_error) {
             const auto saved = trySave(ck, opts.checkpoint_path);
-            GPUPM_FATAL_IF(!saved.ok(), saved.error().message);
+            if (!saved.ok()) {
+                save_error = saved.error();
+                stopped = true;
+            }
         }
         since_checkpoint = 0;
     };
@@ -469,8 +475,10 @@ runResilientTrainingCampaign(
 
     if (stopped) {
         save();
-        inform("campaign stopped after ", measured_this_run,
-               " cells this run (checkpointed)");
+        res.checkpoint_error = save_error;
+        if (!save_error)
+            inform("campaign stopped after ", measured_this_run,
+                   " cells this run (checkpointed)");
         return res;
     }
 
@@ -510,6 +518,7 @@ runResilientTrainingCampaign(
 
     if (checkpointing)
         save();
+    res.checkpoint_error = save_error;
     return res;
 }
 

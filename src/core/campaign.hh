@@ -14,11 +14,13 @@
 #ifndef GPUPM_CORE_CAMPAIGN_HH
 #define GPUPM_CORE_CAMPAIGN_HH
 
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "core/backend.hh"
 #include "core/estimator.hh"
+#include "core/io_status.hh"
 #include "core/resilient.hh"
 #include "cupti/profiler.hh"
 #include "nvml/device.hh"
@@ -149,8 +151,10 @@ struct ResilientCampaignResult
      */
     TrainingData data;
     CampaignReport report;
-    /** False when max_cells stopped the run before the grid was done. */
+    /** False when the run stopped before the grid was done. */
     bool complete = true;
+    /** Set when a checkpoint could not be written; the run stopped. */
+    std::optional<IoStatus> checkpoint_error;
 };
 
 /**

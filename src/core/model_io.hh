@@ -47,6 +47,7 @@
 
 #include "common/logging.hh"
 #include "common/numio.hh"
+#include "core/io_status.hh"
 #include "core/validate.hh"
 #include "obs/standard.hh"
 #include "obs/trace.hh"
@@ -55,32 +56,6 @@ namespace gpupm
 {
 namespace model
 {
-
-// -- Typed error vocabulary of the persistence layer -----------------
-
-/** Failure taxonomy of artifact loading and saving. */
-enum class IoErrc
-{
-    IoError,          ///< open / read / write / rename failed
-    ParseError,       ///< malformed envelope or payload (incl. NaN)
-    VersionMismatch,  ///< recognized format, unsupported version
-    ChecksumMismatch, ///< payload does not match its declared CRC32
-    ValidationError,  ///< parsed cleanly but physically implausible
-};
-
-/** Display name of an I/O error code. */
-std::string_view ioErrcName(IoErrc code);
-
-/** Typed failure description of a persistence operation. */
-struct IoStatus
-{
-    IoErrc code = IoErrc::IoError;
-    std::string message;
-};
-
-/** Value-or-typed-error result of a persistence operation. */
-template <typename T>
-using IoExpected = Expected<T, IoStatus>;
 
 /** Artifact kind carried by a file. */
 enum class FileKind

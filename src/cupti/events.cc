@@ -34,7 +34,9 @@ namespace
 EventDesc
 wEvent(std::uint64_t prefix, unsigned n)
 {
-    return {prefix * 1000 + n, "W" + std::to_string(n)};
+    std::string name = "W";
+    name += std::to_string(n);
+    return {prefix * 1000 + n, std::move(name)};
 }
 
 /** Named (disclosed) event with a synthetic id in a separate space. */

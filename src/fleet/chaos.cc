@@ -1,5 +1,7 @@
 #include "chaos.hh"
 
+#include "common/random.hh"
+
 namespace gpupm
 {
 namespace fleet
@@ -8,21 +10,11 @@ namespace fleet
 namespace
 {
 
-/** splitmix64 finalizer: avalanche a composed decision key. */
-std::uint64_t
-mix(std::uint64_t x)
-{
-    x += 0x9e3779b97f4a7c15ull;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-    return x ^ (x >> 31);
-}
-
 /** Uniform [0,1) derived from a decision key. */
 double
 unit(std::uint64_t key)
 {
-    return static_cast<double>(mix(key) >> 11) * 0x1.0p-53;
+    return static_cast<double>(mix64(key) >> 11) * 0x1.0p-53;
 }
 
 } // namespace
@@ -34,7 +26,7 @@ chaosForAttempt(const ChaosSpec &spec, int shard, int attempt)
     if (attempt >= spec.max_faulty_attempts)
         return d;
     const std::uint64_t key =
-            mix(spec.seed ^ 0xc4a05u) ^
+            mix64(spec.seed ^ 0xc4a05u) ^
             (static_cast<std::uint64_t>(shard) << 20) ^
             static_cast<std::uint64_t>(attempt);
     // One draw decides both, mutually exclusively, so the combined
@@ -51,7 +43,7 @@ chaosPoisonsDevice(const ChaosSpec &spec, long device_id)
 {
     if (spec.poison_fraction <= 0.0)
         return false;
-    const std::uint64_t key = mix(spec.seed ^ 0xde7ec7u) ^
+    const std::uint64_t key = mix64(spec.seed ^ 0xde7ec7u) ^
                               static_cast<std::uint64_t>(device_id);
     return unit(key) < spec.poison_fraction;
 }
@@ -59,9 +51,9 @@ chaosPoisonsDevice(const ChaosSpec &spec, long device_id)
 bool
 chaosPoisonIsNan(const ChaosSpec &spec, long device_id)
 {
-    const std::uint64_t key = mix(spec.seed ^ 0xf1a7u) ^
+    const std::uint64_t key = mix64(spec.seed ^ 0xf1a7u) ^
                               static_cast<std::uint64_t>(device_id);
-    return (mix(key) & 1u) == 0u;
+    return (mix64(key) & 1u) == 0u;
 }
 
 } // namespace fleet

@@ -12,6 +12,7 @@
 
 #include "common/logging.hh"
 #include "common/numio.hh"
+#include "common/random.hh"
 #include "fleet/chaos.hh"
 #include "fleet/pool.hh"
 #include "fleet/shard.hh"
@@ -29,15 +30,6 @@ namespace fleet
 
 namespace
 {
-
-std::uint64_t
-mix64(std::uint64_t x)
-{
-    x += 0x9e3779b97f4a7c15ull;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-    return x ^ (x >> 31);
-}
 
 /** Seeded exponential backoff with +-25% jitter, seconds. */
 double

@@ -437,14 +437,12 @@ Registry::collectSamples() const
                     labels.empty() ? name : name + "{" + labels + "}";
             switch (e.kind) {
               case Kind::Counter:
-                out.push_back({full,
-                               e.counter ? e.counter->value() : 0.0,
-                               true});
+                out.push_back(
+                        {full, e.counter ? e.counter->value() : 0.0});
                 break;
               case Kind::Gauge:
-                out.push_back({full,
-                               e.gauge ? e.gauge->value() : 0.0,
-                               false});
+                out.push_back(
+                        {full, e.gauge ? e.gauge->value() : 0.0});
                 break;
               case Kind::Histogram: {
                 if (!e.histogram)
@@ -457,8 +455,8 @@ Registry::collectSamples() const
                         labels.empty()
                                 ? name + "_count"
                                 : name + "_count{" + labels + "}";
-                out.push_back({sum, e.histogram->sum(), true});
-                out.push_back({count, e.histogram->count(), true});
+                out.push_back({sum, e.histogram->sum()});
+                out.push_back({count, e.histogram->count()});
                 break;
               }
             }

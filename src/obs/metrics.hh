@@ -130,7 +130,6 @@ struct MetricSample
 {
     std::string name; ///< family, or family{labels}
     double value = 0.0;
-    bool monotonic = false; ///< counter (or histogram _sum/_count)
 };
 
 /**

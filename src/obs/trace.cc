@@ -7,6 +7,7 @@
 #include "common/json.hh"
 #include "common/numio.hh"
 #include "common/provenance.hh"
+#include "common/random.hh"
 #include "obs/profiler.hh"
 #include "obs/trace_store.hh"
 
@@ -17,16 +18,6 @@ namespace obs
 
 namespace
 {
-
-/** splitmix64 output mix — same finalizer the fleet seeder uses. */
-std::uint64_t
-mix64(std::uint64_t x)
-{
-    x += 0x9e3779b97f4a7c15ull;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-    return x ^ (x >> 31);
-}
 
 /** Buckets of partially assembled traces are bounded: a child whose
  *  root never completes (e.g. the tracer was disabled mid-trace)

@@ -46,16 +46,16 @@ TraceStore::offer(StoredTrace trace)
         return;
     }
     if (!trace.error) {
-        // Rank the newcomer in its category, where every resident is
-        // older and so ranks first on equal durations. Only arrivals
-        // change the protected set: evicting an unprotected or error
-        // trace leaves it as it was, and a protected one is evicted
-        // only when its category holds no other candidate.
+        // Rank the newcomer among the non-error residents, every one
+        // older and so first on equal durations. Only arrivals change
+        // the protected set: evicting an unprotected or error trace
+        // leaves it as it was, and a protected one is evicted only
+        // when no unprotected non-error trace is left.
         std::size_t ahead = 0;
         std::size_t held = 0;
         StoredTrace *last = nullptr; // last-ranked protected resident
         for (StoredTrace &r : traces_) {
-            if (r.error || r.root_cat != trace.root_cat)
+            if (r.error)
                 continue;
             ahead += r.dur_us >= trace.dur_us;
             if (r.slow) {
@@ -64,8 +64,8 @@ TraceStore::offer(StoredTrace trace)
                     last = &r;
             }
         }
-        trace.slow = ahead < opts_.slow_per_cat;
-        if (trace.slow && held == opts_.slow_per_cat)
+        trace.slow = ahead < opts_.slow_kept;
+        if (trace.slow && held == opts_.slow_kept)
             last->slow = false;
     }
     bytes_ += trace.bytes;

@@ -9,7 +9,7 @@
  * admission time which resident trace to evict — tail sampling:
  *
  *   1. "boring" traces first — no error span and not among the
- *      slowest `slow_per_cat` of their root category — oldest first;
+ *      `slow_kept` slowest non-error traces — oldest first;
  *   2. then protected-slow traces, fastest first (the newer of two
  *      equally fast ones);
  *   3. error/alert traces only as a last resort, oldest first.
@@ -20,8 +20,11 @@
  * allocation (DESIGN.md §15 gives the invariant).
  *
  * So 100% of error traces are retained for as long as they alone fit
- * the bound, plus a reservoir of the slowest traces per category —
- * the traces worth asking about after the fact. Query surfaces
+ * the bound, plus one reservoir of the slowest traces — the traces
+ * worth asking about after the fact. The reservoir ignores the root
+ * category: every store in the program receives one (`monitor.tick`
+ * roots in the daemon and `gpupm traces`, one `fleet.campaign` trace
+ * in a served fleet). Query surfaces
  * (/api/traces, `gpupm traces`) filter by category, minimum
  * duration, error flag and trace ID.
  */
@@ -51,7 +54,7 @@ struct StoredTrace
     std::int64_t start_us = 0;
     std::int64_t dur_us = 0;
     bool error = false;  ///< any span marked error
-    /** Among its category's slow_per_cat slowest (set by the store). */
+    /** Among the slow_kept slowest non-error traces (set by the store). */
     bool slow = false;
     std::size_t bytes = 0; ///< exact accounted footprint
     /** Spans in completion order; the root is last. */
@@ -62,7 +65,7 @@ struct TraceStoreOptions
 {
     std::size_t max_bytes = 1u << 20; ///< hard memory bound
     std::size_t max_traces = 512;     ///< hard count bound
-    std::size_t slow_per_cat = 8; ///< slowest-per-category reservoir
+    std::size_t slow_kept = 8;        ///< slowest-trace reservoir
 };
 
 /** Filter for query()/renderJson(). Zero/empty fields match all. */

@@ -79,49 +79,12 @@ Tsdb::Tsdb(TsdbOptions opts)
     : opts_(opts),
       latest_us_(std::numeric_limits<std::int64_t>::min())
 {
-    if (opts_.stripes == 0)
-        opts_.stripes = 1;
     if (opts_.raw_capacity == 0)
         opts_.raw_capacity = 1;
     if (opts_.tier_capacity == 0)
         opts_.tier_capacity = 1;
     if (opts_.max_series == 0)
         opts_.max_series = 1;
-    // Never let lock striping raise the effective cardinality cap: a
-    // cap below the stripe count collapses to one stripe so the
-    // per-stripe cap can stay exact.
-    if (opts_.max_series < opts_.stripes)
-        opts_.stripes = opts_.max_series;
-    per_stripe_cap_ = opts_.max_series / opts_.stripes;
-    if (per_stripe_cap_ == 0)
-        per_stripe_cap_ = 1;
-    stripes_ = std::vector<Stripe>(opts_.stripes);
-}
-
-std::size_t
-Tsdb::hashName(const std::string &name)
-{
-    // FNV-1a: deterministic across processes (std::hash is not
-    // guaranteed to be), so stripe assignment — and therefore
-    // eviction order under cardinality pressure — is reproducible.
-    std::uint64_t h = 1469598103934665603ULL;
-    for (unsigned char c : name) {
-        h ^= c;
-        h *= 1099511628211ULL;
-    }
-    return static_cast<std::size_t>(h);
-}
-
-Tsdb::Stripe &
-Tsdb::stripeFor(const std::string &name)
-{
-    return stripes_[hashName(name) % stripes_.size()];
-}
-
-const Tsdb::Stripe &
-Tsdb::stripeFor(const std::string &name) const
-{
-    return stripes_[hashName(name) % stripes_.size()];
 }
 
 void
@@ -146,10 +109,31 @@ Tsdb::bucketInto(std::deque<TsBucket> &tier, std::int64_t res_us,
 }
 
 void
-Tsdb::appendLocked(Series &s, std::int64_t t_us, double value)
+Tsdb::appendLocked(const std::string &series, std::int64_t t_us,
+                   double value)
 {
-    if (s.raw.size() < opts_.raw_capacity)
-        s.raw.resize(opts_.raw_capacity);
+    if (!std::isfinite(value)) {
+        ++dropped_not_finite_;
+        return;
+    }
+    auto it = series_.find(series);
+    if (it == series_.end()) {
+        if (series_.size() >= opts_.max_series) {
+            // Evict the series written to least recently; ties break
+            // towards the first in name order.
+            series_.erase(std::min_element(
+                    series_.begin(), series_.end(),
+                    [](const auto &a, const auto &b) {
+                        return a.second.last_write_us <
+                               b.second.last_write_us;
+                    }));
+            ++evictions_;
+            tsdbEvictionsTotal().inc();
+        }
+        it = series_.emplace(series, Series{}).first;
+        it->second.raw.resize(opts_.raw_capacity);
+    }
+    Series &s = it->second;
     const std::size_t slot =
             (s.raw_head + s.raw_size) % opts_.raw_capacity;
     if (s.raw_size == opts_.raw_capacity) {
@@ -164,64 +148,36 @@ Tsdb::appendLocked(Series &s, std::int64_t t_us, double value)
     bucketInto(s.tier2, opts_.tier2_res_us, opts_.tier_capacity, t_us,
                value);
     s.last_write_us = t_us;
+    ++points_appended_;
+    latest_us_ = std::max(latest_us_, t_us);
 }
 
 void
 Tsdb::append(const std::string &series, std::int64_t t_us,
              double value)
 {
-    if (!std::isfinite(value)) {
-        dropped_not_finite_.fetch_add(1, std::memory_order_relaxed);
-        return;
-    }
-    Stripe &st = stripeFor(series);
-    {
-        std::lock_guard<std::mutex> lock(st.mu);
-        Series *found = nullptr;
-        for (Series &s : st.series) {
-            if (s.name == series) {
-                found = &s;
-                break;
-            }
-        }
-        if (!found) {
-            if (st.series.size() >= per_stripe_cap_) {
-                // Evict the series written to least recently; ties
-                // break towards the first in insertion order.
-                auto victim = std::min_element(
-                        st.series.begin(), st.series.end(),
-                        [](const Series &a, const Series &b) {
-                            return a.last_write_us < b.last_write_us;
-                        });
-                st.series.erase(victim);
-                evictions_.fetch_add(1, std::memory_order_relaxed);
-            }
-            Series s;
-            s.name = series;
-            s.raw.resize(opts_.raw_capacity);
-            st.series.push_back(std::move(s));
-            found = &st.series.back();
-        }
-        appendLocked(*found, t_us, value);
-    }
-    points_appended_.fetch_add(1, std::memory_order_relaxed);
-    std::int64_t prev = latest_us_.load(std::memory_order_relaxed);
-    while (t_us > prev &&
-           !latest_us_.compare_exchange_weak(prev, t_us,
-                                             std::memory_order_relaxed))
-        ;
+    std::lock_guard<std::mutex> lock(mu_);
+    appendLocked(series, t_us, value);
 }
 
 void
 Tsdb::recordRegistry(const Registry &reg, std::int64_t t_us)
 {
     // Refresh self-metrics first so this snapshot already carries
-    // them; the counts lag one tick behind the append below, which is
+    // them; the counts lag one tick behind the appends below, which is
     // fine for trend series.
     tsdbSeriesCount().set(static_cast<double>(seriesCount()));
     tsdbMemoryBytes().set(static_cast<double>(memoryBytes()));
-    for (const MetricSample &m : reg.collectSamples())
-        append(m.name, t_us, m.value);
+    const std::vector<MetricSample> samples = reg.collectSamples();
+    std::uint64_t appended = 0;
+    {
+        std::lock_guard<std::mutex> lock(mu_);
+        const std::uint64_t before = points_appended_;
+        for (const MetricSample &m : samples)
+            appendLocked(m.name, t_us, m.value);
+        appended = points_appended_ - before;
+    }
+    tsdbPointsTotal().inc(static_cast<double>(appended));
 }
 
 TsQueryResult
@@ -249,19 +205,13 @@ Tsdb::query(const TsQuery &q) const
         return res;
     }
 
-    const Stripe &st = stripeFor(q.series);
-    std::lock_guard<std::mutex> lock(st.mu);
-    const Series *found = nullptr;
-    for (const Series &s : st.series) {
-        if (s.name == q.series) {
-            found = &s;
-            break;
-        }
-    }
-    if (!found) {
+    std::lock_guard<std::mutex> lock(mu_);
+    const auto it = series_.find(q.series);
+    if (it == series_.end()) {
         res.error = "unknown series '" + q.series + "'";
         return res;
     }
+    const Series *found = &it->second;
 
     // Coarsest tier whose native resolution still fits the step: the
     // query then reads the fewest stored buckets that can answer it,
@@ -329,25 +279,18 @@ Tsdb::query(const TsQuery &q) const
 std::vector<std::string>
 Tsdb::seriesNames() const
 {
+    std::lock_guard<std::mutex> lock(mu_);
     std::vector<std::string> names;
-    for (const Stripe &st : stripes_) {
-        std::lock_guard<std::mutex> lock(st.mu);
-        for (const Series &s : st.series)
-            names.push_back(s.name);
-    }
-    std::sort(names.begin(), names.end());
+    for (const auto &entry : series_)
+        names.push_back(entry.first);
     return names;
 }
 
 std::size_t
 Tsdb::seriesCount() const
 {
-    std::size_t n = 0;
-    for (const Stripe &st : stripes_) {
-        std::lock_guard<std::mutex> lock(st.mu);
-        n += st.series.size();
-    }
-    return n;
+    std::lock_guard<std::mutex> lock(mu_);
+    return series_.size();
 }
 
 std::size_t
@@ -356,24 +299,16 @@ Tsdb::memoryBytes() const
     // Fixed accounting per live series: the preallocated raw ring,
     // both tiers at configured capacity (deques overshoot slightly;
     // we charge the cap, which is what the soak gate bounds), the
-    // name, and the Series bookkeeping itself.
+    // name, and the map entry itself.
     const std::size_t per_series_fixed =
             opts_.raw_capacity * sizeof(TsPoint) +
             2 * opts_.tier_capacity * sizeof(TsBucket) +
-            sizeof(Series);
-    std::size_t total = sizeof(Tsdb) + stripes_.size() * sizeof(Stripe);
-    for (const Stripe &st : stripes_) {
-        std::lock_guard<std::mutex> lock(st.mu);
-        for (const Series &s : st.series)
-            total += per_series_fixed + s.name.capacity();
-    }
+            sizeof(decltype(series_)::value_type);
+    std::lock_guard<std::mutex> lock(mu_);
+    std::size_t total = sizeof(Tsdb);
+    for (const auto &entry : series_)
+        total += per_series_fixed + entry.first.capacity();
     return total;
-}
-
-std::int64_t
-Tsdb::latestTimestamp() const
-{
-    return latest_us_.load(std::memory_order_relaxed);
 }
 
 } // namespace obs

@@ -13,26 +13,27 @@
  *  - each series holds a fixed-capacity raw ring plus two capped
  *    downsampling tiers (10s and 1m buckets of min/max/sum/count);
  *    old data falls off the back, never reallocates;
- *  - total series cardinality is capped (`max_series`); when a stripe
- *    is full the series with the oldest last write is evicted to make
- *    room (LRU-by-write), and the eviction is counted.
+ *  - total series cardinality is capped exactly (`max_series`); a new
+ *    series past the cap evicts the one written least recently (ties
+ *    break by name order), counted in gpupm_tsdb_evictions_total.
  *
- * Writes are lock-striped: the series map is split across
- * `stripes` independently locked shards keyed by a hash of the series
- * name, so the sampler thread and HTTP query threads contend only per
- * stripe. Queries pick the coarsest tier whose resolution fits the
- * requested step (step >= 1m -> tier 2, >= 10s -> tier 1, else raw)
- * and aggregate into step-aligned buckets. DESIGN.md §14 documents
- * the layout and the retention math.
+ * One mutex guards one name-ordered map of series. One thread writes
+ * (the tick), every tick writes every series, and the HTTP reader
+ * takes the same lock for one query. Queries pick the coarsest tier
+ * whose resolution fits the requested step (step >= 1m -> tier 2,
+ * >= 10s -> tier 1, else raw) and aggregate into step-aligned
+ * buckets. DESIGN.md §14 documents the layout and the retention
+ * math.
  */
 
 #ifndef GPUPM_OBS_TSDB_HH
 #define GPUPM_OBS_TSDB_HH
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <deque>
+#include <functional>
+#include <map>
 #include <mutex>
 #include <string>
 #include <vector>
@@ -51,8 +52,7 @@ struct TsdbOptions
     std::size_t tier_capacity = 120; ///< buckets per downsample tier
     std::int64_t tier1_res_us = 10'000'000; ///< 10 s buckets
     std::int64_t tier2_res_us = 60'000'000; ///< 1 m buckets
-    std::size_t max_series = 512; ///< cardinality cap (all stripes)
-    std::size_t stripes = 8;      ///< lock stripes for writes
+    std::size_t max_series = 512; ///< cardinality cap
 };
 
 /** One raw observation. */
@@ -100,10 +100,7 @@ struct TsQueryResult
     std::string toJson(const std::string &series) const;
 };
 
-/**
- * The store. All methods are thread-safe; append paths take exactly
- * one stripe lock.
- */
+/** The store. All methods are thread-safe under one lock. */
 class Tsdb
 {
   public:
@@ -124,14 +121,14 @@ class Tsdb
     /**
      * Snapshot `reg` and append every sample at `t_us` — the sampler
      * hook. Also refreshes the tsdb self-metrics (series count, memory
-     * bytes) so the store reports on itself.
+     * bytes, points appended) so the store reports on itself.
      */
     void recordRegistry(const Registry &reg, std::int64_t t_us);
 
     /** Range query; picks the tier from `q.step_us` (see file doc). */
     TsQueryResult query(const TsQuery &q) const;
 
-    /** Sorted names of all live series. */
+    /** Names of all live series, sorted. */
     std::vector<std::string> seriesNames() const;
 
     std::size_t seriesCount() const;
@@ -144,29 +141,34 @@ class Tsdb
     std::size_t memoryBytes() const;
 
     /** Largest timestamp ever appended (INT64_MIN when empty). */
-    std::int64_t latestTimestamp() const;
+    std::int64_t latestTimestamp() const { return locked(latest_us_); }
 
     std::uint64_t pointsAppended() const
     {
-        return points_appended_.load(std::memory_order_relaxed);
+        return locked(points_appended_);
     }
 
-    std::uint64_t evictions() const
-    {
-        return evictions_.load(std::memory_order_relaxed);
-    }
+    std::uint64_t evictions() const { return locked(evictions_); }
 
     std::uint64_t droppedNotFinite() const
     {
-        return dropped_not_finite_.load(std::memory_order_relaxed);
+        return locked(dropped_not_finite_);
     }
 
     const TsdbOptions &options() const { return opts_; }
 
   private:
+    /** A copy of one counter, read under the lock. */
+    template <typename T>
+    T
+    locked(const T &field) const
+    {
+        std::lock_guard<std::mutex> lock(mu_);
+        return field;
+    }
+
     struct Series
     {
-        std::string name;
         std::vector<TsPoint> raw; ///< preallocated ring
         std::size_t raw_head = 0; ///< index of oldest element
         std::size_t raw_size = 0;
@@ -175,28 +177,19 @@ class Tsdb
         std::int64_t last_write_us = 0; ///< for LRU eviction
     };
 
-    struct Stripe
-    {
-        mutable std::mutex mu;
-        std::vector<Series> series; ///< linear scan; few per stripe
-    };
-
-    Stripe &stripeFor(const std::string &name);
-    const Stripe &stripeFor(const std::string &name) const;
-    static std::size_t hashName(const std::string &name);
-
-    void appendLocked(Series &s, std::int64_t t_us, double value);
+    void appendLocked(const std::string &series, std::int64_t t_us,
+                      double value);
     static void bucketInto(std::deque<TsBucket> &tier,
                            std::int64_t res_us, std::size_t cap,
                            std::int64_t t_us, double value);
 
     TsdbOptions opts_;
-    std::size_t per_stripe_cap_ = 1;
-    std::vector<Stripe> stripes_;
-    std::atomic<std::uint64_t> points_appended_{0};
-    std::atomic<std::uint64_t> evictions_{0};
-    std::atomic<std::uint64_t> dropped_not_finite_{0};
-    std::atomic<std::int64_t> latest_us_;
+    mutable std::mutex mu_;
+    std::map<std::string, Series, std::less<>> series_; ///< under mu_
+    std::uint64_t points_appended_ = 0;
+    std::uint64_t evictions_ = 0;
+    std::uint64_t dropped_not_finite_ = 0;
+    std::int64_t latest_us_;
 };
 
 } // namespace obs

@@ -24,6 +24,21 @@ if(NOT rc EQUAL 1 OR NOT err MATCHES "error \\[io-error\\]"
     message(FATAL_ERROR "fit into a missing directory: ${rc}: ${err}")
 endif()
 
+# So is a checkpoint that cannot be written: the resilient campaign
+# stops with the typed error and exits 1, for `campaign` and for `fit`
+# of a device.
+foreach(cmd campaign fit)
+    execute_process(COMMAND ${CLI} ${cmd} k40c ${WORK}/ck_${cmd}.out
+                            --resume=/missing/dir/ck.json
+                    RESULT_VARIABLE rc ERROR_VARIABLE err)
+    if(NOT rc EQUAL 1 OR NOT err MATCHES
+       "error \\[io-error\\]: cannot open '/missing/dir/ck.json"
+       OR err MATCHES "fatal:" OR EXISTS ${WORK}/ck_${cmd}.out)
+        message(FATAL_ERROR "${cmd} with an unwritable checkpoint: "
+                            "${rc}: ${err}")
+    endif()
+endforeach()
+
 execute_process(COMMAND ${CLI} info ${WORK}/tx.model
                 RESULT_VARIABLE rc OUTPUT_VARIABLE out)
 if(NOT rc EQUAL 0)

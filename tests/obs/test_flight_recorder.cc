@@ -18,6 +18,15 @@ namespace
 
 using namespace gpupm;
 
+/** `prefix` followed by the decimal `n`, built by appending. */
+std::string
+numbered(const std::string &prefix, long n)
+{
+    std::string s = prefix;
+    s += std::to_string(n);
+    return s;
+}
+
 obs::FlightRecord
 rec(const std::string &name)
 {
@@ -32,13 +41,13 @@ TEST(FlightRecorder, RetainsEverythingUntilFull)
     obs::FlightRecorder fr(8);
     EXPECT_EQ(fr.capacity(), 8u);
     for (int i = 0; i < 5; ++i)
-        fr.record(rec("e" + std::to_string(i)));
+        fr.record(rec(numbered("e", i)));
     EXPECT_EQ(fr.recorded(), 5);
     const auto snap = fr.snapshot();
     ASSERT_EQ(snap.size(), 5u);
     for (std::size_t i = 0; i < snap.size(); ++i) {
         EXPECT_EQ(snap[i].seq, static_cast<std::int64_t>(i));
-        EXPECT_EQ(snap[i].name, "e" + std::to_string(i));
+        EXPECT_EQ(snap[i].name, numbered("e", static_cast<long>(i)));
     }
 }
 
@@ -47,13 +56,14 @@ TEST(FlightRecorder, WrapsAroundKeepingTheNewest)
     obs::FlightRecorder fr(8);
     // 2.5x capacity: the oldest 12 of 20 must be forgotten.
     for (int i = 0; i < 20; ++i)
-        fr.record(rec("e" + std::to_string(i)));
+        fr.record(rec(numbered("e", i)));
     EXPECT_EQ(fr.recorded(), 20);
     const auto snap = fr.snapshot();
     ASSERT_EQ(snap.size(), 8u);
     for (std::size_t i = 0; i < snap.size(); ++i) {
         EXPECT_EQ(snap[i].seq, static_cast<std::int64_t>(12 + i));
-        EXPECT_EQ(snap[i].name, "e" + std::to_string(12 + i));
+        EXPECT_EQ(snap[i].name,
+                  numbered("e", static_cast<long>(12 + i)));
     }
 }
 
@@ -79,9 +89,9 @@ TEST(FlightRecorder, ConcurrentWritersLoseNothingButTheOldest)
     std::vector<std::thread> writers;
     for (int t = 0; t < kThreads; ++t)
         writers.emplace_back([&fr, t] {
+            const std::string prefix = numbered("w", t) + ".";
             for (int i = 0; i < kPerThread; ++i)
-                fr.record(rec("w" + std::to_string(t) + "." +
-                              std::to_string(i)));
+                fr.record(rec(numbered(prefix, i)));
         });
     for (auto &w : writers)
         w.join();

@@ -2,7 +2,7 @@
  * @file
  * Tests of the bounded trace store's tail-sampling policy: exact
  * byte accounting, bound enforcement, boring-first eviction, 100%
- * error-trace retention, the slowest-per-category reservoir, query
+ * error-trace retention, the one slowest-trace reservoir, query
  * filters, and the JSON rendering. A differential test replays random
  * offer streams through the store and through a sort-per-eviction
  * reference of the same policy.
@@ -11,7 +11,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <map>
 #include <random>
 #include <string>
 #include <vector>
@@ -94,7 +93,7 @@ TEST_F(TraceStoreTest, CountBoundEvictsOldestBoringFirst)
 {
     obs::TraceStoreOptions opts;
     opts.max_traces = 4;
-    opts.slow_per_cat = 1; // only the single slowest is protected
+    opts.slow_kept = 1; // only the single slowest is protected
     obs::TraceStore store(opts);
     // id 1 is slowest (protected); ids 2..5 boring and fast.
     store.offer(makeTrace(1, "monitor", 1000));
@@ -127,7 +126,7 @@ TEST_F(TraceStoreTest, ErrorTracesSurviveBoringChurn)
 {
     obs::TraceStoreOptions opts;
     opts.max_traces = 8;
-    opts.slow_per_cat = 2;
+    opts.slow_kept = 2;
     obs::TraceStore store(opts);
     // Three early error traces, then a flood of boring ones.
     for (std::uint64_t id = 1; id <= 3; ++id)
@@ -159,22 +158,23 @@ TEST_F(TraceStoreTest, ErrorsEvictedOnlyAsLastResort)
     EXPECT_EQ(store.query(q).size(), 1u);
 }
 
-TEST_F(TraceStoreTest, SlowReservoirIsPerCategory)
+TEST_F(TraceStoreTest, OneSlowReservoirAcrossCategories)
 {
     obs::TraceStoreOptions opts;
     opts.max_traces = 4;
-    opts.slow_per_cat = 1;
+    opts.slow_kept = 1;
     obs::TraceStore store(opts);
-    store.offer(makeTrace(1, "monitor", 1000)); // slowest monitor
-    store.offer(makeTrace(2, "fleet", 900));    // slowest fleet
+    store.offer(makeTrace(1, "monitor", 900));
+    store.offer(makeTrace(2, "fleet", 1000)); // takes the one slot
     for (std::uint64_t id = 3; id <= 30; ++id)
         store.offer(makeTrace(id, "monitor", 1));
-    // Both category champions survived the churn.
+    // The slowest trace survived the churn; the slowest "monitor"
+    // trace lost its protection to it and was evicted.
     obs::TraceQuery q;
-    q.trace_id = 1;
-    EXPECT_EQ(store.query(q).size(), 1u);
     q.trace_id = 2;
     EXPECT_EQ(store.query(q).size(), 1u);
+    q.trace_id = 1;
+    EXPECT_TRUE(store.query(q).empty());
 }
 
 TEST_F(TraceStoreTest, OversizedTraceIsRejectedAtTheDoor)
@@ -245,7 +245,6 @@ TEST_F(TraceStoreTest, RenderJsonCarriesHexIdsAndCounters)
 struct RefTrace
 {
     std::uint64_t id = 0;
-    std::string cat;
     std::int64_t dur_us = 0;
     bool error = false;
     std::size_t bytes = 0;
@@ -255,9 +254,8 @@ struct RefTrace
 /**
  * The tail-sampling policy as a sort per eviction: rank the non-error
  * residents slowest first (older first on equal durations), protect
- * the first slow_per_cat of each root category, then evict the oldest
- * unprotected non-error trace, else the last-ranked protected one,
- * else the oldest trace.
+ * the first slow_kept, then evict the oldest unprotected non-error
+ * trace, else the last-ranked protected one, else the oldest trace.
  */
 struct RefStore
 {
@@ -295,9 +293,8 @@ struct RefStore
                       return traces[a].seq < traces[b].seq;
                   });
         std::vector<bool> protected_slow(traces.size(), false);
-        std::map<std::string, std::size_t> taken;
-        for (const std::size_t i : order)
-            protected_slow[i] = ++taken[traces[i].cat] <= opts.slow_per_cat;
+        for (std::size_t k = 0; k < order.size() && k < opts.slow_kept; ++k)
+            protected_slow[order[k]] = true;
         std::size_t victim = traces.size();
         for (std::size_t i = 0; i < traces.size() && victim == traces.size();
              ++i)
@@ -318,14 +315,15 @@ TEST_F(TraceStoreTest, EvictionMatchesTheSortPerEvictionReference)
 {
     // Durations of 0-11 us make ties common; 10% of traces are
     // errors; a third of the rounds bind on bytes (2-8 KB) as well as
-    // on the count, so one offer can evict several traces.
+    // on the count, so one offer can evict several traces. Root
+    // categories vary too, and the one reservoir ignores them.
     std::mt19937_64 rng(0x7a11u);
     const char *const cats[] = {"monitor", "fleet", "cli"};
     constexpr int kRounds = 256, kOffersPerRound = 400;
     for (int round = 0; round < kRounds; ++round) {
         obs::TraceStoreOptions opts;
         opts.max_traces = 1 + rng() % 24;
-        opts.slow_per_cat = rng() % 5;
+        opts.slow_kept = rng() % 5;
         if (round % 3 == 0)
             opts.max_bytes = 2048 + rng() % (6 * 1024 + 1);
         const std::size_t n_cats = 1 + rng() % 3;
@@ -340,7 +338,7 @@ TEST_F(TraceStoreTest, EvictionMatchesTheSortPerEvictionReference)
             const auto dur = static_cast<std::int64_t>(rng() % 12);
             const bool error = rng() % 10 == 0;
             auto t = makeTrace(id, cat, dur, error, rng() % 6);
-            ref.offer({id, cat, dur, error,
+            ref.offer({id, dur, error,
                        obs::TraceStore::footprint(t), 0});
             store.offer(std::move(t));
 

@@ -2,8 +2,9 @@
  * @file
  * Tests of the embedded time-series store: raw-ring retention,
  * tiered downsampling, tier selection by query step, cardinality-cap
- * eviction, NaN rejection, bounded memory under a long soak, query
- * error paths, and concurrent append/query (exercised under TSan).
+ * eviction (exact, global, counted in /metrics), NaN rejection,
+ * bounded memory under a long soak, query error paths, and
+ * concurrent append/query (exercised under TSan).
  */
 
 #include <gtest/gtest.h>
@@ -14,6 +15,7 @@
 #include <thread>
 
 #include "obs/metrics.hh"
+#include "obs/standard.hh"
 #include "obs/tsdb.hh"
 
 namespace
@@ -141,7 +143,6 @@ TEST(TsdbTest, CardinalityCapEvictsOldestWrite)
 {
     obs::TsdbOptions o;
     o.max_series = 4;
-    o.stripes = 1; // single stripe: the cap is exact, LRU is global
     obs::Tsdb db(o);
     db.append("a", 1 * kSec, 1.0);
     db.append("b", 2 * kSec, 1.0);
@@ -162,18 +163,45 @@ TEST(TsdbTest, CardinalityCapEvictsOldestWrite)
     q.start_us = 0;
     q.end_us = 10 * kSec;
     EXPECT_FALSE(db.query(q).ok);
+
+    // Equal last writes break by name, not by insertion order.
+    obs::Tsdb tied(o);
+    for (const char *name : {"d", "c", "b", "a"})
+        tied.append(name, kSec, 1.0);
+    tied.append("e", 2 * kSec, 1.0);
+    EXPECT_EQ(tied.seriesNames(),
+              (std::vector<std::string>{"b", "c", "d", "e"}));
+}
+
+TEST(TsdbTest, RegistryFedEvictionsReachTheMetricsExposition)
+{
+    obs::Registry::global().reset();
+    obs::registerStandardMetrics();
+    obs::TsdbOptions o;
+    o.max_series = 8; // far fewer than the standard catalog's samples
+    obs::Tsdb db(o);
+    db.recordRegistry(obs::Registry::global(), kSec);
+    ASSERT_GT(db.evictions(), 0u);
+    const std::string prom = obs::Registry::global().renderPrometheus();
+    EXPECT_NE(prom.find("gpupm_tsdb_evictions_total " +
+                        std::to_string(db.evictions()) + "\n"),
+              std::string::npos)
+            << prom;
+    EXPECT_NE(prom.find("gpupm_tsdb_points_total " +
+                        std::to_string(db.pointsAppended()) + "\n"),
+              std::string::npos);
+    obs::Registry::global().reset();
 }
 
 TEST(TsdbTest, MemoryStaysBoundedUnderSoak)
 {
     obs::TsdbOptions o;
     o.max_series = 16;
-    o.stripes = 4;
     obs::Tsdb db(o);
 
     // Fixed accounting: the bound is a function of the caps alone.
     const std::size_t cap_bound =
-            sizeof(obs::Tsdb) + o.stripes * 512 +
+            sizeof(obs::Tsdb) +
             o.max_series *
                     (o.raw_capacity * sizeof(obs::TsPoint) +
                      2 * o.tier_capacity * sizeof(obs::TsBucket) +

@@ -34,7 +34,6 @@
  */
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <csignal>
@@ -720,11 +719,13 @@ cmdDevices(const Args &, const CliFlags &)
 
 /**
  * Run the fault-tolerant campaign path selected by any resilience
- * flag. Prints the CampaignReport; nullopt when a max_cells /
- * checkpoint split stopped the run before the grid was complete.
+ * flag into `data` and print the CampaignReport. Returns 0; 3 when a
+ * max_cells / checkpoint split stopped the run before the grid was
+ * complete; or 1 when a checkpoint could not be written.
  */
-std::optional<model::TrainingData>
-runResilientCampaign(gpu::DeviceKind kind, const CliFlags &flags)
+int
+runResilientCampaign(gpu::DeviceKind kind, const CliFlags &flags,
+                     model::TrainingData &data)
 {
     sim::PhysicalGpu board(kind);
     model::SimulatedBackend backend(board);
@@ -749,13 +750,16 @@ runResilientCampaign(gpu::DeviceKind kind, const CliFlags &flags)
     std::fprintf(stderr, "%s", result.report.summary().c_str());
     if (flags.json)
         std::printf("%s\n", result.report.toJson().c_str());
+    if (result.checkpoint_error)
+        return reportLoadFailure(*result.checkpoint_error);
     if (!result.complete) {
         std::fprintf(stderr,
                      "campaign interrupted; progress saved to %s\n",
                      flags.checkpoint.c_str());
-        return std::nullopt;
+        return 3;
     }
-    return std::move(result.data);
+    data = std::move(result.data);
+    return 0;
 }
 
 int
@@ -764,18 +768,17 @@ cmdCampaign(const Args &args, const CliFlags &flags)
     const auto kind = parseDevice(args[0]);
     if (!kind)
         return unknownDevice(args[0]);
-    std::optional<model::TrainingData> data;
+    model::TrainingData data;
     if (flags.resilient) {
-        data = runResilientCampaign(*kind, flags);
-        if (!data)
-            return 3;
+        if (const int rc = runResilientCampaign(*kind, flags, data))
+            return rc;
     } else {
         sim::PhysicalGpu board(*kind);
         std::fprintf(stderr, "running campaign on %s...\n",
                      board.descriptor().name.c_str());
         data = model::runTrainingCampaign(board, ubench::buildSuite());
     }
-    const auto saved = model::trySave(*data, args[1]);
+    const auto saved = model::trySave(data, args[1]);
     if (!saved.ok())
         return reportLoadFailure(saved.error());
     reportWritten(true, "campaign", args[1]);
@@ -827,8 +830,10 @@ cmdFit(const Args &args, const CliFlags &flags)
                      "no campaign file '%s'; running the bundled "
                      "synthetic campaign\n",
                      args[0].c_str());
-        const auto data = runResilientCampaign(*kind, flags);
-        return data ? fitAndSave(*data, args[1], flags) : 3;
+        model::TrainingData data;
+        if (const int rc = runResilientCampaign(*kind, flags, data))
+            return rc;
+        return fitAndSave(data, args[1], flags);
     }
     auto data = model::tryLoad<model::TrainingData>(args[0],
                                                    loadOptionsOf(flags));
@@ -1516,7 +1521,7 @@ struct LivePipeline
     std::map<std::string, gpu::ComponentArray> utils;
     std::map<std::string, sim::KernelDemand> demands;
     std::size_t schedule_points = 0;
-    std::atomic<long> probe_tick{0};
+    long probe_tick = 0;
 
     obs::FlightRecorder recorder{256};
     std::optional<TraceStoreAttachment> tracing;
@@ -1575,7 +1580,6 @@ LivePipeline::build(const char *cmd)
             std::move(schedule),
             obs::SamplerOptions{
                     .period_ms = static_cast<int>(flags.period_ms),
-                    .duration_s = flags.duration_s,
                     .events_out = flags.events_out,
                     .events_max_bytes = flags.events_max_bytes,
                     .events_max_files =
@@ -1606,7 +1610,7 @@ LivePipeline::probe(const std::string &app, const gpu::FreqConfig &cfg)
     // Seeded accuracy fault: scale the measurement inside the tick
     // window so the residuals — and the rolling MAE the drift rule
     // watches — degrade and recover deterministically.
-    const long tick = probe_tick.fetch_add(1, std::memory_order_relaxed);
+    const long tick = probe_tick++;
     const auto &inj = flags.inject_drift;
     if (inj && tick >= inj->from_tick && tick < inj->to_tick)
         s.measured_w *= inj->scale;
@@ -1660,7 +1664,7 @@ printRecorderTail(const obs::FlightRecorder &recorder, std::size_t show)
 
 /**
  * `gpupm monitor <device>`: the long-running telemetry daemon. The
- * live pipeline runs on the sampler's wall-clock thread while an
+ * main thread ticks the live pipeline on the wall clock while an
  * embedded HTTP server exposes /metrics, /healthz, /scoreboard,
  * /tracez and the rest on loopback. SIGINT or SIGTERM (or --duration
  * elapsing) shuts everything down cleanly and dumps the flight
@@ -1797,11 +1801,6 @@ cmdMonitor(const Args &args, const CliFlags &flags)
 
     if (!listen(server, flags, "monitor"))
         return 1;
-    std::string err;
-    if (!sampler.start(&err)) {
-        std::fprintf(stderr, "monitor: %s\n", err.c_str());
-        return 1;
-    }
     const auto &desc = live.board.descriptor();
     recorder.recordSpan("monitor.start", 0,
                         desc.name + " on 127.0.0.1:" +
@@ -1815,7 +1814,28 @@ cmdMonitor(const Args &args, const CliFlags &flags)
     g_monitor_dump = 0;
     for (int sig : {SIGINT, SIGTERM, SIGUSR1})
         std::signal(sig, monitorSignalHandler);
-    while (!g_monitor_stop && sampler.running()) {
+    obs::Profiler::setThreadLabel("monitor.main");
+    // The main loop ticks when a period is due, at t = µs since the
+    // loop started, and otherwise sleeps at most 50 ms so signals and
+    // --duration are seen promptly. A tick that overruns its period
+    // makes the next one due at once.
+    const auto period = std::chrono::milliseconds(flags.period_ms);
+    const auto loop_start = std::chrono::steady_clock::now();
+    auto next_tick = loop_start;
+    while (!g_monitor_stop) {
+        const auto now = std::chrono::steady_clock::now();
+        const auto elapsed = now - loop_start;
+        if (flags.duration_s > 0.0 &&
+            std::chrono::duration<double>(elapsed).count() >=
+                    flags.duration_s)
+            break;
+        if (now >= next_tick) {
+            sampler.tickSynchronously(
+                    std::chrono::duration_cast<std::chrono::microseconds>(
+                            elapsed)
+                            .count());
+            next_tick += period;
+        }
         if (g_monitor_dump) {
             // SIGUSR1 diagnostic: everything a stuck daemon's operator
             // needs, dumped to stderr without stopping anything. The
@@ -1838,7 +1858,9 @@ cmdMonitor(const Args &args, const CliFlags &flags)
         const bool attribute = obs::Profiler::contextEnabled();
         if (attribute)
             obs::profilerPushSpan("monitor", "monitor.wait");
-        std::this_thread::sleep_for(std::chrono::milliseconds(50));
+        std::this_thread::sleep_until(
+                std::min(next_tick, std::chrono::steady_clock::now() +
+                                            std::chrono::milliseconds(50)));
         if (attribute)
             obs::profilerPopSpan();
     }
@@ -1847,7 +1869,6 @@ cmdMonitor(const Args &args, const CliFlags &flags)
                  "monitor: shutting down (%ld ticks, %ld requests "
                  "served)\n",
                  sampler.ticks(), server.requestsServed());
-    sampler.stop();
     server.stop();
     for (int sig : {SIGINT, SIGTERM, SIGUSR1})
         std::signal(sig, SIG_DFL);

@@ -21,8 +21,8 @@
  *       fork/exec `gpupm monitor <device>` on an ephemeral port,
  *       wait for the port file, scrape /metrics, /healthz,
  *       /scoreboard, /tracez, /profilez, /alertz and /api/query
- *       (asserting the JSON bodies are brace-balanced and the folded
- *       profile parses), fire SIGUSR1 and require the live
+ *       (asserting every JSON body parses and the folded profile is
+ *       well formed), fire SIGUSR1 and require the live
  *       diagnostic dump on the daemon's stderr, assert the 404/405
  *       error paths, SIGTERM the daemon and require a clean exit 0.
  *       A cmake -P script cannot background a process, so the
@@ -40,7 +40,7 @@
  *   gpupm_scrape fleet-selftest <gpupm-binary> --work=<dir>
  *       a fleet served over HTTP: run `gpupm fleet 6` with --port and
  *       --duration, require /fleet, /metrics, /api/query and
- *       /api/traces to answer 200 (the JSON ones brace-balanced), and
+ *       /api/traces to answer 200 (the JSON ones parsing), and
  *       require the process to exit 0 once the duration elapses.
  */
 
@@ -62,6 +62,8 @@
 #include <string>
 #include <thread>
 #include <vector>
+
+#include "common/json.hh"
 
 namespace
 {
@@ -185,41 +187,27 @@ checkEndpoint(int port, const std::string &method,
 }
 
 /**
- * Structural well-formedness of a JSON body: non-empty, starts with
- * '{' or '[', and every brace/bracket closes (string-aware, so
- * braces inside values do not count). Not a full parser — the point
- * is catching a truncated or interleaved HTTP body, which substring
- * expectations alone would miss.
+ * checkEndpoint for a JSON endpoint (GET): the body must also parse as
+ * one JSON document, which catches a truncated, interleaved or
+ * non-finite body that substring expectations alone would miss.
  */
-bool
-jsonBalanced(const std::string &body)
+int
+checkJsonEndpoint(int port, const std::string &path, int want_status,
+                  const std::vector<std::string> &expects,
+                  std::string *body_out = nullptr)
 {
-    std::size_t i = 0;
-    while (i < body.size() && (body[i] == ' ' || body[i] == '\n'))
-        ++i;
-    if (i >= body.size() || (body[i] != '{' && body[i] != '['))
-        return false;
-    int depth = 0;
-    bool in_str = false, esc = false;
-    for (; i < body.size(); ++i) {
-        const char c = body[i];
-        if (esc) {
-            esc = false;
-        } else if (in_str) {
-            if (c == '\\')
-                esc = true;
-            else if (c == '"')
-                in_str = false;
-        } else if (c == '"') {
-            in_str = true;
-        } else if (c == '{' || c == '[') {
-            ++depth;
-        } else if (c == '}' || c == ']') {
-            if (--depth < 0)
-                return false;
-        }
-    }
-    return depth == 0 && !in_str;
+    std::string body;
+    if (const int rc = checkEndpoint(port, "GET", path, want_status,
+                                     expects, &body))
+        return rc;
+    gpupm::json::Value doc;
+    gpupm::json::Error err;
+    if (!gpupm::json::parse(body, doc, err))
+        return fail("GET " + path + ": body is not JSON: " +
+                    err.message());
+    if (body_out)
+        *body_out = std::move(body);
+    return 0;
 }
 
 /**
@@ -314,99 +302,137 @@ cmdGet(int argc, char **argv)
 }
 
 /** A forked `gpupm` daemon (`monitor`, or `fleet --port`) under test. */
-struct MonitorProc
+struct Daemon
 {
+    std::string name; ///< the subcommand: "monitor" or "fleet"
     pid_t pid = -1;
     int port = 0;
     std::string port_file;
-    std::string events_file;
     std::string stderr_file;
+    std::string events_file; ///< the monitor's NDJSON event log
+
+    /**
+     * Fork/exec `gpupm <command...>` on an ephemeral port and wait for
+     * the port file, named after the subcommand
+     * (`<work>/<command[0]>.port`). Its stderr goes to
+     * `<work>/<command[0]>.stderr` so diagnostics can be asserted on.
+     * Returns 0, or fail()'s code with no child left running.
+     */
+    int
+    start(const std::string &gpupm,
+          const std::vector<std::string> &command,
+          const std::string &work)
+    {
+        name = command.front();
+        ::mkdir(work.c_str(), 0755); // fine if it already exists
+        port_file = work + "/" + name + ".port";
+        stderr_file = work + "/" + name + ".stderr";
+        std::remove(port_file.c_str());
+        std::remove(stderr_file.c_str());
+
+        pid = ::fork();
+        if (pid < 0)
+            return fail(std::string("fork: ") + std::strerror(errno));
+        if (pid == 0) {
+            if (!std::freopen(stderr_file.c_str(), "w", stderr))
+                _exit(126);
+            std::vector<std::string> args{gpupm};
+            args.insert(args.end(), command.begin(), command.end());
+            args.push_back("--port=0");
+            args.push_back("--port-file=" + port_file);
+            std::vector<char *> argv;
+            argv.reserve(args.size() + 1);
+            for (auto &a : args)
+                argv.push_back(a.data());
+            argv.push_back(nullptr);
+            ::execv(gpupm.c_str(), argv.data());
+            std::fprintf(stderr, "exec %s: %s\n", gpupm.c_str(),
+                         std::strerror(errno));
+            _exit(127);
+        }
+
+        // The monitor trains its model (the fleet runs its campaign)
+        // before listening; poll the port file until it appears (or
+        // the child dies).
+        const auto deadline = std::chrono::steady_clock::now() +
+                              std::chrono::seconds(30);
+        while (std::chrono::steady_clock::now() < deadline) {
+            int wstatus = 0;
+            if (::waitpid(pid, &wstatus, WNOHANG) == pid)
+                return fail(name + " exited before listening (status " +
+                            std::to_string(wstatus) + ")");
+            std::ifstream pf(port_file);
+            if (pf >> port && port > 0) {
+                std::fprintf(stderr,
+                             "gpupm_scrape: %s up on port %d\n",
+                             name.c_str(), port);
+                return 0;
+            }
+            port = 0;
+            std::this_thread::sleep_for(std::chrono::milliseconds(50));
+        }
+        return killAndFail("no port file after 30 s");
+    }
+
+    /** SIGKILL the daemon, print its stderr, and fail with `what`. */
+    int
+    killAndFail(const std::string &what)
+    {
+        ::kill(pid, SIGKILL);
+        ::waitpid(pid, nullptr, 0);
+        std::ifstream se(stderr_file);
+        std::string l;
+        while (std::getline(se, l))
+            std::fprintf(stderr, "%s stderr| %s\n", name.c_str(),
+                         l.c_str());
+        return fail(what);
+    }
+
+    /**
+     * Send `sig` (0 sends none: the daemon exits on its own) and
+     * require exit status 0 within `timeout_s`.
+     */
+    int
+    awaitCleanExit(int sig, int timeout_s)
+    {
+        if (sig && ::kill(pid, sig) != 0)
+            return killAndFail(std::string("kill: ") +
+                               std::strerror(errno));
+        int wstatus = 0;
+        const auto deadline = std::chrono::steady_clock::now() +
+                              std::chrono::seconds(timeout_s);
+        while (::waitpid(pid, &wstatus, WNOHANG) != pid) {
+            if (std::chrono::steady_clock::now() >= deadline)
+                return killAndFail(name + " did not exit within " +
+                                   std::to_string(timeout_s) + " s");
+            std::this_thread::sleep_for(std::chrono::milliseconds(50));
+        }
+        if (!WIFEXITED(wstatus) || WEXITSTATUS(wstatus) != 0)
+            return fail(name + " exit status " +
+                        std::to_string(wstatus));
+        return 0;
+    }
 };
 
 /**
- * Fork/exec `gpupm <command...>` on an ephemeral port and wait for the
- * port file, named after the subcommand (`<work>/<command[0]>.port`).
- * Its stderr goes to `<work>/<command[0]>.stderr` so diagnostics can be
- * asserted on.
+ * Fork/exec `gpupm monitor <device>` with the given extra flags and
+ * its NDJSON event log at `<work>/monitor.ndjson`. The daemon gets a
+ * generous self-destruct (--duration=60s) so a hung test cannot leak
+ * a process past the ctest timeout.
  */
-bool
-spawnDaemon(const std::string &gpupm,
-            const std::vector<std::string> &command,
-            const std::string &work, MonitorProc *proc,
-            std::string *err)
+int
+startMonitor(Daemon &d, const std::string &gpupm,
+             const std::string &device, const std::string &work,
+             const std::vector<std::string> &extra_flags)
 {
-    ::mkdir(work.c_str(), 0755); // fine if it already exists
-    proc->port_file = work + "/" + command.front() + ".port";
-    proc->stderr_file = work + "/" + command.front() + ".stderr";
-    std::remove(proc->port_file.c_str());
-    std::remove(proc->stderr_file.c_str());
-
-    proc->pid = ::fork();
-    if (proc->pid < 0) {
-        *err = std::string("fork: ") + std::strerror(errno);
-        return false;
-    }
-    if (proc->pid == 0) {
-        if (!std::freopen(proc->stderr_file.c_str(), "w", stderr))
-            _exit(126);
-        std::vector<std::string> args{gpupm};
-        args.insert(args.end(), command.begin(), command.end());
-        args.push_back("--port=0");
-        args.push_back("--port-file=" + proc->port_file);
-        std::vector<char *> argv;
-        argv.reserve(args.size() + 1);
-        for (auto &a : args)
-            argv.push_back(a.data());
-        argv.push_back(nullptr);
-        ::execv(gpupm.c_str(), argv.data());
-        std::fprintf(stderr, "exec %s: %s\n", gpupm.c_str(),
-                     std::strerror(errno));
-        _exit(127);
-    }
-
-    // The monitor trains its model (the fleet runs its campaign)
-    // before listening; poll the port file until it appears (or the
-    // child dies).
-    const auto deadline = std::chrono::steady_clock::now() +
-                          std::chrono::seconds(30);
-    while (std::chrono::steady_clock::now() < deadline) {
-        int wstatus = 0;
-        if (::waitpid(proc->pid, &wstatus, WNOHANG) == proc->pid) {
-            proc->pid = -1;
-            *err = command.front() +
-                   " exited before listening (status " +
-                   std::to_string(wstatus) + ")";
-            return false;
-        }
-        std::ifstream pf(proc->port_file);
-        if (pf >> proc->port && proc->port > 0)
-            return true;
-        proc->port = 0;
-        std::this_thread::sleep_for(std::chrono::milliseconds(50));
-    }
-    *err = "no port file after 30 s";
-    return false;
-}
-
-/**
- * Fork/exec `gpupm monitor <device>` with the given extra flags. The
- * daemon gets a generous self-destruct (--duration=60s) so a hung test
- * cannot leak a process past the ctest timeout.
- */
-bool
-spawnMonitor(const std::string &gpupm, const std::string &device,
-             const std::string &work,
-             const std::vector<std::string> &extra_flags,
-             MonitorProc *proc, std::string *err)
-{
-    proc->events_file = work + "/monitor.ndjson";
-    std::remove(proc->events_file.c_str());
+    d.events_file = work + "/monitor.ndjson";
+    std::remove(d.events_file.c_str());
     std::vector<std::string> command{"monitor", device,
                                      "--period-ms=50", "--duration=60s",
-                                     "--events-out=" + proc->events_file};
+                                     "--events-out=" + d.events_file};
     command.insert(command.end(), extra_flags.begin(),
                    extra_flags.end());
-    return spawnDaemon(gpupm, command, work, proc, err);
+    return d.start(gpupm, command, work);
 }
 
 int
@@ -426,33 +452,10 @@ cmdMonitorSelftest(int argc, char **argv)
             return fail("unknown argument '" + arg + "'");
     }
 
-    MonitorProc proc;
-    std::string spawn_err;
-    if (!spawnMonitor(gpupm, device, work, {}, &proc, &spawn_err)) {
-        if (proc.pid > 0) {
-            ::kill(proc.pid, SIGKILL);
-            ::waitpid(proc.pid, nullptr, 0);
-        }
-        return fail(spawn_err);
-    }
-    const pid_t pid = proc.pid;
-    const int port = proc.port;
-    const std::string events_file = proc.events_file;
-    const std::string stderr_file = proc.stderr_file;
-    auto dumpStderr = [&] {
-        std::ifstream se(stderr_file);
-        std::string l;
-        while (std::getline(se, l))
-            std::fprintf(stderr, "monitor stderr| %s\n", l.c_str());
-    };
-    auto killAndFail = [&](const std::string &what) {
-        ::kill(pid, SIGKILL);
-        ::waitpid(pid, nullptr, 0);
-        dumpStderr();
-        return fail(what);
-    };
-    std::fprintf(stderr, "gpupm_scrape: monitor up on port %d\n",
-                 port);
+    Daemon d;
+    if (const int rc = startMonitor(d, gpupm, device, work, {}))
+        return rc;
+    const int port = d.port;
 
     // Let the sampling loop land a handful of ticks first.
     std::this_thread::sleep_for(std::chrono::milliseconds(500));
@@ -471,7 +474,7 @@ cmdMonitorSelftest(int argc, char **argv)
                        "/metrics\"",
                        "git_sha="},
                       &prom) != 0)
-        return killAndFail("/metrics check failed");
+        return d.killAndFail("/metrics check failed");
     const double ticks =
             metricValue(prom, "gpupm_monitor_ticks_total");
     const double samples =
@@ -479,11 +482,11 @@ cmdMonitorSelftest(int argc, char **argv)
     const double measured =
             metricValue(prom, "gpupm_monitor_last_measured_watts");
     if (ticks < 1.0)
-        return killAndFail("gpupm_monitor_ticks_total not > 0");
+        return d.killAndFail("gpupm_monitor_ticks_total not > 0");
     if (samples < 1.0)
-        return killAndFail("gpupm_accuracy_samples_total not > 0");
+        return d.killAndFail("gpupm_accuracy_samples_total not > 0");
     if (measured < 10.0 || measured > 1000.0)
-        return killAndFail("gpupm_monitor_last_measured_watts "
+        return d.killAndFail("gpupm_monitor_last_measured_watts "
                            "implausible: " +
                            std::to_string(measured));
 
@@ -491,79 +494,66 @@ cmdMonitorSelftest(int argc, char **argv)
                       {"\"status\":\"ok\"", "\"provenance\":",
                        "\"git_sha\"",
                        "\"device\":\"" + device + "\""}) != 0)
-        return killAndFail("/healthz check failed");
-    std::string json_body;
-    if (checkEndpoint(port, "GET", "/scoreboard", 200,
-                      {"\"gpupm_scoreboard_version\"",
-                       "\"summary\":", "\"per_app\":"},
-                      &json_body) != 0)
-        return killAndFail("/scoreboard check failed");
-    if (!jsonBalanced(json_body))
-        return killAndFail("/scoreboard body is not balanced JSON");
-    if (checkEndpoint(port, "GET", "/tracez", 200,
-                      {"\"records\":", "monitor.sample",
-                       "monitor.start"},
-                      &json_body) != 0)
-        return killAndFail("/tracez check failed");
-    if (!jsonBalanced(json_body))
-        return killAndFail("/tracez body is not balanced JSON");
+        return d.killAndFail("/healthz check failed");
+    if (checkJsonEndpoint(port, "/scoreboard", 200,
+                          {"\"gpupm_scoreboard_version\"",
+                           "\"summary\":", "\"per_app\":"}) != 0)
+        return d.killAndFail("/scoreboard check failed");
+    if (checkJsonEndpoint(port, "/tracez", 200,
+                          {"\"records\":", "monitor.sample",
+                           "monitor.start"}) != 0)
+        return d.killAndFail("/tracez check failed");
 
     // The alert engine ships with the built-in drift rule; the
     // embedded store must answer range queries over the live series.
-    if (checkEndpoint(port, "GET", "/alertz", 200,
-                      {"\"rules\":[", "accuracy_drift_" + device,
-                       "\"kind\":\"drift\"", "\"history\":["},
-                      &json_body) != 0)
-        return killAndFail("/alertz check failed");
-    if (!jsonBalanced(json_body))
-        return killAndFail("/alertz body is not balanced JSON");
+    if (checkJsonEndpoint(port, "/alertz", 200,
+                          {"\"rules\":[", "accuracy_drift_" + device,
+                           "\"kind\":\"drift\"", "\"history\":["}) !=
+        0)
+        return d.killAndFail("/alertz check failed");
     if (checkEndpoint(port, "GET", "/alertz?format=text", 200,
                       {"alerts @", "accuracy_drift_" + device}) != 0)
-        return killAndFail("/alertz text check failed");
-    if (checkEndpoint(port, "GET",
-                      "/api/query?series=gpupm_accuracy_rolling_mae_"
-                      "pct&range=60s&step=1s",
-                      200,
-                      {"\"ok\":true", "\"points\":[{", "\"avg\":"},
-                      &json_body) != 0)
-        return killAndFail("/api/query check failed");
-    if (!jsonBalanced(json_body))
-        return killAndFail("/api/query body is not balanced JSON");
+        return d.killAndFail("/alertz text check failed");
+    if (checkJsonEndpoint(port,
+                          "/api/query?series=gpupm_accuracy_rolling_mae_"
+                          "pct&range=60s&step=1s",
+                          200,
+                          {"\"ok\":true", "\"points\":[{",
+                           "\"avg\":"}) != 0)
+        return d.killAndFail("/api/query check failed");
     if (checkEndpoint(port, "GET", "/api/query", 400,
                       {"usage: /api/query"}) != 0)
-        return killAndFail("/api/query missing-series check failed");
+        return d.killAndFail("/api/query missing-series check failed");
     if (checkEndpoint(port, "GET",
                       "/api/query?series=no_such_series&range=10s",
                       404, {}) != 0)
-        return killAndFail("/api/query unknown-series check failed");
+        return d.killAndFail("/api/query unknown-series check failed");
 
     // /api/traces serves the tail-sampled trace store: every sampler
     // tick roots a fresh trace, so assembled monitor.tick traces with
     // correlated span ids must be queryable, filters must compose and
     // bogus parameters must be rejected with the usage string.
-    if (checkEndpoint(port, "GET", "/api/traces",
-                      200,
-                      {"\"traces\":[", "\"trace_id\":\"",
-                       "monitor.tick", "\"spans\":[",
-                       "\"memory_bound_bytes\":"},
-                      &json_body) != 0)
-        return killAndFail("/api/traces check failed");
-    if (!jsonBalanced(json_body))
-        return killAndFail("/api/traces body is not balanced JSON");
+    std::string json_body;
+    if (checkJsonEndpoint(port, "/api/traces", 200,
+                          {"\"traces\":[", "\"trace_id\":\"",
+                           "monitor.tick", "\"spans\":[",
+                           "\"memory_bound_bytes\":"},
+                          &json_body) != 0)
+        return d.killAndFail("/api/traces check failed");
     // The main loop's idle waits are attributed in /profilez but are
     // not requests: none of them may root a stored trace.
     if (json_body.find("\"root\":\"monitor.wait\"") != std::string::npos)
-        return killAndFail("/api/traces holds monitor.wait traces");
+        return d.killAndFail("/api/traces holds monitor.wait traces");
     if (checkEndpoint(port, "GET",
                       "/api/traces?category=monitor&min_ms=0&limit=2",
                       200, {"monitor.tick"}) != 0)
-        return killAndFail("/api/traces filtered check failed");
+        return d.killAndFail("/api/traces filtered check failed");
     if (checkEndpoint(port, "GET", "/api/traces?error=2", 400,
                       {"usage: /api/traces"}) != 0)
-        return killAndFail("/api/traces bad-param check failed");
+        return d.killAndFail("/api/traces bad-param check failed");
     if (checkEndpoint(port, "GET", "/api/traces?min_ms=abc", 400,
                       {"usage: /api/traces"}) != 0)
-        return killAndFail("/api/traces bad min_ms check failed");
+        return d.killAndFail("/api/traces bad min_ms check failed");
 
     // /profilez runs the wall-clock sampling profiler in-place; the
     // idle daemon sits in its instrumented wait/tick spans, so the
@@ -571,28 +561,24 @@ cmdMonitorSelftest(int argc, char **argv)
     std::string folded;
     if (checkEndpoint(port, "GET", "/profilez?seconds=0.5", 200,
                       {"monitor"}, &folded) != 0)
-        return killAndFail("/profilez check failed");
+        return d.killAndFail("/profilez check failed");
     if (!foldedWellFormed(folded))
-        return killAndFail("/profilez body is not a folded profile");
-    if (checkEndpoint(port, "GET", "/profilez?seconds=0.2&json=1",
-                      200,
-                      {"\"mode\":\"wall\"", "\"attributed_pct\":",
-                       "\"categories\":"},
-                      &json_body) != 0)
-        return killAndFail("/profilez json check failed");
-    if (!jsonBalanced(json_body))
-        return killAndFail("/profilez json body is not balanced");
+        return d.killAndFail("/profilez body is not a folded profile");
+    if (checkJsonEndpoint(port, "/profilez?seconds=0.2&json=1", 200,
+                          {"\"mode\":\"wall\"", "\"attributed_pct\":",
+                           "\"categories\":"}) != 0)
+        return d.killAndFail("/profilez json check failed");
 
     // SIGUSR1 must produce a live diagnostic dump on the daemon's
     // stderr without disturbing the process.
-    if (::kill(pid, SIGUSR1) != 0)
-        return killAndFail(std::string("kill SIGUSR1: ") +
+    if (::kill(d.pid, SIGUSR1) != 0)
+        return d.killAndFail(std::string("kill SIGUSR1: ") +
                            std::strerror(errno));
     bool dumped = false;
     for (int waited_ms = 0; waited_ms < 5000 && !dumped;
          waited_ms += 100) {
         std::this_thread::sleep_for(std::chrono::milliseconds(100));
-        std::ifstream se(stderr_file);
+        std::ifstream se(d.stderr_file);
         std::string text((std::istreambuf_iterator<char>(se)),
                          std::istreambuf_iterator<char>());
         dumped = text.find("=== live diagnostic (SIGUSR1) ===") !=
@@ -601,7 +587,7 @@ cmdMonitorSelftest(int argc, char **argv)
                          std::string::npos;
     }
     if (!dumped)
-        return killAndFail("no SIGUSR1 diagnostic dump within 5 s");
+        return d.killAndFail("no SIGUSR1 diagnostic dump within 5 s");
     std::fprintf(stderr,
                  "gpupm_scrape: ok SIGUSR1 live diagnostic dump\n");
 
@@ -609,14 +595,14 @@ cmdMonitorSelftest(int argc, char **argv)
     // the trace-store gauges live, and latency histograms carrying
     // OpenMetrics exemplars that link back to stored trace ids.
     if (checkEndpoint(port, "GET", "/metrics", 200, {}, &prom) != 0)
-        return killAndFail("second /metrics scrape failed");
+        return d.killAndFail("second /metrics scrape failed");
     if (metricValue(prom, "gpupm_http_requests_total{path=\""
                           "/metrics\"}") < 1.0)
-        return killAndFail("/metrics requests not counted");
+        return d.killAndFail("/metrics requests not counted");
     if (metricValue(prom, "gpupm_trace_store_traces") < 1.0)
-        return killAndFail("gpupm_trace_store_traces not > 0");
+        return d.killAndFail("gpupm_trace_store_traces not > 0");
     if (prom.find(" # {trace_id=\"") == std::string::npos)
-        return killAndFail("/metrics carries no trace exemplars");
+        return d.killAndFail("/metrics carries no trace exemplars");
     // At least one exemplar must name a trace the store keeps. A
     // tick's trace reaches the store only when its root span closes,
     // so the lookups are retried once, a tick (50 ms) later.
@@ -643,7 +629,7 @@ cmdMonitorSelftest(int argc, char **argv)
         }
     }
     if (stored_id.empty())
-        return killAndFail("no /metrics exemplar names a trace in "
+        return d.killAndFail("no /metrics exemplar names a trace in "
                            "/api/traces");
     std::fprintf(stderr,
                  "gpupm_scrape: ok exemplar trace %s in /api/traces\n",
@@ -652,36 +638,22 @@ cmdMonitorSelftest(int argc, char **argv)
     // Error paths: unknown route and non-GET method.
     if (checkEndpoint(port, "GET", "/nope", 404, {"unknown path"}) !=
         0)
-        return killAndFail("404 check failed");
+        return d.killAndFail("404 check failed");
     if (checkEndpoint(port, "POST", "/metrics", 405,
                       {"method not allowed"}) != 0)
-        return killAndFail("405 check failed");
+        return d.killAndFail("405 check failed");
 
     // Graceful shutdown: SIGTERM must produce a clean exit 0.
-    if (::kill(pid, SIGTERM) != 0)
-        return killAndFail(std::string("kill: ") +
-                           std::strerror(errno));
-    int wstatus = 0;
-    for (int waited_ms = 0;; waited_ms += 50) {
-        const pid_t r = ::waitpid(pid, &wstatus, WNOHANG);
-        if (r == pid)
-            break;
-        if (waited_ms >= 10000)
-            return killAndFail("monitor did not exit within 10 s of "
-                               "SIGTERM");
-        std::this_thread::sleep_for(std::chrono::milliseconds(50));
-    }
-    if (!WIFEXITED(wstatus) || WEXITSTATUS(wstatus) != 0)
-        return fail("monitor exit status " +
-                    std::to_string(wstatus) + " after SIGTERM");
+    if (const int rc = d.awaitCleanExit(SIGTERM, 10))
+        return rc;
 
     // The event log must hold at least one well-formed NDJSON line.
-    std::ifstream ev(events_file);
+    std::ifstream ev(d.events_file);
     std::string line;
     if (!std::getline(ev, line) ||
         line.find("\"measured_w\":") == std::string::npos ||
         line.find("\"predicted_w\":") == std::string::npos)
-        return fail("event log missing or malformed: " + events_file);
+        return fail("event log missing or malformed: " + d.events_file);
 
     std::fprintf(stderr,
                  "gpupm_scrape: monitor selftest passed (clean "
@@ -718,37 +690,17 @@ cmdDriftDemo(int argc, char **argv)
     // baseline, ~2 s degraded measurements, recovery afterwards. The
     // alerting knobs mirror the deterministic `gpupm alerts` ctest;
     // here the same parameters run against the wall-clock daemon.
-    MonitorProc proc;
-    std::string spawn_err;
-    if (!spawnMonitor(gpupm, device, work,
-                      {"--inject-drift=40:80:1.5",
-                       "--rolling-window=16", "--drift-window=1s",
-                       "--drift-for=250ms", "--drift-cooldown=1s",
-                       "--drift-tolerance=9",
-                       "--healthz-degraded-503"},
-                      &proc, &spawn_err)) {
-        if (proc.pid > 0) {
-            ::kill(proc.pid, SIGKILL);
-            ::waitpid(proc.pid, nullptr, 0);
-        }
-        return fail(spawn_err);
-    }
-    const pid_t pid = proc.pid;
-    const int port = proc.port;
-    auto dumpStderr = [&] {
-        std::ifstream se(proc.stderr_file);
-        std::string l;
-        while (std::getline(se, l))
-            std::fprintf(stderr, "monitor stderr| %s\n", l.c_str());
-    };
-    auto killAndFail = [&](const std::string &what) {
-        ::kill(pid, SIGKILL);
-        ::waitpid(pid, nullptr, 0);
-        dumpStderr();
-        return fail(what);
-    };
-    std::fprintf(stderr, "gpupm_scrape: monitor up on port %d\n",
-                 port);
+    Daemon d;
+    if (const int rc = startMonitor(d, gpupm, device, work,
+                                    {"--inject-drift=40:80:1.5",
+                                     "--rolling-window=16",
+                                     "--drift-window=1s",
+                                     "--drift-for=250ms",
+                                     "--drift-cooldown=1s",
+                                     "--drift-tolerance=9",
+                                     "--healthz-degraded-503"}))
+        return rc;
+    const int port = d.port;
 
     // Poll /alertz until the body carries the wanted marker. The
     // injection begins ~2 s in and the hysteresis adds ~250 ms, so
@@ -776,7 +728,7 @@ cmdDriftDemo(int argc, char **argv)
 
     if (!waitAlertz("\"firing\":[\"" + rule + "\"]",
                     "drift rule firing"))
-        return killAndFail("drift rule never fired");
+        return d.killAndFail("drift rule never fired");
     std::fprintf(stderr, "gpupm_scrape: ok drift rule firing\n");
 
     // While firing: the gauge must read 1, /healthz must degrade
@@ -784,56 +736,38 @@ cmdDriftDemo(int argc, char **argv)
     // MAE series must be queryable with degraded points in range.
     std::string prom;
     if (checkEndpoint(port, "GET", "/metrics", 200, {}, &prom) != 0)
-        return killAndFail("/metrics scrape while firing failed");
+        return d.killAndFail("/metrics scrape while firing failed");
     if (metricValue(prom, "gpupm_alerts_firing{rule=\"" + rule +
                                   "\"}") != 1.0)
-        return killAndFail("gpupm_alerts_firing not 1 while firing");
+        return d.killAndFail("gpupm_alerts_firing not 1 while firing");
     if (checkEndpoint(port, "GET", "/healthz", 503,
                       {"\"status\":\"degraded\"", rule}) != 0)
-        return killAndFail("/healthz not degraded while firing");
-    std::string query_body;
-    if (checkEndpoint(port, "GET",
-                      "/api/query?series=gpupm_accuracy_rolling_mae_"
-                      "pct&range=60s&step=1s",
-                      200, {"\"ok\":true", "\"points\":[{"},
-                      &query_body) != 0)
-        return killAndFail("/api/query while firing failed");
-    if (!jsonBalanced(query_body))
-        return killAndFail("/api/query body is not balanced JSON");
+        return d.killAndFail("/healthz not degraded while firing");
+    if (checkJsonEndpoint(port,
+                          "/api/query?series=gpupm_accuracy_rolling_mae_"
+                          "pct&range=60s&step=1s",
+                          200, {"\"ok\":true", "\"points\":[{"}) != 0)
+        return d.killAndFail("/api/query while firing failed");
 
     if (!waitAlertz("\"state\":\"resolved\"", "drift rule resolved"))
-        return killAndFail("drift rule never resolved");
+        return d.killAndFail("drift rule never resolved");
     std::fprintf(stderr, "gpupm_scrape: ok drift rule resolved\n");
 
     if (checkEndpoint(port, "GET", "/metrics", 200, {}, &prom) != 0)
-        return killAndFail("/metrics scrape after resolve failed");
+        return d.killAndFail("/metrics scrape after resolve failed");
     if (metricValue(prom, "gpupm_alerts_firing{rule=\"" + rule +
                                   "\"}") != 0.0)
-        return killAndFail("gpupm_alerts_firing not 0 after resolve");
+        return d.killAndFail("gpupm_alerts_firing not 0 after resolve");
     if (checkEndpoint(port, "GET", "/healthz", 200,
                       {"\"status\":\"ok\""}) != 0)
-        return killAndFail("/healthz not ok after resolve");
+        return d.killAndFail("/healthz not ok after resolve");
 
     // Graceful shutdown, then the alert transitions must be in the
     // NDJSON event log alongside the samples.
-    if (::kill(pid, SIGTERM) != 0)
-        return killAndFail(std::string("kill: ") +
-                           std::strerror(errno));
-    int wstatus = 0;
-    for (int waited_ms = 0;; waited_ms += 50) {
-        const pid_t r = ::waitpid(pid, &wstatus, WNOHANG);
-        if (r == pid)
-            break;
-        if (waited_ms >= 10000)
-            return killAndFail("monitor did not exit within 10 s of "
-                               "SIGTERM");
-        std::this_thread::sleep_for(std::chrono::milliseconds(50));
-    }
-    if (!WIFEXITED(wstatus) || WEXITSTATUS(wstatus) != 0)
-        return fail("monitor exit status " +
-                    std::to_string(wstatus) + " after SIGTERM");
+    if (const int rc = d.awaitCleanExit(SIGTERM, 10))
+        return rc;
 
-    std::ifstream ev(proc.events_file);
+    std::ifstream ev(d.events_file);
     std::string line;
     bool saw_firing = false, saw_resolved = false;
     while (std::getline(ev, line)) {
@@ -849,7 +783,7 @@ cmdDriftDemo(int argc, char **argv)
     if (!saw_firing || !saw_resolved)
         return fail("event log lacks alert firing/resolved "
                     "transitions: " +
-                    proc.events_file);
+                    d.events_file);
 
     std::fprintf(stderr,
                  "gpupm_scrape: drift demo passed (fired, resolved, "
@@ -875,28 +809,11 @@ cmdFleetSelftest(int argc, char **argv)
 
     // The server stays up for --duration after the campaign, long
     // enough for four scrapes even under the sanitizers.
-    MonitorProc proc;
-    std::string spawn_err;
-    if (!spawnDaemon(gpupm, {"fleet", "6", "--shards=3", "--duration=5s"},
-                     work, &proc, &spawn_err)) {
-        if (proc.pid > 0) {
-            ::kill(proc.pid, SIGKILL);
-            ::waitpid(proc.pid, nullptr, 0);
-        }
-        return fail(spawn_err);
-    }
-    const pid_t pid = proc.pid;
-    const int port = proc.port;
-    auto killAndFail = [&](const std::string &what) {
-        ::kill(pid, SIGKILL);
-        ::waitpid(pid, nullptr, 0);
-        std::ifstream se(proc.stderr_file);
-        std::string l;
-        while (std::getline(se, l))
-            std::fprintf(stderr, "fleet stderr| %s\n", l.c_str());
-        return fail(what);
-    };
-    std::fprintf(stderr, "gpupm_scrape: fleet up on port %d\n", port);
+    Daemon d;
+    if (const int rc = d.start(
+                gpupm, {"fleet", "6", "--shards=3", "--duration=5s"},
+                work))
+        return rc;
 
     const struct
     {
@@ -918,25 +835,15 @@ cmdFleetSelftest(int argc, char **argv)
              true},
     };
     for (const auto &c : checks) {
-        std::string body;
-        if (checkEndpoint(port, "GET", c.path, 200, c.expects, &body) != 0)
-            return killAndFail(std::string(c.path) + " check failed");
-        if (c.json && !jsonBalanced(body))
-            return killAndFail(std::string(c.path) +
-                               " body is not balanced JSON");
+        if ((c.json ? checkJsonEndpoint(d.port, c.path, 200, c.expects)
+                    : checkEndpoint(d.port, "GET", c.path, 200,
+                                    c.expects)) != 0)
+            return d.killAndFail(std::string(c.path) + " check failed");
     }
 
     // The duration elapses on its own; the exit is clean.
-    int wstatus = 0;
-    for (int waited_ms = 0;; waited_ms += 50) {
-        if (::waitpid(pid, &wstatus, WNOHANG) == pid)
-            break;
-        if (waited_ms >= 30000)
-            return killAndFail("fleet did not exit within 30 s");
-        std::this_thread::sleep_for(std::chrono::milliseconds(50));
-    }
-    if (!WIFEXITED(wstatus) || WEXITSTATUS(wstatus) != 0)
-        return fail("fleet exit status " + std::to_string(wstatus));
+    if (const int rc = d.awaitCleanExit(0, 30))
+        return rc;
     std::fprintf(stderr, "gpupm_scrape: fleet selftest passed (clean "
                          "exit after --duration)\n");
     return 0;
