@@ -2,7 +2,7 @@
  * @file
  * Fleet-campaign benchmark: trains and validates a 48-device
  * simulated fleet (16 instances per architecture, seeded per-instance
- * ground-truth jitter) through the work-stealing supervisor, then
+ * ground-truth jitter) through the fleet supervisor's workers, then
  * repeats the run under chaos injection (shard kills mid-checkpoint
  * plus poisoned devices) and reports both the merged accuracy
  * marginals and the determinism check — the chaos run's accuracy

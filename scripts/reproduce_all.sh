@@ -93,6 +93,13 @@ if [ "${GPUPM_SKIP_SANITIZE:-0}" != "1" ]; then
     echo "== sanitize: CLI flags and subcommands"
     cmake -DCLI=build-asan/tools/gpupm -DWORK=build-asan/cli_flags_work \
           -P tests/cli_flags_test.cmake
+    # The campaign -> fit -> predict pipeline under ASan+UBSan, with
+    # its typed campaign exits: an unwritable or foreign checkpoint and
+    # a reference configuration that cannot be measured.
+    echo "== sanitize: CLI pipeline and typed campaign exits"
+    cmake -DCLI=build-asan/tools/gpupm \
+          -DWORK=build-asan/cli_pipeline_work \
+          -P tests/cli_pipeline_test.cmake
     # The live pipeline owns the tracer and trace-store lifetimes: the
     # offline alerts and traces replays at the ctests' flag sets must
     # stay clean and print the goldens' bytes.
@@ -123,16 +130,15 @@ if [ "${GPUPM_SKIP_SANITIZE:-0}" != "1" ]; then
 fi
 
 # ThreadSanitizer pass: rebuild the concurrent machinery — the fleet
-# work-stealing pool, watchdog and supervisor, plus the HTTP server
-# and metrics registry it publishes through — under TSan and run
-# their tests. A data race in the fleet stack is an accuracy bug (the
-# chaos gate leans on deterministic merges), so this gate is not
-# optional for fleet changes. Skip with GPUPM_SKIP_TSAN=1.
+# supervisor's workers, plus the HTTP server and metrics registry it
+# publishes through — under TSan and run their tests. A data race in
+# the fleet stack is an accuracy bug (the chaos gate leans on
+# deterministic merges), so this gate is not optional for fleet
+# changes. Skip with GPUPM_SKIP_TSAN=1.
 if [ "${GPUPM_SKIP_TSAN:-0}" != "1" ]; then
     cmake -B build-tsan -G Ninja -DGPUPM_TSAN=ON
     cmake --build build-tsan --target \
-        fleet_test_pool fleet_test_watchdog fleet_test_chaos \
-        fleet_test_shard_io fleet_test_supervisor \
+        fleet_test_chaos fleet_test_shard_io fleet_test_supervisor \
         fleet_test_chaos_gate fleet_test_chaos_trace \
         obs_test_http_server obs_test_metrics obs_test_profiler \
         obs_test_tsdb obs_test_trace obs_test_trace_store gpupm_cli \
@@ -149,11 +155,11 @@ if [ "${GPUPM_SKIP_TSAN:-0}" != "1" ]; then
         "$t"
     done
     # A whole fleet campaign through the CLI with TSan watching the
-    # pool, watchdog, checkpoint writers and metrics publication.
+    # workers, checkpoint writers and metrics publication.
     echo "== tsan: gpupm fleet"
     build-tsan/tools/gpupm fleet 24 --shards=6 --faults > /dev/null
-    # Profiler over the fleet pool under TSan: SIGPROF lands on worker
-    # threads mid-task while the span context and sample ring are live.
+    # Profiler over the fleet workers under TSan: SIGPROF lands on
+    # them mid-shard while the span context and sample ring are live.
     echo "== tsan: profiler smoke over fleet"
     build-tsan/tools/gpupm fleet 24 --shards=6 \
         --profile-out=build-tsan/fleet.folded > /dev/null

@@ -292,9 +292,16 @@ runResilientTrainingCampaign(
             // A checkpoint that LOADS but belongs to a different
             // campaign is a user error (wrong --resume path), not a
             // recoverable fault: proceeding would overwrite it.
-            GPUPM_FATAL("checkpoint '", opts.checkpoint_path,
-                        "' does not match this campaign (different "
-                        "seed, device, grid or suite)");
+            ResilientCampaignResult res;
+            res.complete = false;
+            res.report = ck.report;
+            res.checkpoint_error = IoStatus{
+                    IoErrc::ValidationError,
+                    detail::concat("checkpoint '", opts.checkpoint_path,
+                                   "' does not match this campaign "
+                                   "(different seed, device, grid or "
+                                   "suite)")};
+            return res;
         } else {
         CampaignCheckpoint prev = std::move(prev_res.value());
         long resumed = 0;
@@ -337,6 +344,10 @@ runResilientTrainingCampaign(
         if (++since_checkpoint >= std::max(1, opts.checkpoint_every))
             save();
     };
+    // Once before the first cell: a path that cannot be written fails
+    // now, not after the first `checkpoint_every` cells.
+    save();
+    std::optional<Status> reference_error;
 
     // Accounting helpers: ascribe counter deltas to one benchmark.
     ResilienceCounters before = shield.counters();
@@ -380,9 +391,17 @@ runResilientTrainingCampaign(
             // Reference profiling feeds every utilization (Eq. 8-10);
             // a campaign that cannot profile at the reference cannot
             // train anything.
-            GPUPM_FATAL_IF(!e.ok(), "cannot profile '", suite[b].name,
-                           "' at the reference configuration: ",
-                           e.error().message);
+            if (!e.ok()) {
+                reference_error = Status{
+                        e.error().code,
+                        detail::concat("cannot profile '",
+                                       suite[b].name,
+                                       "' at the reference "
+                                       "configuration: ",
+                                       e.error().message)};
+                stopped = true;
+                break;
+            }
             ck.utils[b] = utilizationsFromMetrics(e.value(), desc,
                                                   reference);
         }
@@ -476,7 +495,8 @@ runResilientTrainingCampaign(
     if (stopped) {
         save();
         res.checkpoint_error = save_error;
-        if (!save_error)
+        res.reference_error = reference_error;
+        if (!save_error && !reference_error)
             inform("campaign stopped after ", measured_this_run,
                    " cells this run (checkpointed)");
         return res;
@@ -496,9 +516,14 @@ runResilientTrainingCampaign(
             std::any_of(keep.begin(), keep.end(), [&](std::size_t c) {
                 return grid[c] == reference;
             });
-    GPUPM_FATAL_IF(!reference_ok,
-                   "the reference configuration failed persistently; "
-                   "no model can be trained from this campaign");
+    if (!reference_ok) {
+        res.complete = false;
+        res.reference_error = Status{
+                MeasureErrc::Fatal,
+                "the reference configuration failed persistently; "
+                "no model can be trained from this campaign"};
+        return res;
+    }
     if (keep.size() < nc) {
         warn("dropping ", nc - keep.size(), " of ", nc,
              " configurations from the training grid");

@@ -122,8 +122,9 @@ struct ResilientCampaignOptions
     CampaignOptions base;
     ResilientOptions resilience;
     /**
-     * When non-empty, progress is periodically checkpointed to this
-     * file and a pre-existing checkpoint there is resumed from.
+     * When non-empty, progress is checkpointed to this file before the
+     * first cell and periodically after, and a pre-existing checkpoint
+     * there is resumed from.
      * Because the backend is re-seeded per measurement cell, a
      * resumed campaign produces bit-identical training data to an
      * uninterrupted one.
@@ -151,10 +152,23 @@ struct ResilientCampaignResult
      */
     TrainingData data;
     CampaignReport report;
-    /** False when the run stopped before the grid was done. */
+    /**
+     * False when the run stopped before the grid was done or left no
+     * usable data (either error below).
+     */
     bool complete = true;
-    /** Set when a checkpoint could not be written; the run stopped. */
+    /**
+     * Set when the checkpoint could not be written (the run stopped)
+     * or belongs to another campaign (a validation-error: nothing ran
+     * and the file was left as it was).
+     */
     std::optional<IoStatus> checkpoint_error;
+    /**
+     * Set when the reference configuration could not be measured:
+     * without it there is nothing to normalize against (Eq. 5) and no
+     * model can be trained.
+     */
+    std::optional<Status> reference_error;
 };
 
 /**
@@ -181,9 +195,9 @@ struct CampaignCheckpoint
  * Fault-tolerant training campaign over any backend. The backend is
  * wrapped in a ResilientBackend (retries, backoff, deadlines, MAD
  * outlier rejection, quarantine); failures degrade the grid instead
- * of aborting the campaign. Fatal only when the *reference*
- * configuration cannot be measured — without it there is nothing to
- * normalize against (Eq. 5) and no model can be trained.
+ * of aborting the campaign. Only a *reference* configuration that
+ * cannot be measured, or a checkpoint that cannot be used, stops it,
+ * and then with a typed error in the result.
  */
 ResilientCampaignResult runResilientTrainingCampaign(
         MeasurementBackend &backend,

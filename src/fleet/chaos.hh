@@ -4,10 +4,9 @@
  * core/faults. Where FaultInjectingBackend corrupts individual
  * measurement calls, ChaosSpec attacks the campaign *infrastructure*:
  * it kills shard attempts mid-checkpoint (leaving a torn file for the
- * retry to trip over), stalls attempts past the watchdog deadline,
- * poisons whole device instances (a NaN sensor rail or a reference
- * configuration the board cannot hold), and starves the work-stealing
- * pool with sleeper tasks.
+ * retry to trip over), stalls attempts until their deadline passes,
+ * and poisons whole device instances (a NaN sensor rail or a
+ * reference configuration the board cannot hold).
  *
  * Every decision is a pure function of (spec seed, shard, attempt) or
  * (spec seed, device id) — no global RNG state — so a chaos run is
@@ -39,8 +38,8 @@ struct ChaosSpec
     double shard_kill_rate = 0.0;
 
     /**
-     * Probability that a shard attempt hangs until the watchdog
-     * cancels it (exercises deadline + retry).
+     * Probability that a shard attempt hangs until its deadline
+     * passes (exercises deadline + retry).
      */
     double shard_stall_rate = 0.0;
 
@@ -54,18 +53,11 @@ struct ChaosSpec
     /** Fraction of device instances that are poisoned. */
     double poison_fraction = 0.0;
 
-    /**
-     * Pool-starvation injection: sleeper tasks submitted ahead of the
-     * shards, each holding a worker for starve_ms.
-     */
-    int starve_tasks = 0;
-    int starve_ms = 0;
-
     /** True when any injection above is active. */
     bool any() const
     {
         return shard_kill_rate > 0.0 || shard_stall_rate > 0.0 ||
-               poison_fraction > 0.0 || starve_tasks > 0;
+               poison_fraction > 0.0;
     }
 };
 
@@ -73,7 +65,7 @@ struct ChaosSpec
 struct ChaosDecision
 {
     bool kill = false;  ///< die mid-checkpoint after the work
-    bool stall = false; ///< hang until the watchdog fires
+    bool stall = false; ///< hang until the deadline passes
 };
 
 /** Deterministic decision for one shard attempt (0-based). */

@@ -4,14 +4,14 @@
  *
  * The paper trains one model per physical GPU; a fleet campaign
  * scales that to N simulated device instances — three architectures
- * with seeded per-instance ground-truth jitter — sharded across a
- * work-stealing thread pool under a supervisor that treats failure as
- * the expected case: watchdog deadlines with cancellation, seeded
- * retry/backoff per shard, quarantine past the retry budget, and
- * crash-safe per-shard checkpoints merged deterministically into one
- * fleet scoreboard. A fleet never silently shrinks: every device that
- * did not produce a usable model appears in the report with a typed
- * failure kind.
+ * with seeded per-instance ground-truth jitter — split into shards
+ * that plain worker threads take in turn, under a supervisor that
+ * treats failure as the expected case: per-attempt deadlines with
+ * cooperative cancellation, seeded retry/backoff per shard,
+ * quarantine past the retry budget, and crash-safe per-shard
+ * checkpoints merged deterministically into one fleet scoreboard. A
+ * fleet never silently shrinks: every device that did not produce a
+ * usable model appears in the report with a typed failure kind.
  */
 
 #ifndef GPUPM_FLEET_FLEET_HH
@@ -54,7 +54,7 @@ enum class DeviceFailKind
     CorruptData,      ///< campaign data contains non-finite values
     FitFailed,        ///< estimator returned a typed FitError
     ShardQuarantined, ///< its shard exhausted the retry budget
-    Cancelled,        ///< watchdog cancelled the attempt mid-shard
+    Cancelled,        ///< the attempt's deadline passed mid-shard
 };
 
 /** Display name of a failure kind. */
@@ -80,7 +80,7 @@ struct DeviceOutcome
     bool operator==(const DeviceOutcome &) const = default;
 };
 
-/** The contiguous slice of the fleet one worker task runs. */
+/** The contiguous slice of the fleet one worker runs at a time. */
 struct ShardSpec
 {
     int index = 0;
@@ -101,7 +101,10 @@ struct FleetOptions
 {
     long devices = 12;
     int shards = 4;
-    /** Worker threads; 0 = min(shards, hardware_concurrency). */
+    /**
+     * Worker threads, never more than one per shard; 0 =
+     * min(shards, max(2, hardware_concurrency)).
+     */
     int threads = 0;
     /** Base seed; per-device seeds derive from (seed, device id). */
     std::uint64_t seed = 42;

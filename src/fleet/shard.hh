@@ -10,25 +10,67 @@
  * a device never disappears from the fleet silently.
  *
  * Everything here is a pure function of (DeviceSpec, campaign knobs):
- * no shared mutable state, no wall-clock dependence. That purity is
- * what the chaos gate leans on — a killed-and-retried shard reproduces
- * its outcomes bit-for-bit, so the merged fleet scoreboard of a chaos
- * run equals the fault-free run over the surviving devices.
+ * no shared mutable state, and the wall clock is read only to compare
+ * it with an attempt's deadline. That purity is what the chaos gate
+ * leans on — a killed-and-retried shard reproduces its outcomes
+ * bit-for-bit, so the merged fleet scoreboard of a chaos run equals
+ * the fault-free run over the surviving devices.
  */
 
 #ifndef GPUPM_FLEET_SHARD_HH
 #define GPUPM_FLEET_SHARD_HH
 
+#include <chrono>
+#include <limits>
 #include <vector>
 
 #include "fleet/fleet.hh"
-#include "fleet/watchdog.hh"
 #include "gpu/device.hh"
 
 namespace gpupm
 {
 namespace fleet
 {
+
+/**
+ * A shard attempt's deadline, checked cooperatively where the shard
+ * polls it (before each device), so a stalled attempt unwinds at the
+ * next poll instead of being destroyed mid-write. A default token
+ * has no deadline and is never cancelled.
+ */
+struct CancelToken
+{
+    std::chrono::steady_clock::time_point deadline =
+            std::chrono::steady_clock::time_point::max();
+};
+
+/**
+ * A token whose deadline is `deadline_s` seconds from now (negative
+ * counts as now); infinite, NaN or past what the clock can hold means
+ * no deadline.
+ */
+inline CancelToken
+makeCancelToken(
+        double deadline_s = std::numeric_limits<double>::infinity())
+{
+    using Clock = std::chrono::steady_clock;
+    CancelToken token;
+    // A nanosecond steady_clock overflows past ~292 years.
+    if (deadline_s < 1e9)
+        token.deadline =
+                Clock::now() +
+                std::chrono::duration_cast<Clock::duration>(
+                        std::chrono::duration<double>(
+                                deadline_s < 0.0 ? 0.0 : deadline_s));
+    return token;
+}
+
+/** True once the token's deadline has passed. */
+inline bool
+cancelled(const CancelToken &token)
+{
+    return std::chrono::steady_clock::now() >= token.deadline;
+}
 
 /**
  * The strided V-F configuration subset a fleet device trains on:
@@ -52,13 +94,13 @@ DeviceOutcome runDevice(const DeviceSpec &spec,
 /** One shard attempt's outcome. */
 struct ShardAttemptResult
 {
-    /** True when the watchdog cancelled the attempt mid-shard. */
+    /** True when the attempt's deadline passed mid-shard. */
     bool cancelled = false;
     std::vector<DeviceOutcome> outcomes;
 };
 
 /**
- * Run every device of a shard, polling the cancel token between
+ * Run every device of a shard, polling the deadline between
  * devices. On cancellation the remaining devices are marked
  * Cancelled and the attempt is flagged; the supervisor discards a
  * cancelled attempt's outcomes and retries the whole shard.

@@ -14,11 +14,10 @@
 #include "common/numio.hh"
 #include "common/random.hh"
 #include "fleet/chaos.hh"
-#include "fleet/pool.hh"
 #include "fleet/shard.hh"
 #include "fleet/shard_io.hh"
-#include "fleet/watchdog.hh"
 #include "gpu/device.hh"
+#include "obs/profiler.hh"
 #include "obs/standard.hh"
 #include "obs/trace.hh"
 #include "obs/tsdb.hh"
@@ -72,21 +71,16 @@ writeTornCheckpoint(const std::string &path, const std::string &full)
 /** Shared state of one running fleet campaign. */
 struct FleetRun
 {
-    FleetRun(const FleetOptions &o, const std::vector<ShardSpec> &s,
-             WorkStealingPool &p, Watchdog &w)
-        : opts(o), shards(s), pool(p), watchdog(w)
-    {}
+    explicit FleetRun(const FleetOptions &o) : opts(o) {}
 
     const FleetOptions &opts;
-    const std::vector<ShardSpec> &shards;
-    WorkStealingPool &pool;
-    Watchdog &watchdog;
 
     std::mutex mu;
     std::map<int, ShardResult> results;
     std::atomic<long> retries{0};
     std::atomic<long> kills{0};
     std::atomic<long> stalls{0};
+    std::atomic<long> fires{0};
     std::atomic<int> quarantined{0};
     std::atomic<int> resumed{0};
 
@@ -96,18 +90,22 @@ struct FleetRun
         results[result.index] = std::move(result);
     }
 
-    void submitShard(std::size_t si, int attempt)
+    /** Every attempt of one shard, each retry after its backoff. */
+    void runShard(const ShardSpec &shard)
     {
-        pool.submit([this, si, attempt] { runShardTask(si, attempt); });
+        for (int attempt = 0; !runAttempt(shard, attempt); ++attempt)
+            sleepSeconds(backoffSeconds(opts, shard.index, attempt));
     }
 
-    void runShardTask(std::size_t si, int attempt)
+    /**
+     * One attempt: true when the shard is settled (resumed, done or
+     * quarantined), false when the failed attempt is to be retried.
+     */
+    bool runAttempt(const ShardSpec &shard, int attempt)
     {
-        const ShardSpec &shard = shards[si];
-        // Child of the worker's fleet.task span (itself inside the
-        // campaign's trace via the submit-time context handoff);
-        // marked error on any failed attempt so chaos casualties are
-        // tail-kept by the trace store.
+        // Inside the campaign's trace through the worker's adopted
+        // context; marked error on any failed attempt so chaos
+        // casualties are tail-kept by the trace store.
         GPUPM_TRACE_SPAN_NAMED(shard_span, "fleet", "fleet.shard");
         shard_span.arg("shard", (long)shard.index);
         shard_span.arg("attempt", (long)attempt + 1);
@@ -127,7 +125,7 @@ struct FleetRun
             {
                 resumed.fetch_add(1, std::memory_order_relaxed);
                 record(std::move(loaded.value()));
-                return;
+                return true;
             }
             if (existed)
                 warn("fleet shard ", shard.index,
@@ -138,9 +136,8 @@ struct FleetRun
 
         const ChaosDecision chaos =
                 chaosForAttempt(opts.chaos, shard.index, attempt);
-        const CancelToken token = makeCancelToken();
-        const long wd_id =
-                watchdog.arm(opts.watchdog_deadline_s, token);
+        const CancelToken token =
+                makeCancelToken(opts.watchdog_deadline_s);
 
         bool failed = false;
         std::string why;
@@ -148,8 +145,7 @@ struct FleetRun
         if (chaos.stall)
         {
             stalls.fetch_add(1, std::memory_order_relaxed);
-            while (!cancelled(token))
-                sleepSeconds(0.002);
+            std::this_thread::sleep_until(token.deadline);
             failed = true;
             why = "chaos stall cancelled by watchdog";
         }
@@ -162,7 +158,14 @@ struct FleetRun
                 why = "watchdog cancelled the attempt";
             }
         }
-        watchdog.disarm(wd_id);
+        if (failed)
+        {
+            // An instant error span inside the cancelled shard's
+            // span: /api/traces?error=1 shows what the deadline did.
+            fires.fetch_add(1, std::memory_order_relaxed);
+            GPUPM_TRACE_SPAN_NAMED(fire, "fleet", "fleet.watchdog_fire");
+            fire.markError();
+        }
 
         if (!failed && chaos.kill)
         {
@@ -199,22 +202,16 @@ struct FleetRun
                          "]: ", saved.error().message);
             }
             record(std::move(result));
-            return;
+            return true;
         }
 
         shard_span.markError(); // every path below is a failure
         if (attempt < opts.shard_retry_budget)
         {
             retries.fetch_add(1, std::memory_order_relaxed);
-            const double delay =
-                    backoffSeconds(opts, shard.index, attempt);
             inform("fleet shard ", shard.index, ": attempt ",
                    attempt + 1, " failed (", why, "); retrying");
-            pool.submit([this, si, attempt, delay] {
-                sleepSeconds(delay);
-                runShardTask(si, attempt + 1);
-            });
-            return;
+            return false;
         }
 
         // Retry budget exhausted: quarantine. The devices stay in
@@ -238,6 +235,7 @@ struct FleetRun
             result.outcomes.push_back(std::move(out));
         }
         record(std::move(result));
+        return true;
     }
 };
 
@@ -313,40 +311,42 @@ runFleetCampaign(const FleetOptions &opts,
                  opts.checkpoint_dir, "': ", ec.message());
     }
 
-    int threads = opts.threads;
-    if (threads <= 0)
-    {
-        const unsigned hw = std::thread::hardware_concurrency();
-        threads = static_cast<int>(
-                std::min<std::size_t>(shards.size(),
-                                      hw > 2 ? hw : 2));
-    }
+    // At most one worker per shard; threads <= 0 sizes the workers
+    // to the host, never below two.
+    const std::size_t threads =
+            opts.threads > 0
+                    ? static_cast<std::size_t>(opts.threads)
+                    : std::max(std::thread::hardware_concurrency(),
+                               2u);
+    const std::size_t n_workers = std::min(shards.size(), threads);
 
     FleetResult result;
     {
-        // One trace per campaign: every pool task captures this
-        // context at submission (including retries resubmitted from
-        // worker threads), so all shard/task/watchdog spans assemble
-        // into a single trace when this root closes after wait().
+        // One trace per campaign: every worker adopts this context
+        // once, so all shard and deadline-fire spans assemble into a
+        // single trace when this root closes after the joins.
         GPUPM_TRACE_SPAN_NAMED(campaign_span, "fleet",
                                "fleet.campaign");
         campaign_span.arg("devices", (long)devices.size());
         campaign_span.arg("shards", (long)shards.size());
 
-        WorkStealingPool pool(threads);
-        Watchdog watchdog;
-        FleetRun run{opts, shards, pool, watchdog};
-
-        // Pool starvation: sleeper tasks ahead of every shard, all
-        // on one queue so the other workers must steal past them.
-        for (int i = 0; i < opts.chaos.starve_tasks; ++i)
-            pool.submitTo(0, [&opts] {
-                sleepSeconds(opts.chaos.starve_ms / 1000.0);
+        FleetRun run{opts};
+        const obs::TraceContext campaign = obs::currentTraceContext();
+        std::atomic<std::size_t> next_shard{0};
+        std::vector<std::thread> workers;
+        for (std::size_t w = 0; w < n_workers; ++w)
+            workers.emplace_back([&, w] {
+                // Per-worker CPU attribution when a profiling run is
+                // active (fleet bench --profile-out, /profilez).
+                obs::Profiler::setThreadLabel("fleet.worker" +
+                                              std::to_string(w));
+                obs::TraceContextScope adopted(campaign);
+                for (std::size_t si = next_shard++; si < shards.size();
+                     si = next_shard++)
+                    run.runShard(shards[si]);
             });
-
-        for (std::size_t si = 0; si < shards.size(); ++si)
-            run.submitShard(si, 0);
-        pool.wait();
+        for (std::thread &worker : workers)
+            worker.join();
 
         for (auto &[index, shard_result] : run.results)
         {
@@ -359,8 +359,7 @@ runFleetCampaign(const FleetOptions &opts,
         result.shards_resumed = run.resumed.load();
         result.chaos_kills = run.kills.load();
         result.chaos_stalls = run.stalls.load();
-        result.watchdog_fires = watchdog.firedCount();
-        result.pool_steals = pool.stealCount();
+        result.watchdog_fires = run.fires.load();
     }
 
     result.scoreboard = mergeShardResults(result.shards);
@@ -388,10 +387,8 @@ publishFleetMetrics(const FleetResult &result)
             static_cast<double>(result.chaos_kills));
     obs::fleetChaosStallsTotal().inc(
             static_cast<double>(result.chaos_stalls));
-    obs::fleetWatchdogFiresTotal().inc(
+    obs::fleetDeadlineFiresTotal().inc(
             static_cast<double>(result.watchdog_fires));
-    obs::fleetPoolStealsTotal().inc(
-            static_cast<double>(result.pool_steals));
     obs::fleetOverallMaePct().set(
             result.scoreboard.overall.mae_pct);
     for (const ArchAggregate &agg : result.scoreboard.per_arch)
@@ -456,7 +453,6 @@ FleetResult::summary() const
         os << "chaos: " << chaos_kills << " kills, " << chaos_stalls
            << " stalls; watchdog fired " << watchdog_fires
            << " times\n";
-    os << "pool: " << pool_steals << " tasks stolen\n";
     return os.str();
 }
 
@@ -480,7 +476,7 @@ FleetResult::toJson() const
        << ",\"shards_resumed\":" << shards_resumed
        << ",\"watchdog_fires\":" << watchdog_fires
        << ",\"chaos_kills\":" << chaos_kills << ",\"chaos_stalls\":"
-       << chaos_stalls << ",\"pool_steals\":" << pool_steals << '}';
+       << chaos_stalls << '}';
     return os.str();
 }
 

@@ -3,12 +3,14 @@
  * The fleet-campaign supervisor (tentpole of DESIGN.md §12).
  *
  * runFleetCampaign() instantiates N simulated device instances,
- * shards them across the work-stealing pool, and survives injected
- * failure at every level of the stack:
+ * splits them into shards that `threads` plain workers take from one
+ * shared counter, and survives injected failure at every level of the
+ * stack:
  *
- *  - a shard attempt that hangs is cancelled by the watchdog;
- *  - a failed or cancelled attempt is retried under seeded
- *    exponential backoff up to the shard retry budget;
+ *  - a shard attempt that hangs is cancelled at its deadline (the
+ *    watchdog), which the attempt checks before each device;
+ *  - a failed or cancelled attempt is retried by the same worker
+ *    under seeded exponential backoff up to the shard retry budget;
  *  - a shard past its budget is quarantined — its devices appear in
  *    the report as shard-quarantined failures, never silently gone;
  *  - completed shards are checkpointed crash-safely (v2 fleetshard
@@ -19,7 +21,7 @@
  *
  * The merged scoreboard is deterministic: outcomes depend only on
  * (DeviceSpec, campaign knobs) and the merge sorts by device id, so
- * completion order, steal pattern, retries and chaos leave the
+ * completion order, thread count, retries and chaos leave the
  * accuracy payload bit-identical over the surviving devices.
  */
 
@@ -55,6 +57,8 @@ struct FleetResult
     long watchdog_fires = 0;
     long chaos_kills = 0;
     long chaos_stalls = 0;
+    /** Always 0: no shard moves between workers. Kept for readers
+     *  of the field; nothing writes it. */
     long pool_steals = 0;
 
     /** Human-readable campaign + scoreboard summary. */

@@ -162,10 +162,8 @@ namespace
       "Chaos-injected shard kills", nullptr)                                  \
     X(Counter, fleetChaosStallsTotal, "gpupm_fleet_chaos_stalls_total",       \
       "Chaos-injected shard stalls", nullptr)                                 \
-    X(Counter, fleetWatchdogFiresTotal, "gpupm_fleet_watchdog_fires_total",   \
+    X(Counter, fleetDeadlineFiresTotal, "gpupm_fleet_watchdog_fires_total",   \
       "Shard attempts cancelled at the watchdog deadline", nullptr)           \
-    X(Counter, fleetPoolStealsTotal, "gpupm_fleet_pool_steals_total",         \
-      "Tasks stolen across worker queues", nullptr)                           \
     X(Gauge, fleetOverallMaePct, "gpupm_fleet_mae_pct",                       \
       "Merged validation MAE over healthy devices, percent", nullptr)
 

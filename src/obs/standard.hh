@@ -150,8 +150,7 @@ Counter &fleetShardRetriesTotal();
 Counter &fleetShardsQuarantinedTotal();
 Counter &fleetChaosKillsTotal();
 Counter &fleetChaosStallsTotal();
-Counter &fleetWatchdogFiresTotal();
-Counter &fleetPoolStealsTotal();
+Counter &fleetDeadlineFiresTotal();
 Gauge &fleetOverallMaePct();
 /** Per-architecture marginal MAE, labelled arch="Pascal"|... */
 Gauge &fleetArchMaePct(const std::string &arch);

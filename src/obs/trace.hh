@@ -19,8 +19,8 @@
  * becomes a trace root — its trace ID equals its span ID — and
  * installs itself as the thread-local context; children inherit the
  * trace ID and record their parent's span ID. The context crosses
- * thread boundaries explicitly via TraceContextScope (fleet pool
- * workers, watchdog fires) and is reset per sampler tick so each
+ * thread boundaries explicitly via TraceContextScope (each fleet
+ * worker adopts its campaign's) and is reset per sampler tick so each
  * tick's measure→predict→audit→tsdb→alert chain is one trace.
  * Completed traces assemble in the Tracer and are offered to an
  * optional bounded TraceStore (trace_store.hh) for tail sampling.
@@ -34,7 +34,7 @@
  *   estimator  Sec. III-D fit, per-iteration spans
  *   io         artifact load / save / validation
  *   monitor    sampler ticks and monitor endpoints
- *   fleet      fleet pool tasks, shards and watchdog fires
+ *   fleet      fleet campaigns, shard attempts and deadline fires
  */
 
 #ifndef GPUPM_OBS_TRACE_HH
@@ -106,9 +106,8 @@ void writeArgsJson(std::ostream &os, const TraceEvent &ev);
 /**
  * RAII adoption of a trace context on the current thread: install
  * `ctx` (saving whatever was there), restore on destruction. Used to
- * hand a submitter's context to a fleet pool worker, attribute a
- * watchdog fire to the stalled shard's trace, and — by adopting an
- * empty context — force a fresh root per sampler tick.
+ * hand a fleet campaign's context to each of its workers and — by
+ * adopting an empty context — force a fresh root per sampler tick.
  */
 class TraceContextScope
 {

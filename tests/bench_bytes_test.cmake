@@ -4,10 +4,8 @@
 # bench_csv/ against the same-named files in CSV_DIR. CSVS is the
 # comma-separated list of names (without .csv) the binary must write,
 # empty when it writes none; a missing or an unexpected CSV fails like
-# a changed one. When STDOUT_DROP is set, stdout lines matching that
-# regex in full are dropped before the comparison (and are absent from
-# the golden): they carry scheduling-dependent counts, not results.
-# Expects BIN, WORK, STDOUT_GOLDEN, CSV_DIR and CSVS to be defined.
+# a changed one. Expects BIN, WORK, STDOUT_GOLDEN, CSV_DIR and CSVS to
+# be defined.
 
 cmake_minimum_required(VERSION 3.16)
 
@@ -48,13 +46,6 @@ execute_process(COMMAND ${BIN}
                 RESULT_VARIABLE rc ERROR_VARIABLE err)
 if(NOT rc EQUAL 0)
     message(FATAL_ERROR "${BIN} exited ${rc}: ${err}")
-endif()
-
-if(STDOUT_DROP)
-    file(READ ${WORK}/stdout.txt text)
-    string(REGEX REPLACE "\n${STDOUT_DROP}\n" "\n" text "\n${text}")
-    string(SUBSTRING "${text}" 1 -1 text)
-    file(WRITE ${WORK}/stdout.txt "${text}")
 endif()
 
 set(failures "")

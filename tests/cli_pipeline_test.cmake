@@ -26,18 +26,55 @@ endif()
 
 # So is a checkpoint that cannot be written: the resilient campaign
 # stops with the typed error and exits 1, for `campaign` and for `fit`
-# of a device.
+# of a device, before it measures a single cell.
 foreach(cmd campaign fit)
     execute_process(COMMAND ${CLI} ${cmd} k40c ${WORK}/ck_${cmd}.out
                             --resume=/missing/dir/ck.json
                     RESULT_VARIABLE rc ERROR_VARIABLE err)
     if(NOT rc EQUAL 1 OR NOT err MATCHES
        "error \\[io-error\\]: cannot open '/missing/dir/ck.json"
+       OR NOT err MATCHES "campaign report: 0/415 cells done"
        OR err MATCHES "fatal:" OR EXISTS ${WORK}/ck_${cmd}.out)
         message(FATAL_ERROR "${cmd} with an unwritable checkpoint: "
                             "${rc}: ${err}")
     endif()
 endforeach()
+
+# A checkpoint of another campaign is a typed validation-error: exit 1,
+# no output file, and the checkpoint is left byte for byte.
+file(REMOVE ${WORK}/titanx.ck.json ${WORK}/foreign.campaign
+     ${WORK}/faulty.campaign)
+execute_process(COMMAND ${CLI} campaign titanx ${WORK}/titanx_ck.campaign
+                        --resume=${WORK}/titanx.ck.json
+                RESULT_VARIABLE rc ERROR_VARIABLE err)
+if(NOT rc EQUAL 0)
+    message(FATAL_ERROR "checkpointed titanx campaign: ${rc}: ${err}")
+endif()
+file(READ ${WORK}/titanx.ck.json checkpoint_before HEX)
+execute_process(COMMAND ${CLI} campaign k40c ${WORK}/foreign.campaign
+                        --resume=${WORK}/titanx.ck.json
+                RESULT_VARIABLE rc ERROR_VARIABLE err)
+file(READ ${WORK}/titanx.ck.json checkpoint_after HEX)
+if(NOT rc EQUAL 1 OR NOT err MATCHES
+   "error \\[validation-error\\]: checkpoint '.*' does not match"
+   OR err MATCHES "fatal:" OR EXISTS ${WORK}/foreign.campaign
+   OR NOT checkpoint_after STREQUAL checkpoint_before)
+    message(FATAL_ERROR "campaign resuming a foreign checkpoint: "
+                        "${rc}: ${err}")
+endif()
+
+# A reference configuration that cannot be measured is a typed error
+# too: no model can be trained, so the campaign exits 1 and writes
+# nothing.
+execute_process(COMMAND ${CLI} campaign titanx ${WORK}/faulty.campaign
+                        --faults=0.9
+                RESULT_VARIABLE rc ERROR_VARIABLE err)
+if(NOT rc EQUAL 1 OR NOT err MATCHES
+   "error \\[[A-Za-z]+\\]: cannot profile '.*' at the reference"
+   OR err MATCHES "fatal:" OR EXISTS ${WORK}/faulty.campaign)
+    message(FATAL_ERROR "campaign without a reference configuration: "
+                        "${rc}: ${err}")
+endif()
 
 execute_process(COMMAND ${CLI} info ${WORK}/tx.model
                 RESULT_VARIABLE rc OUTPUT_VARIABLE out)

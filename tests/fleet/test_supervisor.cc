@@ -1,17 +1,21 @@
 /**
  * @file
- * Tests of the fleet supervisor: clean runs, sharding, watchdog +
+ * Tests of the fleet supervisor: clean runs, sharding, deadline +
  * retry recovery from stalled attempts, quarantine past the retry
- * budget with explicit accounting, checkpoint resume, and pool
- * starvation riding along without correctness impact.
+ * budget with explicit accounting, checkpoint resume, and a thread
+ * count that never changes accuracy.
  */
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <cmath>
 #include <filesystem>
 #include <set>
 #include <string>
+#include <thread>
 
+#include "fleet/shard.hh"
 #include "fleet/supervisor.hh"
 #include "obs/metrics.hh"
 
@@ -182,18 +186,46 @@ TEST_F(FleetSupervisorTest, CheckpointedFleetResumesWithoutRerun)
     std::filesystem::remove_all(dir);
 }
 
-TEST_F(FleetSupervisorTest, StarvedPoolStillCompletesTheFleet)
+TEST_F(FleetSupervisorTest, ThreadCountNeverChangesAccuracy)
 {
     fleet::FleetOptions opts = fastOpts();
-    opts.threads = 4;
-    opts.chaos.starve_tasks = 8;
-    opts.chaos.starve_ms = 20;
-    const auto clean = fleet::runFleetCampaign(fastOpts());
-    const auto starved = fleet::runFleetCampaign(opts);
-    EXPECT_EQ(starved.scoreboard.devices_ok, 6);
-    // Starvation changes scheduling, never accuracy.
-    EXPECT_EQ(starved.scoreboard.toJson(false),
-              clean.scoreboard.toJson(false));
+    opts.shards = 6; // one device per shard: up to 6 workers
+    opts.threads = 1;
+    const std::string serial =
+            fleet::runFleetCampaign(opts).scoreboard.toJson(false);
+    for (int threads : {2, 4, 8}) {
+        opts.threads = threads;
+        const auto result = fleet::runFleetCampaign(opts);
+        EXPECT_EQ(result.scoreboard.devices_ok, 6);
+        // Scheduling changes completion order, never accuracy.
+        EXPECT_EQ(result.scoreboard.toJson(false), serial)
+                << threads << " threads";
+    }
+}
+
+TEST(CancelToken, CancelledOnlyPastItsDeadline)
+{
+    using Clock = std::chrono::steady_clock;
+    fleet::CancelToken past;
+    past.deadline = Clock::now() - std::chrono::milliseconds(1);
+    EXPECT_TRUE(fleet::cancelled(past));
+    EXPECT_TRUE(fleet::cancelled(fleet::makeCancelToken(0.0)));
+    EXPECT_TRUE(fleet::cancelled(fleet::makeCancelToken(-5.0)));
+
+    const fleet::CancelToken soon = fleet::makeCancelToken(3600.0);
+    EXPECT_FALSE(fleet::cancelled(soon));
+    const fleet::CancelToken brief = fleet::makeCancelToken(0.02);
+    EXPECT_FALSE(fleet::cancelled(brief));
+    std::this_thread::sleep_until(brief.deadline);
+    EXPECT_TRUE(fleet::cancelled(brief));
+
+    // No deadline: default-constructed, the default argument, and
+    // values the clock cannot hold.
+    EXPECT_FALSE(fleet::cancelled(fleet::CancelToken{}));
+    EXPECT_FALSE(fleet::cancelled(fleet::makeCancelToken()));
+    EXPECT_FALSE(fleet::cancelled(fleet::makeCancelToken(1e300)));
+    EXPECT_FALSE(fleet::cancelled(
+            fleet::makeCancelToken(std::nan(""))));
 }
 
 } // namespace

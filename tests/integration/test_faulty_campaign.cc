@@ -120,14 +120,69 @@ TEST(FaultyCampaign, QuarantinesBrokenConfigAndTrainsOnSparseGrid)
     EXPECT_FALSE(fit.model.hasVoltages(bad));
 }
 
-TEST(FaultyCampaign, BrokenReferenceIsFatal)
+TEST(FaultyCampaign, BrokenReferenceIsATypedError)
 {
     // Without the reference configuration there is nothing to
-    // normalize utilizations against; the campaign must refuse.
+    // normalize utilizations against; the campaign must refuse, and
+    // say why in its result.
     sim::PhysicalGpu board(gpu::DeviceKind::GtxTitanX);
     const auto ref = board.descriptor().referenceConfig();
-    EXPECT_THROW(runFaulty(board, 0.0, fastOpts(), {ref}),
-                 std::runtime_error);
+    const auto res = runFaulty(board, 0.0, fastOpts(), {ref});
+    EXPECT_FALSE(res.complete);
+    EXPECT_FALSE(res.checkpoint_error);
+    ASSERT_TRUE(res.reference_error);
+    EXPECT_EQ(res.reference_error->message.rfind("cannot profile '", 0),
+              0u)
+            << res.reference_error->message;
+    EXPECT_EQ(res.report.cells_done, 0);
+}
+
+/** Profiles normally, but every power read at the reference fails. */
+class DeadReferenceRail : public model::SimulatedBackend
+{
+  public:
+    using SimulatedBackend::SimulatedBackend;
+
+    nvml::PowerMeasurement measurePower(const sim::KernelDemand &kernel,
+                                        const gpu::FreqConfig &cfg,
+                                        int repetitions,
+                                        double min_duration_s) override
+    {
+        failAtReference(cfg);
+        return SimulatedBackend::measurePower(kernel, cfg, repetitions,
+                                              min_duration_s);
+    }
+
+    double measureIdlePower(const gpu::FreqConfig &cfg) override
+    {
+        failAtReference(cfg);
+        return SimulatedBackend::measureIdlePower(cfg);
+    }
+
+  private:
+    void failAtReference(const gpu::FreqConfig &cfg) const
+    {
+        if (cfg == descriptor().referenceConfig())
+            throw model::MeasurementError(model::MeasureErrc::Transient,
+                                          "dead power rail");
+    }
+};
+
+TEST(FaultyCampaign, UnmeasuredReferencePowerIsATypedError)
+{
+    // Profiling succeeds, so the grid completes, but the reference
+    // column has no power data: no model can be trained from it.
+    sim::PhysicalGpu board(gpu::DeviceKind::GtxTitanX);
+    const auto opts = fastOpts();
+    DeadReferenceRail backend(board, opts.base.seed);
+    const auto res = model::runResilientTrainingCampaign(
+            backend, ubench::buildSuite(), opts);
+    EXPECT_FALSE(res.complete);
+    ASSERT_TRUE(res.reference_error);
+    EXPECT_EQ(res.reference_error->code, model::MeasureErrc::Fatal);
+    EXPECT_NE(res.reference_error->message.find("failed persistently"),
+              std::string::npos);
+    EXPECT_TRUE(res.data.configs.empty());
 }
 
 TEST(FaultyCampaign, CheckpointResumeReproducesUninterruptedRun)

@@ -141,7 +141,7 @@ struct CliFlags
 
     // `fleet`.
     long shards = 4;          ///< shard count
-    long threads = 0;         ///< pool workers; 0 = auto
+    long threads = 0;         ///< fleet workers; 0 = auto
     double chaos_kill = 0.0;  ///< shard kill probability per attempt
     double chaos_stall = 0.0; ///< shard stall probability per attempt
     double chaos_poison = 0.0; ///< poisoned-device fraction
@@ -721,7 +721,9 @@ cmdDevices(const Args &, const CliFlags &)
  * Run the fault-tolerant campaign path selected by any resilience
  * flag into `data` and print the CampaignReport. Returns 0; 3 when a
  * max_cells / checkpoint split stopped the run before the grid was
- * complete; or 1 when a checkpoint could not be written.
+ * complete; or 1 when the checkpoint could not be written or belongs
+ * to another campaign, or the reference configuration could not be
+ * measured.
  */
 int
 runResilientCampaign(gpu::DeviceKind kind, const CliFlags &flags,
@@ -752,6 +754,12 @@ runResilientCampaign(gpu::DeviceKind kind, const CliFlags &flags,
         std::printf("%s\n", result.report.toJson().c_str());
     if (result.checkpoint_error)
         return reportLoadFailure(*result.checkpoint_error);
+    if (const auto &e = result.reference_error) {
+        std::fprintf(stderr, "error [%s]: %s\n",
+                     std::string(model::measureErrcName(e->code)).c_str(),
+                     e->message.c_str());
+        return 1;
+    }
     if (!result.complete) {
         std::fprintf(stderr,
                      "campaign interrupted; progress saved to %s\n",
@@ -1209,10 +1217,11 @@ cmdAudit(const Args &args, const CliFlags &flags)
 /**
  * `gpupm fleet <N>`: the fault-tolerant fleet campaign. N simulated
  * device instances (three architectures, per-instance ground-truth
- * jitter) are sharded across the work-stealing pool; each shard runs
- * under a watchdog deadline with seeded retry/backoff, checkpoints
- * crash-safely when --resume names a directory, and is quarantined —
- * with explicit per-device accounting — past its retry budget. Chaos
+ * jitter) are split into shards that --threads workers take in turn;
+ * each shard attempt runs under a --deadline (the watchdog) with
+ * seeded retry/backoff, checkpoints crash-safely when --resume names
+ * a directory, and is quarantined — with explicit per-device
+ * accounting — past its retry budget. Chaos
  * flags inject shard kills, stalls and poisoned devices; --faults is
  * shorthand for kills + poison at one rate. With --port/--duration
  * the merged result is served on /fleet next to /metrics for the
@@ -1232,7 +1241,7 @@ cmdFleet(const Args &args, const CliFlags &flags)
     obs::registerStandardMetrics();
 
     // The campaign runs under one root trace (fleet.campaign) with
-    // every shard attempt, pool hop and watchdog fire inside it;
+    // every shard attempt and deadline fire inside it;
     // assembled traces land here and are served on /api/traces while
     // --duration keeps the process up. One campaign is one giant
     // request (~350 spans per device), so the fleet store is sized
