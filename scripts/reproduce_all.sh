@@ -41,13 +41,15 @@ if [ "${GPUPM_SKIP_SANITIZE:-0}" != "1" ]; then
         obs_test_profiler obs_test_tsdb obs_test_alerts \
         obs_test_off_path nvml_test_device \
         core_test_scoreboard_io core_test_checkpoint_recovery \
+        integration_test_faulty_campaign \
         fleet_test_shard_io common_test_json \
         gpupm_fuzz_smoke gpupm_cli gpupm_trace_check gpupm_bench_check \
         gpupm_scrape
     for t in build-asan/tests/core_test_* build-asan/tests/linalg_test_* \
              build-asan/tests/obs_test_* build-asan/tests/nvml_test_* \
              build-asan/tests/common_test_json \
-             build-asan/tests/fleet_test_shard_io; do
+             build-asan/tests/fleet_test_shard_io \
+             build-asan/tests/integration_test_faulty_campaign; do
         [ -f "$t" ] && [ -x "$t" ] || continue
         echo "== sanitize: $t"
         "$t"
@@ -100,6 +102,14 @@ if [ "${GPUPM_SKIP_SANITIZE:-0}" != "1" ]; then
     cmake -DCLI=build-asan/tools/gpupm \
           -DWORK=build-asan/cli_pipeline_work \
           -P tests/cli_pipeline_test.cmake
+    # The fault-tolerant runner under ASan+UBSan: two faulted
+    # campaigns (quarantine, dropped columns, a checkpoint write) must
+    # print and write the goldens' bytes.
+    echo "== sanitize: faulted campaign goldens"
+    cmake -DCLI=build-asan/tools/gpupm \
+          -DWORK=build-asan/cli_resilient_work \
+          -DGOLDEN_DIR=tests/golden/resilient \
+          -P tests/cli_resilient_test.cmake
     # The live pipeline owns the tracer and trace-store lifetimes: the
     # offline alerts and traces replays at the ctests' flag sets must
     # stay clean and print the goldens' bytes.

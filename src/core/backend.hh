@@ -51,6 +51,15 @@ std::string_view measureErrcName(MeasureErrc code);
 /** True when a retry of the failed call could plausibly succeed. */
 bool isRecoverable(MeasureErrc code);
 
+/** Typed failure description of a measurement call, as a value. */
+struct Status
+{
+    MeasureErrc code = MeasureErrc::Fatal;
+    std::string message;
+
+    bool recoverable() const { return isRecoverable(code); }
+};
+
 /** Typed failure thrown by measurement backends. */
 class MeasurementError : public std::runtime_error
 {
@@ -103,6 +112,16 @@ class MeasurementBackend
      * no-op: real hardware has no replayable entropy.
      */
     virtual void reseed(std::uint64_t seed) { (void)seed; }
+
+    /**
+     * Virtual duration of the most recent call, seconds. The
+     * simulated substrate has no wall clock, so a backend that can
+     * account for how long its last call "took" (kernel repetitions,
+     * sensor windows, injected hangs) reports it here, and the
+     * resilient layer enforces its per-call deadline against it. The
+     * default 0 never trips the deadline.
+     */
+    virtual double lastCallSeconds() const { return 0.0; }
 };
 
 /** The backend over the simulated substrate. */

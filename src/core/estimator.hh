@@ -37,8 +37,8 @@
 #include <string_view>
 #include <vector>
 
+#include "core/expected.hh"
 #include "core/power_model.hh"
-#include "core/resilient.hh"
 #include "gpu/device.hh"
 #include "linalg/lstsq.hh"
 #include "obs/convergence.hh"

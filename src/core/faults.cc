@@ -134,44 +134,9 @@ FaultInjectingBackend::profileKernel(const sim::KernelDemand &kernel,
     return rm;
 }
 
-nvml::PowerMeasurement
-FaultInjectingBackend::measurePower(const sim::KernelDemand &kernel,
-                                    const gpu::FreqConfig &cfg,
-                                    int repetitions,
-                                    double min_duration_s)
-{
-    throwEntryFaults(cfg);
-    const bool hang = roll(spec_.hang_rate);
-    const bool stuck = roll(spec_.stuck_rate);
-    const bool spike = roll(spec_.spike_rate);
-    const bool nan = roll(spec_.nan_rate);
-
-    nvml::PowerMeasurement m = inner_.measurePower(
-            kernel, cfg, repetitions, min_duration_s);
-
-    last_call_s_ = m.run_duration_s * repetitions;
-    if (hang) {
-        note(FaultKind::Hang);
-        last_call_s_ += spec_.hang_latency_s;
-    }
-
-    const double fresh = m.power_w;
-    if (nan) {
-        note(FaultKind::NanSample);
-        m.power_w = std::numeric_limits<double>::quiet_NaN();
-    } else if (spike) {
-        note(FaultKind::PowerSpike);
-        m.power_w *= spec_.spike_factor;
-    } else if (stuck && stale_power_w_ >= 0.0) {
-        note(FaultKind::StuckSensor);
-        m.power_w = stale_power_w_;
-    }
-    stale_power_w_ = fresh;
-    return m;
-}
-
 double
-FaultInjectingBackend::measureIdlePower(const gpu::FreqConfig &cfg)
+FaultInjectingBackend::faultySample(const gpu::FreqConfig &cfg,
+                                    const std::function<double()> &read)
 {
     throwEntryFaults(cfg);
     const bool hang = roll(spec_.hang_rate);
@@ -179,16 +144,13 @@ FaultInjectingBackend::measureIdlePower(const gpu::FreqConfig &cfg)
     const bool spike = roll(spec_.spike_rate);
     const bool nan = roll(spec_.nan_rate);
 
-    double p = inner_.measureIdlePower(cfg);
-
-    // Idle sampling is a short fixed sensor window.
-    last_call_s_ = 0.5;
+    const double fresh = read();
     if (hang) {
         note(FaultKind::Hang);
         last_call_s_ += spec_.hang_latency_s;
     }
 
-    const double fresh = p;
+    double p = fresh;
     if (nan) {
         note(FaultKind::NanSample);
         p = std::numeric_limits<double>::quiet_NaN();
@@ -201,6 +163,34 @@ FaultInjectingBackend::measureIdlePower(const gpu::FreqConfig &cfg)
     }
     stale_power_w_ = fresh;
     return p;
+}
+
+nvml::PowerMeasurement
+FaultInjectingBackend::measurePower(const sim::KernelDemand &kernel,
+                                    const gpu::FreqConfig &cfg,
+                                    int repetitions,
+                                    double min_duration_s)
+{
+    nvml::PowerMeasurement m;
+    const double p = faultySample(cfg, [&] {
+        m = inner_.measurePower(kernel, cfg, repetitions,
+                                min_duration_s);
+        last_call_s_ = m.run_duration_s * repetitions;
+        return m.power_w;
+    });
+    m.power_w = p;
+    return m;
+}
+
+double
+FaultInjectingBackend::measureIdlePower(const gpu::FreqConfig &cfg)
+{
+    return faultySample(cfg, [&] {
+        const double p = inner_.measureIdlePower(cfg);
+        // Idle sampling is a short fixed sensor window.
+        last_call_s_ = 0.5;
+        return p;
+    });
 }
 
 } // namespace model

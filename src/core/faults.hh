@@ -20,6 +20,7 @@
 #define GPUPM_CORE_FAULTS_HH
 
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "common/random.hh"
@@ -103,25 +104,8 @@ struct FaultCounters
     }
 };
 
-/**
- * Virtual-duration reporting. The simulated substrate has no real
- * wall clock, so a backend that can account for how long its last
- * call "took" (kernel repetitions, sensor sampling windows, injected
- * hangs) exposes it through this interface; the resilient layer
- * enforces per-call deadlines against it.
- */
-class CallTimer
-{
-  public:
-    virtual ~CallTimer() = default;
-
-    /** Virtual duration of the most recent backend call, seconds. */
-    virtual double lastCallSeconds() const = 0;
-};
-
 /** Decorator injecting seeded faults around any backend. */
-class FaultInjectingBackend : public MeasurementBackend,
-                              public CallTimer
+class FaultInjectingBackend : public MeasurementBackend
 {
   public:
     /** Wraps (does not own) an inner backend. */
@@ -152,6 +136,15 @@ class FaultInjectingBackend : public MeasurementBackend,
   private:
     /** Throwing faults shared by every call at a configuration. */
     void throwEntryFaults(const gpu::FreqConfig &cfg);
+
+    /**
+     * One power reading through the sample faults. The entry faults,
+     * then hang, stuck, spike and nan are drawn (each always, in that
+     * order) before `read` runs; `read` returns the fresh reading and
+     * sets the call's virtual duration.
+     */
+    double faultySample(const gpu::FreqConfig &cfg,
+                        const std::function<double()> &read);
 
     /** Uniform fault-decision draw. */
     bool roll(double rate);

@@ -12,7 +12,7 @@
 #include <string>
 #include <string_view>
 
-#include "core/resilient.hh"
+#include "core/expected.hh"
 
 namespace gpupm
 {

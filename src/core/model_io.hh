@@ -48,6 +48,7 @@
 #include "common/logging.hh"
 #include "common/numio.hh"
 #include "core/io_status.hh"
+#include "core/resilient.hh"
 #include "core/validate.hh"
 #include "obs/standard.hh"
 #include "obs/trace.hh"

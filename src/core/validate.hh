@@ -31,6 +31,7 @@
 #include "core/campaign.hh"
 #include "core/estimator.hh"
 #include "core/power_model.hh"
+#include "core/resilient.hh"
 #include "obs/scoreboard.hh"
 
 namespace gpupm

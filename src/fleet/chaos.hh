@@ -52,13 +52,6 @@ struct ChaosSpec
 
     /** Fraction of device instances that are poisoned. */
     double poison_fraction = 0.0;
-
-    /** True when any injection above is active. */
-    bool any() const
-    {
-        return shard_kill_rate > 0.0 || shard_stall_rate > 0.0 ||
-               poison_fraction > 0.0;
-    }
 };
 
 /** What chaos does to one (shard, attempt). */

@@ -2,8 +2,8 @@
  * @file
  * Deterministic merge of shard results into the fleet scoreboard.
  *
- * Shards finish in whatever order the work-stealing pool and the
- * retry machinery produce; the merge sorts every device outcome by
+ * Shards finish in whatever order the plain workers and their
+ * in-place retries produce; the merge sorts every device outcome by
  * fleet id before aggregating, so the merged scoreboard is a pure
  * function of the outcome *set* — the chaos gate compares the
  * accuracy JSON of a chaos-battered run bit-for-bit against a

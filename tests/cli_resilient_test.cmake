@@ -13,7 +13,11 @@
 #    CRC32 and byte count) are compared.
 #
 # WORK is emptied first, so --resume finds no old checkpoint.
-# Expects CLI, WORK and GOLDEN_DIR.
+# Expects CLI, WORK and GOLDEN_DIR (relative paths are taken from the
+# current directory).
+get_filename_component(CLI "${CLI}" ABSOLUTE)
+get_filename_component(WORK "${WORK}" ABSOLUTE)
+get_filename_component(GOLDEN_DIR "${GOLDEN_DIR}" ABSOLUTE)
 file(REMOVE_RECURSE ${WORK})
 file(MAKE_DIRECTORY ${WORK})
 

@@ -17,6 +17,7 @@
 
 #include "core/campaign.hh"
 #include "core/model_io.hh"
+#include "core/resilient.hh"
 #include "ubench/suite.hh"
 
 namespace

@@ -11,6 +11,7 @@
 
 #include "core/campaign.hh"
 #include "core/model_io.hh"
+#include "core/resilient.hh"
 
 namespace
 {

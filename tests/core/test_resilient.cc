@@ -1,13 +1,15 @@
 /**
  * @file
- * Tests of the resilient backend decorator: retry/backoff schedules,
+ * Tests of the resilient backend decorator: retry/backoff delays,
  * deadline enforcement, MAD outlier rejection, quarantine.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
+#include <vector>
 
 #include "core/resilient.hh"
 
@@ -34,8 +36,7 @@ moderateKernel()
  * reports a fixed virtual duration per call. Lets the resilience
  * policy be asserted against exactly known inputs.
  */
-class ScriptedBackend : public model::MeasurementBackend,
-                        public model::CallTimer
+class ScriptedBackend : public model::MeasurementBackend
 {
   public:
     explicit ScriptedBackend(std::vector<double> powers,
@@ -97,37 +98,54 @@ class ScriptedBackend : public model::MeasurementBackend,
     std::size_t cursor_ = 0;
 };
 
-TEST(Resilient, BackoffScheduleIsDeterministicPerSeed)
+TEST(Resilient, BackoffDependsOnlyOnTheCellSeed)
 {
-    model::ResilientOptions opts;
-    const auto a = model::ResilientBackend::backoffSchedule(opts, 9, 8);
-    const auto b = model::ResilientBackend::backoffSchedule(opts, 9, 8);
-    const auto c =
-            model::ResilientBackend::backoffSchedule(opts, 10, 8);
-    ASSERT_EQ(a.size(), 8u);
-    for (std::size_t i = 0; i < a.size(); ++i)
-        EXPECT_DOUBLE_EQ(a[i], b[i]);
-    bool any_differs = false;
-    for (std::size_t i = 0; i < a.size(); ++i)
-        any_differs = any_differs || a[i] != c[i];
-    EXPECT_TRUE(any_differs);
+    // Three transients over three calls. The jitter stream runs on
+    // across the calls of a cell and restarts at reseed(), so the
+    // total delay is a function of the cell seed alone.
+    const double inf = std::numeric_limits<double>::infinity();
+    const std::vector<double> script{inf,   inf,   100.0,
+                                     inf,   100.2, 99.9};
+    const auto backoff = [&](model::ResilientBackend &shield,
+                             std::uint64_t seed) {
+        const double before = shield.counters().backoff_total_s;
+        shield.reseed(seed);
+        EXPECT_TRUE(
+                shield.tryMeasurePower(moderateKernel(), kRef, 3, 1.0)
+                        .ok());
+        return shield.counters().backoff_total_s - before;
+    };
+    ScriptedBackend in_a(script), in_b(script), in_c(script);
+    model::ResilientBackend a(in_a), b(in_b), c(in_c);
+    const double at_9 = backoff(a, 9);
+    EXPECT_EQ(a.counters().retries, 3);
+    EXPECT_EQ(backoff(b, 9), at_9);
+    EXPECT_NE(backoff(c, 10), at_9);
+    // A cell measured after another one draws the same delays (the
+    // running total rounds the difference, hence DOUBLE_EQ).
+    EXPECT_DOUBLE_EQ(backoff(c, 9), at_9);
 }
 
-TEST(Resilient, BackoffScheduleGrowsGeometricallyToCap)
+TEST(Resilient, RetryDelaysGrowGeometricallyToTheCap)
 {
-    model::ResilientOptions opts;
-    opts.jitter_frac = 0.0; // exact geometric progression
-    const auto d =
-            model::ResilientBackend::backoffSchedule(opts, 1, 10);
-    EXPECT_DOUBLE_EQ(d[0], opts.backoff_base_s);
-    EXPECT_DOUBLE_EQ(d[1], 2.0 * opts.backoff_base_s);
-    EXPECT_DOUBLE_EQ(d[9], opts.backoff_max_s);
-    // With jitter the delays stay within the +/- jitter band.
-    opts.jitter_frac = 0.25;
-    const auto j =
-            model::ResilientBackend::backoffSchedule(opts, 1, 10);
-    for (std::size_t i = 0; i < j.size(); ++i)
-        EXPECT_LE(j[i], opts.backoff_max_s * 1.25 + 1e-12);
+    // n transients before one call succeeds: n retries whose delays
+    // are 0.05 * 2^k s, capped at 5 s, each jittered by +/-25%.
+    const double inf = std::numeric_limits<double>::infinity();
+    double nominal = 0.0;
+    for (int n = 1; n <= 10; ++n) {
+        nominal += std::min(5.0, 0.05 * std::pow(2.0, n - 1));
+        std::vector<double> script(n, inf);
+        script.push_back(100.0);
+        script.push_back(100.2);
+        ScriptedBackend inner(script);
+        model::ResilientBackend shield(inner, 10);
+        ASSERT_TRUE(
+                shield.tryMeasurePower(moderateKernel(), kRef, 2, 1.0)
+                        .ok());
+        EXPECT_EQ(shield.counters().retries, n);
+        EXPECT_GE(shield.counters().backoff_total_s, 0.75 * nominal);
+        EXPECT_LE(shield.counters().backoff_total_s, 1.25 * nominal);
+    }
 }
 
 TEST(Resilient, RetriesRecoverableFailuresAndSucceeds)
@@ -136,9 +154,7 @@ TEST(Resilient, RetriesRecoverableFailuresAndSucceeds)
     // them out and aggregate the good samples.
     const double inf = std::numeric_limits<double>::infinity();
     ScriptedBackend inner({inf, 100.0, inf, inf, 100.4, 99.8});
-    model::ResilientOptions opts;
-    opts.min_valid_repetitions = 2;
-    model::ResilientBackend shield(inner, opts);
+    model::ResilientBackend shield(inner);
 
     auto e = shield.tryMeasurePower(moderateKernel(), kRef, 3, 1.0);
     ASSERT_TRUE(e.ok());
@@ -170,9 +186,6 @@ TEST(Resilient, FatalErrorsAreNotRetried)
     EXPECT_EQ(e.error().code, model::MeasureErrc::Fatal);
     EXPECT_EQ(inner.attempts, 1);
     EXPECT_EQ(shield.counters().retries, 0);
-    // The throwing interface surfaces the same typed error.
-    EXPECT_THROW(shield.measurePower(moderateKernel(), kRef, 3, 1.0),
-                 model::MeasurementError);
 }
 
 TEST(Resilient, DeadlineAbandonsWedgedCalls)
@@ -181,11 +194,7 @@ TEST(Resilient, DeadlineAbandonsWedgedCalls)
     // all attempts time out, the call fails, and with a threshold of
     // two failed calls the configuration lands in quarantine.
     ScriptedBackend inner({100.0}, 90.0);
-    model::ResilientOptions opts;
-    opts.max_retries = 2;
-    opts.call_timeout_s = 30.0;
-    opts.quarantine_threshold = 2;
-    model::ResilientBackend shield(inner, opts);
+    model::ResilientBackend shield(inner, 2);
 
     auto e = shield.tryMeasurePower(moderateKernel(), kRef, 2, 1.0);
     ASSERT_FALSE(e.ok());
@@ -196,15 +205,16 @@ TEST(Resilient, DeadlineAbandonsWedgedCalls)
 
 TEST(Resilient, QuarantineFailsFast)
 {
-    ScriptedBackend inner({100.0}, 90.0); // always times out
-    model::ResilientOptions opts;
-    opts.max_retries = 1;
-    opts.quarantine_threshold = 1;
-    model::ResilientBackend shield(inner, opts);
+    // Every attempt times out, so both calls of one measurement (at
+    // least two repetitions) exhaust their retries: the second
+    // exhausted call quarantines the configuration.
+    ScriptedBackend inner({100.0}, 90.0);
+    model::ResilientBackend shield(inner, 1);
 
     ASSERT_FALSE(
             shield.tryMeasurePower(moderateKernel(), kRef, 1, 1.0)
                     .ok());
+    EXPECT_EQ(shield.counters().call_failures, 2);
     ASSERT_TRUE(shield.isQuarantined(kRef));
     ASSERT_EQ(shield.quarantined().size(), 1u);
     EXPECT_EQ(shield.quarantined()[0], kRef);
@@ -224,9 +234,7 @@ TEST(Resilient, MadRejectsSpikesAndNansFromPowerMedian)
 {
     const double nan = std::numeric_limits<double>::quiet_NaN();
     ScriptedBackend inner({100.0, 100.4, 600.0, 99.8, nan, 100.2});
-    model::ResilientOptions opts;
-    opts.min_valid_repetitions = 2;
-    model::ResilientBackend shield(inner, opts);
+    model::ResilientBackend shield(inner);
 
     auto e = shield.tryMeasurePower(moderateKernel(), kRef, 6, 1.0);
     ASSERT_TRUE(e.ok());
@@ -240,9 +248,7 @@ TEST(Resilient, TooFewSurvivorsIsACorruptSampleFailure)
 {
     const double nan = std::numeric_limits<double>::quiet_NaN();
     ScriptedBackend inner({nan, nan, nan, 100.0});
-    model::ResilientOptions opts;
-    opts.min_valid_repetitions = 2;
-    model::ResilientBackend shield(inner, opts);
+    model::ResilientBackend shield(inner);
     auto e = shield.tryMeasurePower(moderateKernel(), kRef, 4, 1.0);
     ASSERT_FALSE(e.ok());
     EXPECT_EQ(e.error().code, model::MeasureErrc::CorruptSample);
@@ -253,9 +259,7 @@ TEST(Resilient, ConsensusProfilingOutvotesDroppedEvents)
     // One of three collections reads l2_rd_bytes = 0 (a dropped event
     // group); the field-wise median keeps the intact value.
     ScriptedBackend inner({4e9, 0.0, 4e9});
-    model::ResilientOptions opts;
-    opts.profile_repetitions = 3;
-    model::ResilientBackend shield(inner, opts);
+    model::ResilientBackend shield(inner);
     auto e = shield.tryProfileKernel(moderateKernel(), kRef);
     ASSERT_TRUE(e.ok());
     EXPECT_DOUBLE_EQ(e.value().l2_rd_bytes, 4e9);
@@ -275,11 +279,11 @@ TEST(Resilient, IdlePowerUsesSamePolicy)
 
 TEST(Resilient, ExpectedAccessorsAssert)
 {
-    model::Expected<double> good(1.0);
+    model::Expected<double, model::Status> good(1.0);
     EXPECT_TRUE(good.ok());
     EXPECT_DOUBLE_EQ(good.value(), 1.0);
     EXPECT_THROW(good.error(), std::logic_error);
-    model::Expected<double> bad(
+    model::Expected<double, model::Status> bad(
             model::Status{model::MeasureErrc::Transient, "x"});
     EXPECT_FALSE(bad.ok());
     EXPECT_TRUE(bad.error().recoverable());
@@ -289,14 +293,7 @@ TEST(Resilient, ExpectedAccessorsAssert)
 TEST(Resilient, OptionValidationPanics)
 {
     ScriptedBackend inner({100.0});
-    model::ResilientOptions opts;
-    opts.max_retries = -1;
-    EXPECT_THROW(model::ResilientBackend(inner, opts),
-                 std::logic_error);
-    opts = {};
-    opts.backoff_factor = 0.5;
-    EXPECT_THROW(model::ResilientBackend(inner, opts),
-                 std::logic_error);
+    EXPECT_THROW(model::ResilientBackend(inner, -1), std::logic_error);
 }
 
 } // namespace

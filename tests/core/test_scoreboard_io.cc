@@ -13,6 +13,7 @@
 #include <limits>
 
 #include "core/model_io.hh"
+#include "core/resilient.hh"
 #include "core/validate.hh"
 #include "obs/scoreboard.hh"
 

@@ -9,6 +9,7 @@
 #include <algorithm>
 
 #include "common/json.hh"
+#include "core/resilient.hh"
 #include "core/validate.hh"
 
 namespace

@@ -23,6 +23,7 @@
 #include <string>
 
 #include "core/model_io.hh"
+#include "core/resilient.hh"
 #include "fleet/shard_io.hh"
 
 namespace

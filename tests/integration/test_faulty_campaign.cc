@@ -14,7 +14,9 @@
 #include <filesystem>
 
 #include "core/campaign.hh"
+#include "core/faults.hh"
 #include "core/model_io.hh"
+#include "core/resilient.hh"
 
 namespace
 {

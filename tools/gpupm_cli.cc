@@ -63,6 +63,7 @@
 #include "core/metrics.hh"
 #include "core/model_io.hh"
 #include "core/predictor.hh"
+#include "core/resilient.hh"
 #include "core/validate.hh"
 #include "fleet/shard_io.hh"
 #include "fleet/supervisor.hh"
@@ -719,11 +720,9 @@ cmdDevices(const Args &, const CliFlags &)
 
 /**
  * Run the fault-tolerant campaign path selected by any resilience
- * flag into `data` and print the CampaignReport. Returns 0; 3 when a
- * max_cells / checkpoint split stopped the run before the grid was
- * complete; or 1 when the checkpoint could not be written or belongs
- * to another campaign, or the reference configuration could not be
- * measured.
+ * flag into `data` and print the CampaignReport. Returns 0; or 1 when
+ * the checkpoint could not be written or belongs to another campaign,
+ * or the reference configuration could not be measured.
  */
 int
 runResilientCampaign(gpu::DeviceKind kind, const CliFlags &flags,
@@ -742,7 +741,7 @@ runResilientCampaign(gpu::DeviceKind kind, const CliFlags &flags,
 
     model::ResilientCampaignOptions opts;
     if (flags.retries >= 0)
-        opts.resilience.max_retries = static_cast<int>(flags.retries);
+        opts.max_retries = static_cast<int>(flags.retries);
     opts.checkpoint_path = flags.checkpoint;
 
     std::fprintf(stderr, "running resilient campaign on %s...\n",
@@ -759,12 +758,6 @@ runResilientCampaign(gpu::DeviceKind kind, const CliFlags &flags,
                      std::string(model::measureErrcName(e->code)).c_str(),
                      e->message.c_str());
         return 1;
-    }
-    if (!result.complete) {
-        std::fprintf(stderr,
-                     "campaign interrupted; progress saved to %s\n",
-                     flags.checkpoint.c_str());
-        return 3;
     }
     data = std::move(result.data);
     return 0;

@@ -28,6 +28,7 @@
 #include "common/provenance.hh"
 #include "common/random.hh"
 #include "core/model_io.hh"
+#include "core/resilient.hh"
 #include "core/validate.hh"
 #include "fleet/shard_io.hh"
 #include "obs/scoreboard.hh"
