@@ -9,6 +9,7 @@
  * configuration (kernels repeated to at least one second at the
  * fastest configuration, samples averaged, median of repeated runs).
  * A validation measurement does the same for a single application.
+ * The fault-tolerant runner of the same procedure is in resilient.hh.
  */
 
 #ifndef GPUPM_CORE_CAMPAIGN_HH
