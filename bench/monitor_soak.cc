@@ -72,7 +72,6 @@ main(int argc, char **argv)
     };
 
     obs::Tsdb tsdb;
-    const obs::TsdbOptions &topts = tsdb.options();
 
     obs::AlertRule rule;
     rule.name = "soak_mae_high";
@@ -93,12 +92,12 @@ main(int argc, char **argv)
     obs::Sampler sampler(probe, schedule, sopts, nullptr, &tsdb,
                          &engine);
 
-    // Fixed-accounting bound: a pure function of the configured caps.
+    // Fixed-accounting bound: a pure function of the store's caps.
     const std::size_t mem_bound =
             sizeof(obs::Tsdb) +
-            topts.max_series *
-                    (topts.raw_capacity * sizeof(obs::TsPoint) +
-                     2 * topts.tier_capacity * sizeof(obs::TsBucket) +
+            obs::Tsdb::kMaxSeries *
+                    (obs::Tsdb::kRawCapacity * sizeof(obs::TsPoint) +
+                     2 * obs::Tsdb::kTierCapacity * sizeof(obs::TsBucket) +
                      1024);
 
     std::size_t high_water = 0;

@@ -42,13 +42,16 @@ if [ "${GPUPM_SKIP_SANITIZE:-0}" != "1" ]; then
         obs_test_off_path nvml_test_device \
         core_test_scoreboard_io core_test_checkpoint_recovery \
         integration_test_faulty_campaign \
-        fleet_test_shard_io common_test_json \
+        fleet_test_shard_io fleet_test_supervisor fleet_test_chaos \
+        common_test_json \
         gpupm_fuzz_smoke gpupm_cli gpupm_trace_check gpupm_bench_check \
         gpupm_scrape
     for t in build-asan/tests/core_test_* build-asan/tests/linalg_test_* \
              build-asan/tests/obs_test_* build-asan/tests/nvml_test_* \
              build-asan/tests/common_test_json \
              build-asan/tests/fleet_test_shard_io \
+             build-asan/tests/fleet_test_supervisor \
+             build-asan/tests/fleet_test_chaos \
              build-asan/tests/integration_test_faulty_campaign; do
         [ -f "$t" ] && [ -x "$t" ] || continue
         echo "== sanitize: $t"

@@ -11,6 +11,11 @@ namespace gpupm
 namespace model
 {
 
+/** Virtual latency a hung call consumes before returning. */
+constexpr double kHangLatencyS = 60.0;
+/** Multiplier a PowerSpike applies to the measured power. */
+constexpr double kSpikeFactor = 6.0;
+
 std::string_view
 faultKindName(FaultKind kind)
 {
@@ -120,7 +125,7 @@ FaultInjectingBackend::profileKernel(const sim::KernelDemand &kernel,
     last_call_s_ = 5.0 * rm.time_s;
     if (hang) {
         note(FaultKind::Hang);
-        last_call_s_ += spec_.hang_latency_s;
+        last_call_s_ += kHangLatencyS;
     }
     if (drop) {
         note(FaultKind::DroppedEvents);
@@ -147,7 +152,7 @@ FaultInjectingBackend::faultySample(const gpu::FreqConfig &cfg,
     const double fresh = read();
     if (hang) {
         note(FaultKind::Hang);
-        last_call_s_ += spec_.hang_latency_s;
+        last_call_s_ += kHangLatencyS;
     }
 
     double p = fresh;
@@ -156,7 +161,7 @@ FaultInjectingBackend::faultySample(const gpu::FreqConfig &cfg,
         p = std::numeric_limits<double>::quiet_NaN();
     } else if (spike) {
         note(FaultKind::PowerSpike);
-        p *= spec_.spike_factor;
+        p *= kSpikeFactor;
     } else if (stuck && stale_power_w_ >= 0.0) {
         note(FaultKind::StuckSensor);
         p = stale_power_w_;

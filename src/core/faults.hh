@@ -36,9 +36,9 @@ enum class FaultKind
 {
     TransientFailure, ///< call throws a recoverable Transient error
     ClockRejection,   ///< call throws ClockRejected
-    Hang,             ///< call succeeds but consumes hang_latency_s
+    Hang,             ///< call succeeds but consumes 60 s (virtual)
     StuckSensor,      ///< power result replaced by the previous one
-    PowerSpike,       ///< power result multiplied by spike_factor
+    PowerSpike,       ///< power result multiplied by 6
     NanSample,        ///< power result replaced by NaN
     DroppedEvents,    ///< some profiled metric fields read back zero
     BrokenConfig,     ///< persistent failure at a listed V-F config
@@ -59,12 +59,8 @@ struct FaultSpec
     double transient_rate = 0.0;
     double clock_reject_rate = 0.0;
     double hang_rate = 0.0;
-    /** Virtual latency a hung call consumes before returning. */
-    double hang_latency_s = 60.0;
     double stuck_rate = 0.0;
     double spike_rate = 0.0;
-    /** Multiplier a PowerSpike applies to the measured power. */
-    double spike_factor = 6.0;
     double nan_rate = 0.0;
     double drop_event_rate = 0.0;
 

@@ -32,7 +32,9 @@ namespace
  *  - a configuration is quarantined after 2 exhausted calls;
  *  - power samples with a MAD modified z-score above 3.5 are
  *    rejected, and at least 2 must survive;
- *  - a profile is the field-wise median of 3 collections.
+ *  - a profile is the field-wise median of 3 collections;
+ *  - a checkpointing campaign saves every 256 cells (and before the
+ *    first cell and at the end).
  */
 constexpr double kBackoffBaseS = 0.05;
 constexpr double kBackoffFactor = 2.0;
@@ -44,6 +46,7 @@ constexpr int kQuarantineThreshold = 2;
 constexpr double kMadThreshold = 3.5;
 constexpr int kMinValidRepetitions = 2;
 constexpr int kProfileCollections = 3;
+constexpr int kCheckpointEvery = 256;
 
 std::pair<int, int>
 key(const gpu::FreqConfig &cfg)
@@ -155,11 +158,18 @@ ResilientBackend::isQuarantined(const gpu::FreqConfig &cfg) const
 }
 
 void
+ResilientBackend::quarantine(const gpu::FreqConfig &cfg)
+{
+    if (!isQuarantined(cfg))
+        quarantined_.push_back(cfg);
+}
+
+void
 ResilientBackend::notePersistentFailure(const gpu::FreqConfig &cfg)
 {
     const int n = ++persistent_failures_[key(cfg)];
     if (n >= kQuarantineThreshold && !isQuarantined(cfg)) {
-        quarantined_.push_back(cfg);
+        quarantine(cfg);
         obs::resilientQuarantinedConfigsTotal().inc();
         warn("quarantining configuration (", cfg.core_mhz, ", ",
              cfg.mem_mhz, ") MHz after ", n,
@@ -516,7 +526,6 @@ runResilientTrainingCampaign(
             // campaign is a user error (wrong --resume path), not a
             // recoverable fault: proceeding would overwrite it.
             ResilientCampaignResult res;
-            res.complete = false;
             res.report = ck.report;
             res.checkpoint_error = IoStatus{
                     IoErrc::ValidationError,
@@ -532,21 +541,23 @@ runResilientTrainingCampaign(
             obs::campaignCellsResumedTotal().inc(resumed);
             inform("resuming campaign from '", opts.checkpoint_path,
                    "': ", resumed, " cells already measured");
+            // A column quarantined before stays dropped: measuring its
+            // cells now would change the grid the first run settled.
+            for (const auto &cfg : ck.report.quarantined)
+                shield.quarantine(cfg);
         }
     }
 
-    long measured_this_run = 0;
     long since_checkpoint = 0;
     bool stopped = false;
-    const auto out_of_budget = [&] {
-        return opts.max_cells > 0 &&
-               measured_this_run >= opts.max_cells;
-    };
     // A checkpoint that cannot be written stops the run with a typed
     // error: measuring on would lose the work it was meant to keep.
     std::optional<IoStatus> save_error;
     const auto save = [&] {
         if (checkpointing && !save_error) {
+            // The resumed list is a prefix of the shield's, so every
+            // save carries the whole quarantine in its order.
+            ck.report.quarantined = shield.quarantined();
             const auto saved = trySave(ck, opts.checkpoint_path);
             if (!saved.ok()) {
                 save_error = saved.error();
@@ -556,13 +567,12 @@ runResilientTrainingCampaign(
         since_checkpoint = 0;
     };
     const auto after_cell = [&] {
-        ++measured_this_run;
         obs::campaignCellsDoneTotal().inc();
-        if (++since_checkpoint >= std::max(1, opts.checkpoint_every))
+        if (++since_checkpoint >= kCheckpointEvery)
             save();
     };
     // Once before the first cell: a path that cannot be written fails
-    // now, not after the first `checkpoint_every` cells.
+    // now, not after the first kCheckpointEvery cells.
     save();
     std::optional<Status> reference_error;
 
@@ -589,10 +599,6 @@ runResilientTrainingCampaign(
     for (std::size_t b = 0; b < nb && !stopped; ++b) {
         if (ck.utils_done[b])
             continue;
-        if (out_of_budget()) {
-            stopped = true;
-            break;
-        }
         if (!suite[b].demand.empty()) {
             GPUPM_TRACE_SPAN_NAMED(pspan, "campaign",
                                    "campaign.profile");
@@ -632,10 +638,6 @@ runResilientTrainingCampaign(
         for (std::size_t c = 0; c < nc && !stopped; ++c) {
             if (ck.power_done[b][c])
                 continue;
-            if (out_of_budget()) {
-                stopped = true;
-                break;
-            }
             const gpu::FreqConfig &cfg = grid[c];
             if (shield.isQuarantined(cfg))
                 continue; // column is dropped at assembly
@@ -679,25 +681,16 @@ runResilientTrainingCampaign(
         obs::campaignFaultsInjectedTotal().inc(
                 injector->injected().total());
     }
-    for (const auto &cfg : shield.quarantined()) {
-        if (std::find(ck.report.quarantined.begin(),
-                      ck.report.quarantined.end(),
-                      cfg) == ck.report.quarantined.end())
-            ck.report.quarantined.push_back(cfg);
-    }
+    ck.report.quarantined = shield.quarantined();
     ck.report.cells_done = doneCells(ck);
 
     ResilientCampaignResult res;
-    res.complete = !stopped;
     res.report = ck.report;
 
     if (stopped) {
         save();
         res.checkpoint_error = save_error;
         res.reference_error = reference_error;
-        if (!save_error && !reference_error)
-            inform("campaign stopped after ", measured_this_run,
-                   " cells this run (checkpointed)");
         return res;
     }
 
@@ -716,7 +709,6 @@ runResilientTrainingCampaign(
                 return grid[c] == reference;
             });
     if (!reference_ok) {
-        res.complete = false;
         res.reference_error = Status{
                 MeasureErrc::Fatal,
                 "the reference configuration failed persistently; "

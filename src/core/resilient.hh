@@ -98,6 +98,10 @@ class ResilientBackend
 
     bool isQuarantined(const gpu::FreqConfig &cfg) const;
 
+    /** Exclude `cfg` from measurement, as an exhausted one would be
+     *  (no-op when it already is). */
+    void quarantine(const gpu::FreqConfig &cfg);
+
     /** Quarantined configurations, in quarantine order. */
     const std::vector<gpu::FreqConfig> &quarantined() const
     {
@@ -192,22 +196,20 @@ struct ResilientCampaignOptions
     int max_retries = 4;
     /**
      * When non-empty, progress is checkpointed to this file before the
-     * first cell and periodically after, and a pre-existing checkpoint
-     * there is resumed from.
-     * Because the backend is re-seeded per measurement cell, a
-     * resumed campaign produces bit-identical training data to an
-     * uninterrupted one.
+     * first cell, every 256 cells and at the end, and a pre-existing
+     * checkpoint there is resumed from. Every save carries the
+     * quarantine list, and a resume quarantines its configurations
+     * again before the first cell. Because the backend is re-seeded
+     * per measurement cell, re-running a finished campaign reproduces
+     * it byte for byte, and a resume re-measures only the cells not
+     * yet done, with the data an uninterrupted run would have drawn.
+     * One gap remains: the count of exhausted calls that quarantines
+     * a configuration (2) is not checkpointed, so a run stopped
+     * between a configuration's first and second exhausted call
+     * resumes with the count at 0 and may keep a column the
+     * uninterrupted run drops.
      */
     std::string checkpoint_path;
-    /** Cells between periodic checkpoint writes. */
-    int checkpoint_every = 256;
-    /**
-     * Stop (checkpointing) after this many cells measured in this
-     * process; 0 = run to completion. Lets operators split a long
-     * campaign across sessions, and lets tests exercise
-     * interruption/resume deterministically.
-     */
-    long max_cells = 0;
 };
 
 /** Outcome of a resilient campaign run. */
@@ -217,15 +219,10 @@ struct ResilientCampaignResult
      * Training data over the surviving grid: quarantined or
      * persistently failing configurations are dropped (the estimator's
      * per-configuration voltage fit tolerates the sparser grid).
-     * Meaningful only when `complete` is true.
+     * Meaningful only when neither error below is set.
      */
     TrainingData data;
     CampaignReport report;
-    /**
-     * False when the run stopped before the grid was done or left no
-     * usable data (either error below).
-     */
-    bool complete = true;
     /**
      * Set when the checkpoint could not be written (the run stopped)
      * or belongs to another campaign (a validation-error: nothing ran

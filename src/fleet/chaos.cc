@@ -23,7 +23,7 @@ ChaosDecision
 chaosForAttempt(const ChaosSpec &spec, int shard, int attempt)
 {
     ChaosDecision d;
-    if (attempt >= spec.max_faulty_attempts)
+    if (attempt >= kMaxFaultyAttempts)
         return d;
     const std::uint64_t key =
             mix64(spec.seed ^ 0xc4a05u) ^

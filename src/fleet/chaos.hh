@@ -24,6 +24,14 @@ namespace gpupm
 namespace fleet
 {
 
+/**
+ * Attempts of a shard that chaos may kill or stall; every later
+ * attempt runs clean, so a retried shard eventually gets to run. It
+ * is below the supervisor's retry budget (kShardRetryBudget), so
+ * chaos alone never quarantines a shard.
+ */
+inline constexpr int kMaxFaultyAttempts = 2;
+
 /** Chaos-injection knobs of a fleet campaign. */
 struct ChaosSpec
 {
@@ -42,13 +50,6 @@ struct ChaosSpec
      * passes (exercises deadline + retry).
      */
     double shard_stall_rate = 0.0;
-
-    /**
-     * Attempts beyond which a shard is never killed or stalled
-     * again, so a retried shard eventually gets to run — quarantine
-     * is still reachable when the retry budget is smaller.
-     */
-    int max_faulty_attempts = 2;
 
     /** Fraction of device instances that are poisoned. */
     double poison_fraction = 0.0;

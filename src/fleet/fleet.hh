@@ -96,7 +96,10 @@ struct ShardResult
     std::vector<DeviceOutcome> outcomes;
 };
 
-/** Knobs of a fleet campaign. */
+/**
+ * Knobs of a fleet campaign. The per-device campaign shape
+ * (shard.hh) and the retry policy (supervisor.hh) are constants.
+ */
 struct FleetOptions
 {
     long devices = 12;
@@ -108,16 +111,9 @@ struct FleetOptions
     int threads = 0;
     /** Base seed; per-device seeds derive from (seed, device id). */
     std::uint64_t seed = 42;
-    /** Per-instance ground-truth jitter fraction (sim/jitter). */
-    double jitter_frac = 0.05;
 
     /** Wall-clock deadline per shard attempt, seconds. */
     double watchdog_deadline_s = 120.0;
-    /** Retries per shard beyond its first attempt. */
-    int shard_retry_budget = 3;
-    /** First retry delay, seconds; grows geometrically, jittered. */
-    double backoff_base_s = 0.005;
-    double backoff_max_s = 0.1;
 
     /**
      * When non-empty: per-shard checkpoints (v2 "fleetshard"
@@ -128,18 +124,6 @@ struct FleetOptions
     std::string checkpoint_dir;
 
     ChaosSpec chaos;
-
-    // Per-device mini-campaign shape. The full paper campaign costs
-    // ~83 microbenchmarks x the whole V-F grid; at fleet scale each
-    // instance trains on a strided suite subset over a strided
-    // configuration subset, which is still identifiable (reference
-    // always kept, >= 2 mem clocks when the device has them).
-    int power_repetitions = 2;
-    double min_duration_s = 0.1;
-    int suite_stride = 7;
-    int max_configs = 6;
-    int validation_apps = 2;
-    int validation_configs = 3;
 };
 
 } // namespace fleet

@@ -43,20 +43,18 @@ validationApps()
     return apps;
 }
 
-/** Strided suite subset: every idle row plus every stride-th other. */
+/** Strided suite subset: every idle row plus every kSuiteStride-th
+ *  other. */
 std::vector<ubench::Microbenchmark>
-fleetSuite(int stride)
+fleetSuite()
 {
-    const auto &all = fullSuite();
-    if (stride <= 1)
-        return all;
     std::vector<ubench::Microbenchmark> out;
     int nonidle = 0;
-    for (const auto &mb : all)
+    for (const auto &mb : fullSuite())
     {
         if (mb.family == ubench::Family::Idle)
             out.push_back(mb);
-        else if (nonidle++ % stride == 0)
+        else if (nonidle++ % kSuiteStride == 0)
             out.push_back(mb);
     }
     return out;
@@ -92,10 +90,8 @@ failedOutcome(const DeviceSpec &spec, DeviceFailKind kind,
 } // namespace
 
 std::vector<gpu::FreqConfig>
-fleetConfigSubset(const gpu::DeviceDescriptor &desc, int max_configs)
+fleetConfigSubset(const gpu::DeviceDescriptor &desc)
 {
-    if (max_configs <= 0)
-        return {};
     const gpu::FreqConfig ref = desc.referenceConfig();
 
     // Reference memory clock first, then the lowest different one:
@@ -109,22 +105,18 @@ fleetConfigSubset(const gpu::DeviceDescriptor &desc, int max_configs)
             break;
         }
 
-    // Core clocks spread across the supported range. The Eq. 11
-    // initialization needs the reference plus two more core levels,
-    // so never go below three per memory clock.
-    const int per_mem = std::max<int>(
-            3, max_configs / static_cast<int>(mems.size()));
+    // Core clocks spread across the supported range.
+    static_assert(kMaxConfigs / 2 >= 3,
+                  "the Eq. 11 initialization needs the reference plus "
+                  "two more core levels per memory clock");
+    const int per_mem = kMaxConfigs / static_cast<int>(mems.size());
     const auto &cores_all = desc.core_freqs_mhz;
     std::vector<int> cores;
     for (int i = 0; i < per_mem; ++i)
     {
         const std::size_t idx =
-                per_mem == 1
-                        ? 0
-                        : (static_cast<std::size_t>(i) *
-                           (cores_all.size() - 1)) /
-                                  static_cast<std::size_t>(per_mem -
-                                                           1);
+                (static_cast<std::size_t>(i) * (cores_all.size() - 1)) /
+                static_cast<std::size_t>(per_mem - 1);
         const int mhz = cores_all[idx];
         if (std::find(cores.begin(), cores.end(), mhz) ==
             cores.end())
@@ -142,7 +134,7 @@ fleetConfigSubset(const gpu::DeviceDescriptor &desc, int max_configs)
 }
 
 DeviceOutcome
-runDevice(const DeviceSpec &spec, const FleetOptions &opts,
+runDevice(const DeviceSpec &spec, const FleetOptions &,
           const CancelToken &token)
 {
     if (cancelled(token))
@@ -153,13 +145,13 @@ runDevice(const DeviceSpec &spec, const FleetOptions &opts,
             gpu::DeviceDescriptor::get(spec.kind);
     const sim::PhysicalGpu board(
             desc, sim::jitteredGroundTruth(spec.kind, spec.seed,
-                                           opts.jitter_frac));
+                                           kJitterFrac));
 
     model::CampaignOptions copts;
-    copts.power_repetitions = opts.power_repetitions;
-    copts.min_duration_s = opts.min_duration_s;
+    copts.power_repetitions = kPowerRepetitions;
+    copts.min_duration_s = kMinDurationS;
     copts.seed = spec.seed;
-    copts.config_subset = fleetConfigSubset(desc, opts.max_configs);
+    copts.config_subset = fleetConfigSubset(desc);
 
     // Train. Poisoned devices fail here (broken reference config) or
     // at the data check below (NaN sensor rail).
@@ -176,13 +168,13 @@ runDevice(const DeviceSpec &spec, const FleetOptions &opts,
             if (spec.poison_config)
                 fspec.broken_configs = {desc.referenceConfig()};
             model::FaultInjectingBackend faulty(inner, fspec);
-            data = model::runTrainingCampaign(
-                    faulty, fleetSuite(opts.suite_stride), copts);
+            data = model::runTrainingCampaign(faulty, fleetSuite(),
+                                              copts);
         }
         else
         {
-            data = model::runTrainingCampaign(
-                    inner, fleetSuite(opts.suite_stride), copts);
+            data = model::runTrainingCampaign(inner, fleetSuite(),
+                                              copts);
         }
     }
     catch (const model::MeasurementError &e)
@@ -218,15 +210,13 @@ runDevice(const DeviceSpec &spec, const FleetOptions &opts,
     for (const auto &cfg : data.configs)
     {
         val_cfgs.push_back(cfg);
-        if (static_cast<int>(val_cfgs.size()) >=
-            std::max(1, opts.validation_configs))
+        if (static_cast<int>(val_cfgs.size()) >= kValidationConfigs)
             break;
     }
 
     const auto &apps = validationApps();
-    const int n_apps = std::min<int>(
-            std::max(1, opts.validation_apps),
-            static_cast<int>(apps.size()));
+    const int n_apps = std::min<int>(kValidationApps,
+                                     static_cast<int>(apps.size()));
     std::vector<obs::ResidualSample> samples;
     for (int a = 0; a < n_apps; ++a)
     {

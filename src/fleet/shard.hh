@@ -9,7 +9,7 @@
  * `gpupm audit`. Every failure is classified into DeviceFailKind —
  * a device never disappears from the fleet silently.
  *
- * Everything here is a pure function of (DeviceSpec, campaign knobs):
+ * Everything here is a pure function of the DeviceSpec:
  * no shared mutable state, and the wall clock is read only to compare
  * it with an attempt's deadline. That purity is what the chaos gate
  * leans on — a killed-and-retried shard reproduces its outcomes
@@ -72,6 +72,25 @@ cancelled(const CancelToken &token)
     return std::chrono::steady_clock::now() >= token.deadline;
 }
 
+/*
+ * The per-device mini campaign. The full paper campaign costs ~83
+ * microbenchmarks x the whole V-F grid; at fleet scale each instance
+ * trains on a strided suite subset over a strided configuration
+ * subset, which is still identifiable (reference always kept, >= 2
+ * memory clocks when the device has them). fleetFingerprint() hashes
+ * every one of these, so changing one invalidates old checkpoints.
+ */
+inline constexpr int kPowerRepetitions = 2;
+inline constexpr double kMinDurationS = 0.1; ///< minimum run, seconds
+/** Every idle row plus every kSuiteStride-th other microbenchmark. */
+inline constexpr int kSuiteStride = 7;
+inline constexpr int kMaxConfigs = 6;
+/** Held-out applications audited, each at kValidationConfigs. */
+inline constexpr int kValidationApps = 2;
+inline constexpr int kValidationConfigs = 3;
+/** Per-instance ground-truth jitter fraction (sim/jitter). */
+inline constexpr double kJitterFrac = 0.05;
+
 /**
  * The strided V-F configuration subset a fleet device trains on:
  * the reference memory clock plus one other (when the device has
@@ -80,10 +99,11 @@ cancelled(const CancelToken &token)
  * identifiable by the bilinear estimator.
  */
 std::vector<gpu::FreqConfig>
-fleetConfigSubset(const gpu::DeviceDescriptor &desc, int max_configs);
+fleetConfigSubset(const gpu::DeviceDescriptor &desc);
 
 /**
- * Run one device's mini campaign + fit + validation audit.
+ * Run one device's mini campaign + fit + validation audit, shaped by
+ * the constants above; no field of `opts` changes the outcome.
  * Cancellation is polled at entry; a cancelled device reports
  * DeviceFailKind::Cancelled without touching the board.
  */

@@ -5,6 +5,7 @@
 
 #include "common/checksum.hh"
 #include "common/numio.hh"
+#include "fleet/shard.hh"
 
 namespace gpupm
 {
@@ -81,12 +82,11 @@ fleetFingerprint(const FleetOptions &opts, const ShardSpec &shard)
 {
     std::ostringstream os;
     os << "fleet-fingerprint-v1\n"
-       << opts.seed << ' ' << numio::formatDouble(opts.jitter_frac)
-       << ' ' << opts.power_repetitions << ' '
-       << numio::formatDouble(opts.min_duration_s) << ' '
-       << opts.suite_stride << ' ' << opts.max_configs << ' '
-       << opts.validation_apps << ' ' << opts.validation_configs
-       << '\n'
+       << opts.seed << ' ' << numio::formatDouble(kJitterFrac) << ' '
+       << kPowerRepetitions << ' '
+       << numio::formatDouble(kMinDurationS) << ' ' << kSuiteStride
+       << ' ' << kMaxConfigs << ' ' << kValidationApps << ' '
+       << kValidationConfigs << '\n'
        << "shard " << shard.index << '\n';
     for (const DeviceSpec &spec : shard.devices)
         os << deviceLine(spec) << '\n';

@@ -10,11 +10,11 @@
  * or stale file comes back as a typed IoStatus and the shard simply
  * re-runs; nothing aborts and nothing is double-counted.
  *
- * Stale checkpoints are rejected by fingerprint: a CRC32 over every
- * option that shapes device outcomes plus the shard's device specs,
- * stored in the file, so changing the fleet seed, the campaign knobs
- * or the sharding invalidates old checkpoints instead of silently
- * merging them.
+ * Stale checkpoints are rejected by fingerprint: a CRC32 over the
+ * fleet seed, the per-device campaign constants and the shard's device
+ * specs, stored in the file, so changing the fleet seed, a campaign
+ * constant or the sharding invalidates old checkpoints instead of
+ * silently merging them.
  */
 
 #ifndef GPUPM_FLEET_SHARD_IO_HH
@@ -35,8 +35,9 @@ std::string shardCheckpointPath(const std::string &dir, int index);
 
 /**
  * CRC32 fingerprint of everything that shapes this shard's outcomes:
- * campaign knobs, jitter, and the shard's device specs (ids, kinds,
- * seeds, poison flags).
+ * the fleet seed, the per-device campaign constants of shard.hh
+ * (jitter included), and the shard's device specs (ids, kinds, seeds,
+ * poison flags).
  */
 std::string fleetFingerprint(const FleetOptions &opts,
                              const ShardSpec &shard);

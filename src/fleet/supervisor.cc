@@ -30,14 +30,21 @@ namespace fleet
 namespace
 {
 
+/** First retry delay, seconds; doubles per attempt up to the max. */
+constexpr double kBackoffBaseS = 0.005;
+constexpr double kBackoffMaxS = 0.1;
+
+static_assert(kMaxFaultyAttempts <= kShardRetryBudget,
+              "chaos must leave a shard a clean attempt");
+
 /** Seeded exponential backoff with +-25% jitter, seconds. */
 double
 backoffSeconds(const FleetOptions &opts, int shard, int attempt)
 {
-    double base = opts.backoff_base_s;
-    for (int i = 0; i < attempt && base < opts.backoff_max_s; ++i)
+    double base = kBackoffBaseS;
+    for (int i = 0; i < attempt && base < kBackoffMaxS; ++i)
         base *= 2.0;
-    base = std::min(base, opts.backoff_max_s);
+    base = std::min(base, kBackoffMaxS);
     const std::uint64_t key =
             mix64(opts.seed ^ 0xbacc0ffull) ^
             (static_cast<std::uint64_t>(shard) << 20) ^
@@ -206,7 +213,7 @@ struct FleetRun
         }
 
         shard_span.markError(); // every path below is a failure
-        if (attempt < opts.shard_retry_budget)
+        if (attempt < kShardRetryBudget)
         {
             retries.fetch_add(1, std::memory_order_relaxed);
             inform("fleet shard ", shard.index, ": attempt ",

@@ -20,9 +20,9 @@
  *    reported per-device without taking their shard down.
  *
  * The merged scoreboard is deterministic: outcomes depend only on
- * (DeviceSpec, campaign knobs) and the merge sorts by device id, so
- * completion order, thread count, retries and chaos leave the
- * accuracy payload bit-identical over the surviving devices.
+ * the DeviceSpec and the merge sorts by device id, so completion
+ * order, thread count, retries and chaos leave the accuracy payload
+ * bit-identical over the surviving devices.
  */
 
 #ifndef GPUPM_FLEET_SUPERVISOR_HH
@@ -43,6 +43,10 @@ class Tsdb;
 
 namespace fleet
 {
+
+/** Retries per shard beyond its first attempt; past them the shard
+ *  is quarantined. */
+inline constexpr int kShardRetryBudget = 3;
 
 /** Everything a fleet campaign produced and survived. */
 struct FleetResult

@@ -181,7 +181,7 @@ Sampler::audit(const MonitorSample &s, const SchedulePoint &pt,
         {
             std::lock_guard<std::mutex> lock(data_mu_);
             residuals_.push_back(r);
-            while (residuals_.size() > opts_.max_samples)
+            while (residuals_.size() > kMaxResiduals)
                 residuals_.pop_front();
         }
 

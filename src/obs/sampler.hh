@@ -92,7 +92,6 @@ struct SamplerOptions
     long events_max_bytes = 0;
     /** Rotated generations retained (`.1` .. `.N`); minimum 1. */
     int events_max_files = 1;
-    std::size_t max_samples = 10000; ///< residuals retained (ring)
     /** Residuals in the rolling-MAE window feeding
      *  gpupm_accuracy_rolling_mae_pct (and the drift rule). */
     std::size_t rolling_window = 64;
@@ -107,6 +106,9 @@ struct SamplerOptions
 class Sampler
 {
   public:
+    /** Residuals retained (a ring): the window the scoreboard reads. */
+    static constexpr std::size_t kMaxResiduals = 10'000;
+
     Sampler(SampleProbe probe, std::vector<SchedulePoint> schedule,
             SamplerOptions opts, FlightRecorder *recorder = nullptr,
             Tsdb *tsdb = nullptr, AlertEngine *alerts = nullptr);

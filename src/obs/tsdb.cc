@@ -4,7 +4,6 @@
 #include <cmath>
 #include <cstdint>
 #include <functional>
-#include <limits>
 #include <sstream>
 
 #include "common/json.hh"
@@ -75,21 +74,9 @@ TsQueryResult::toJson(const std::string &series) const
     return os.str();
 }
 
-Tsdb::Tsdb(TsdbOptions opts)
-    : opts_(opts),
-      latest_us_(std::numeric_limits<std::int64_t>::min())
-{
-    if (opts_.raw_capacity == 0)
-        opts_.raw_capacity = 1;
-    if (opts_.tier_capacity == 0)
-        opts_.tier_capacity = 1;
-    if (opts_.max_series == 0)
-        opts_.max_series = 1;
-}
-
 void
 Tsdb::bucketInto(std::deque<TsBucket> &tier, std::int64_t res_us,
-                 std::size_t cap, std::int64_t t_us, double value)
+                 std::int64_t t_us, double value)
 {
     const std::int64_t start =
             (t_us >= 0 ? t_us / res_us : (t_us - res_us + 1) / res_us) *
@@ -104,7 +91,7 @@ Tsdb::bucketInto(std::deque<TsBucket> &tier, std::int64_t res_us,
     b.start_us = start;
     b.add(value);
     tier.push_back(b);
-    while (tier.size() > cap)
+    while (tier.size() > kTierCapacity)
         tier.pop_front();
 }
 
@@ -118,7 +105,7 @@ Tsdb::appendLocked(const std::string &series, std::int64_t t_us,
     }
     auto it = series_.find(series);
     if (it == series_.end()) {
-        if (series_.size() >= opts_.max_series) {
+        if (series_.size() >= kMaxSeries) {
             // Evict the series written to least recently; ties break
             // towards the first in name order.
             series_.erase(std::min_element(
@@ -131,22 +118,19 @@ Tsdb::appendLocked(const std::string &series, std::int64_t t_us,
             tsdbEvictionsTotal().inc();
         }
         it = series_.emplace(series, Series{}).first;
-        it->second.raw.resize(opts_.raw_capacity);
+        it->second.raw.resize(kRawCapacity);
     }
     Series &s = it->second;
-    const std::size_t slot =
-            (s.raw_head + s.raw_size) % opts_.raw_capacity;
-    if (s.raw_size == opts_.raw_capacity) {
+    const std::size_t slot = (s.raw_head + s.raw_size) % kRawCapacity;
+    if (s.raw_size == kRawCapacity) {
         s.raw[s.raw_head] = {t_us, value};
-        s.raw_head = (s.raw_head + 1) % opts_.raw_capacity;
+        s.raw_head = (s.raw_head + 1) % kRawCapacity;
     } else {
         s.raw[slot] = {t_us, value};
         ++s.raw_size;
     }
-    bucketInto(s.tier1, opts_.tier1_res_us, opts_.tier_capacity, t_us,
-               value);
-    bucketInto(s.tier2, opts_.tier2_res_us, opts_.tier_capacity, t_us,
-               value);
+    bucketInto(s.tier1, kTier1ResUs, t_us, value);
+    bucketInto(s.tier2, kTier2ResUs, t_us, value);
     s.last_write_us = t_us;
     ++points_appended_;
     latest_us_ = std::max(latest_us_, t_us);
@@ -218,10 +202,10 @@ Tsdb::query(const TsQuery &q) const
     // and windows larger than raw retention transparently fall back
     // onto the downsampled history.
     const std::deque<TsBucket> *tier = nullptr;
-    if (q.step_us >= opts_.tier2_res_us) {
+    if (q.step_us >= kTier2ResUs) {
         tier = &found->tier2;
         res.tier = 2;
-    } else if (q.step_us >= opts_.tier1_res_us) {
+    } else if (q.step_us >= kTier1ResUs) {
         tier = &found->tier1;
         res.tier = 1;
     } else {
@@ -252,8 +236,7 @@ Tsdb::query(const TsQuery &q) const
     if (res.tier == 0) {
         for (std::size_t i = 0; i < found->raw_size; ++i) {
             const TsPoint &p =
-                    found->raw[(found->raw_head + i) %
-                               opts_.raw_capacity];
+                    found->raw[(found->raw_head + i) % kRawCapacity];
             if (TsBucket *b = outBucketFor(p.t_us))
                 b->add(p.value);
         }
@@ -297,12 +280,12 @@ std::size_t
 Tsdb::memoryBytes() const
 {
     // Fixed accounting per live series: the preallocated raw ring,
-    // both tiers at configured capacity (deques overshoot slightly;
-    // we charge the cap, which is what the soak gate bounds), the
-    // name, and the map entry itself.
+    // both tiers at full capacity (deques overshoot slightly; we
+    // charge the cap, which is what the soak gate bounds), the name,
+    // and the map entry itself.
     const std::size_t per_series_fixed =
-            opts_.raw_capacity * sizeof(TsPoint) +
-            2 * opts_.tier_capacity * sizeof(TsBucket) +
+            kRawCapacity * sizeof(TsPoint) +
+            2 * kTierCapacity * sizeof(TsBucket) +
             sizeof(decltype(series_)::value_type);
     std::lock_guard<std::mutex> lock(mu_);
     std::size_t total = sizeof(Tsdb);

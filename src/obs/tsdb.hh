@@ -13,7 +13,7 @@
  *  - each series holds a fixed-capacity raw ring plus two capped
  *    downsampling tiers (10s and 1m buckets of min/max/sum/count);
  *    old data falls off the back, never reallocates;
- *  - total series cardinality is capped exactly (`max_series`); a new
+ *  - total series cardinality is capped exactly (`kMaxSeries`); a new
  *    series past the cap evicts the one written least recently (ties
  *    break by name order), counted in gpupm_tsdb_evictions_total.
  *
@@ -33,6 +33,7 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <limits>
 #include <map>
 #include <mutex>
 #include <string>
@@ -44,16 +45,6 @@ namespace gpupm
 {
 namespace obs
 {
-
-/** Sizing knobs; the defaults hold a series under ~8 KiB. */
-struct TsdbOptions
-{
-    std::size_t raw_capacity = 240;  ///< raw points per series
-    std::size_t tier_capacity = 120; ///< buckets per downsample tier
-    std::int64_t tier1_res_us = 10'000'000; ///< 10 s buckets
-    std::int64_t tier2_res_us = 60'000'000; ///< 1 m buckets
-    std::size_t max_series = 512; ///< cardinality cap
-};
 
 /** One raw observation. */
 struct TsPoint
@@ -104,7 +95,19 @@ struct TsQueryResult
 class Tsdb
 {
   public:
-    explicit Tsdb(TsdbOptions opts = {});
+    /*
+     * The store's sizes. memoryBytes() charges every series its ring
+     * and both tiers at full size, so kMaxSeries bounds the store. At
+     * the monitor's default 250 ms period the raw ring keeps the last
+     * 60 s, tier 1 20 min and tier 2 2 h.
+     */
+    static constexpr std::size_t kRawCapacity = 240; ///< raw points
+    static constexpr std::size_t kTierCapacity = 120; ///< buckets/tier
+    static constexpr std::int64_t kTier1ResUs = 10'000'000; ///< 10 s
+    static constexpr std::int64_t kTier2ResUs = 60'000'000; ///< 1 min
+    static constexpr std::size_t kMaxSeries = 512; ///< cardinality cap
+
+    Tsdb() = default;
 
     Tsdb(const Tsdb &) = delete;
     Tsdb &operator=(const Tsdb &) = delete;
@@ -135,7 +138,7 @@ class Tsdb
 
     /**
      * Fixed per-series accounting: ring + tier capacities at their
-     * configured sizes plus the name. An upper bound that is the same
+     * full sizes plus the name. An upper bound that is the same
      * number the cardinality cap bounds — what the soak test gates.
      */
     std::size_t memoryBytes() const;
@@ -154,8 +157,6 @@ class Tsdb
     {
         return locked(dropped_not_finite_);
     }
-
-    const TsdbOptions &options() const { return opts_; }
 
   private:
     /** A copy of one counter, read under the lock. */
@@ -180,16 +181,15 @@ class Tsdb
     void appendLocked(const std::string &series, std::int64_t t_us,
                       double value);
     static void bucketInto(std::deque<TsBucket> &tier,
-                           std::int64_t res_us, std::size_t cap,
-                           std::int64_t t_us, double value);
+                           std::int64_t res_us, std::int64_t t_us,
+                           double value);
 
-    TsdbOptions opts_;
     mutable std::mutex mu_;
     std::map<std::string, Series, std::less<>> series_; ///< under mu_
     std::uint64_t points_appended_ = 0;
     std::uint64_t evictions_ = 0;
     std::uint64_t dropped_not_finite_ = 0;
-    std::int64_t latest_us_;
+    std::int64_t latest_us_ = std::numeric_limits<std::int64_t>::min();
 };
 
 } // namespace obs

@@ -7,7 +7,10 @@
 #  - k40c at 25% faults, fault seed 3, 2 retries, checkpointing:
 #    quarantines two configurations, fails two cells and drops two of
 #    the four configurations; stdout, the campaign and the checkpoint
-#    are compared whole;
+#    are compared whole. The same command is then run again: it
+#    resumes the finished checkpoint, keeps the quarantined columns
+#    dropped and measures nothing, so the campaign comes out byte for
+#    byte again and stdout differs only in the resumed-cell count;
 #  - titanx at 20% faults, fault seed 7: 5,395 cells, nothing
 #    quarantined; stdout and the campaign's envelope line (its payload
 #    CRC32 and byte count) are compared.
@@ -48,6 +51,23 @@ endif()
 expect_text_equal("${out}" ${GOLDEN_DIR}/k40c_stdout.json)
 expect_file_equal(${WORK}/q.campaign ${GOLDEN_DIR}/k40c.campaign)
 expect_file_equal(${WORK}/q.ck ${GOLDEN_DIR}/k40c.ck)
+
+execute_process(COMMAND ${CLI} campaign k40c q.campaign --faults=0.25
+                        --fault-seed=3 --retries=2 --json --resume=q.ck
+                WORKING_DIRECTORY ${WORK}
+                RESULT_VARIABLE rc OUTPUT_VARIABLE out
+                ERROR_VARIABLE err)
+if(NOT rc EQUAL 0)
+    message(FATAL_ERROR "k40c campaign re-run failed: ${rc}: ${err}")
+endif()
+expect_file_equal(${WORK}/q.campaign ${GOLDEN_DIR}/k40c.campaign)
+file(READ ${GOLDEN_DIR}/k40c_stdout.json want)
+string(REPLACE "\"resumed\":0," "\"resumed\":334," want "${want}")
+if(NOT out STREQUAL want)
+    message(FATAL_ERROR "k40c re-run output differs from "
+                        "k40c_stdout.json with 334 cells resumed:\n"
+                        "${out}")
+endif()
 
 execute_process(COMMAND ${CLI} campaign titanx t.campaign --faults=0.2
                         --fault-seed=7 --json

@@ -15,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "../resilient_test_util.hh"
 #include "core/campaign.hh"
 #include "core/model_io.hh"
 #include "core/resilient.hh"
@@ -24,6 +25,8 @@ namespace
 {
 
 using namespace gpupm;
+using testutil::checkpointPrefix;
+using testutil::usable;
 
 /** A deliberately tiny campaign: 3 benchmarks x 4 configurations. */
 struct TinyCampaign
@@ -45,9 +48,26 @@ struct TinyCampaign
         opts.base.config_subset.push_back(ref);
         opts.base.power_repetitions = 2;
         opts.base.min_duration_s = 0.1;
-        opts.checkpoint_every = 1;
+    }
+
+    /** A run on a fresh backend, checkpointing to `path`. */
+    model::ResilientCampaignResult
+    run(const std::string &path) const
+    {
+        model::ResilientCampaignOptions o = opts;
+        o.checkpoint_path = path;
+        model::SimulatedBackend backend(board, opts.base.seed);
+        return model::runResilientTrainingCampaign(backend, suite, o);
     }
 };
+
+std::string
+readFile(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    return std::string((std::istreambuf_iterator<char>(in)),
+                       std::istreambuf_iterator<char>());
+}
 
 TEST(CheckpointRecovery, TruncationAtEveryByteIsATypedError)
 {
@@ -57,18 +77,9 @@ TEST(CheckpointRecovery, TruncationAtEveryByteIsATypedError)
              "gpupm_ck_recovery_test")
                     .string();
     std::filesystem::create_directories(dir);
-    tc.opts.checkpoint_path = dir + "/partial.ck";
-    tc.opts.max_cells = 5; // stop with the grid half-measured
-    model::SimulatedBackend be0(tc.board, tc.opts.base.seed);
-    const auto partial = model::runResilientTrainingCampaign(
-            be0, tc.suite, tc.opts);
-    ASSERT_FALSE(partial.complete);
+    ASSERT_TRUE(usable(tc.run(dir + "/whole.ck")));
 
-    std::ifstream in(tc.opts.checkpoint_path, std::ios::binary);
-    ASSERT_TRUE(in.good());
-    const std::string full(
-            (std::istreambuf_iterator<char>(in)),
-            std::istreambuf_iterator<char>());
+    const std::string full = readFile(dir + "/whole.ck");
     ASSERT_GT(full.size(), 100u);
 
     for (std::size_t cut = 0; cut < full.size(); ++cut) {
@@ -99,27 +110,20 @@ TEST(CheckpointRecovery, ResumeNeverDoubleCountsCells)
     std::filesystem::create_directories(dir);
 
     // Reference: one uninterrupted run.
-    model::SimulatedBackend be_whole(tc.board, tc.opts.base.seed);
-    const auto whole = model::runResilientTrainingCampaign(
-            be_whole, tc.suite, tc.opts);
-    ASSERT_TRUE(whole.complete);
+    const auto whole = tc.run(dir + "/whole.ck");
+    ASSERT_TRUE(usable(whole));
     ASSERT_EQ(whole.report.cells_done, whole.report.cells_total);
 
-    // Interrupted run + resume over the checkpoint.
-    model::ResilientCampaignOptions split = tc.opts;
-    split.checkpoint_path = dir + "/split.ck";
-    split.max_cells = 5;
-    model::SimulatedBackend be_first(tc.board, tc.opts.base.seed);
-    const auto first = model::runResilientTrainingCampaign(
-            be_first, tc.suite, split);
-    ASSERT_FALSE(first.complete);
-    EXPECT_EQ(first.report.cells_done, 5);
-
-    split.max_cells = 0;
-    model::SimulatedBackend be_resume(tc.board, tc.opts.base.seed);
-    const auto resumed = model::runResilientTrainingCampaign(
-            be_resume, tc.suite, split);
-    ASSERT_TRUE(resumed.complete);
+    // Its checkpoint as a run stopped after 5 cells would have left
+    // it, resumed on a fresh backend.
+    const auto finished =
+            model::tryLoad<model::CampaignCheckpoint>(dir + "/whole.ck");
+    ASSERT_TRUE(finished.ok());
+    ASSERT_TRUE(model::trySave(checkpointPrefix(finished.value(), 5),
+                               dir + "/split.ck")
+                        .ok());
+    const auto resumed = tc.run(dir + "/split.ck");
+    ASSERT_TRUE(usable(resumed));
     // Exactly-once accounting: the resumed cells are the first
     // run's, the rest were measured now, the sum is the grid.
     EXPECT_EQ(resumed.report.cells_resumed, 5);
@@ -139,38 +143,21 @@ TEST(CheckpointRecovery, TornCheckpointFallsBackToAFreshStart)
                     .string();
     std::filesystem::create_directories(dir);
 
-    model::SimulatedBackend be_ref(tc.board, tc.opts.base.seed);
-    const auto whole = model::runResilientTrainingCampaign(
-            be_ref, tc.suite, tc.opts);
-    ASSERT_TRUE(whole.complete);
+    const auto whole = tc.run(dir + "/whole.ck");
+    ASSERT_TRUE(usable(whole));
 
     // Leave a half-written checkpoint where the resume looks.
-    model::ResilientCampaignOptions torn_opts = tc.opts;
-    torn_opts.checkpoint_path = dir + "/torn.ck";
     {
-        model::ResilientCampaignOptions probe = tc.opts;
-        probe.checkpoint_path = dir + "/probe.ck";
-        probe.max_cells = 5;
-        model::SimulatedBackend be_probe(tc.board,
-                                         tc.opts.base.seed);
-        (void)model::runResilientTrainingCampaign(be_probe,
-                                                  tc.suite, probe);
-        std::ifstream in(probe.checkpoint_path, std::ios::binary);
-        const std::string full(
-                (std::istreambuf_iterator<char>(in)),
-                std::istreambuf_iterator<char>());
-        std::ofstream out(torn_opts.checkpoint_path,
-                          std::ios::binary);
+        const std::string full = readFile(dir + "/whole.ck");
+        std::ofstream out(dir + "/torn.ck", std::ios::binary);
         out.write(full.data(),
                   static_cast<std::streamsize>(full.size() / 2));
     }
 
     // The torn file is discarded (typed warning, fresh start) and
     // the campaign still converges to the uninterrupted result.
-    model::SimulatedBackend be_rec(tc.board, tc.opts.base.seed);
-    const auto recovered = model::runResilientTrainingCampaign(
-            be_rec, tc.suite, torn_opts);
-    ASSERT_TRUE(recovered.complete);
+    const auto recovered = tc.run(dir + "/torn.ck");
+    ASSERT_TRUE(usable(recovered));
     EXPECT_EQ(recovered.report.cells_resumed, 0);
     EXPECT_EQ(model::serialize(recovered.data),
               model::serialize(whole.data));

@@ -218,7 +218,7 @@ campaign(const Case &c)
                     strided.push_back(std::move(mb));
             suite = std::move(strided);
             opts.config_subset =
-                    fleet::fleetConfigSubset(board.descriptor(), 6);
+                    fleet::fleetConfigSubset(board.descriptor());
         }
         it->second = model::runTrainingCampaign(board, suite, opts);
     }
@@ -248,7 +248,7 @@ TEST_P(FitStatisticsTest, NormalEquationsMatchCellAccumulation)
     if (GetParam().fleet_sized) {
         const auto &desc = gpu::DeviceDescriptor::get(GetParam().kind);
         ASSERT_EQ(data.configs.size(),
-                  fleet::fleetConfigSubset(desc, 6).size());
+                  fleet::fleetConfigSubset(desc).size());
         ASSERT_LT(data.utils.size(), 30u);
     }
     const FitStatistics stats(data, kIdleWeight);

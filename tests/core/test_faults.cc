@@ -122,7 +122,6 @@ TEST(Faults, PowerSpikeScalesPower)
     model::SimulatedBackend clean(board, 5), inner(board, 5);
     model::FaultSpec spec;
     spec.spike_rate = 1.0;
-    spec.spike_factor = 6.0;
     model::FaultInjectingBackend fb(inner, spec);
     const auto d = moderateKernel();
     const double truth = clean.measurePower(d, kRef, 1, 1.0).power_w;
@@ -168,10 +167,10 @@ TEST(Faults, HangInflatesVirtualCallDuration)
     model::SimulatedBackend inner(board, 5);
     model::FaultSpec spec;
     spec.hang_rate = 1.0;
-    spec.hang_latency_s = 120.0;
     model::FaultInjectingBackend fb(inner, spec);
     fb.measurePower(moderateKernel(), kRef, 1, 1.0);
-    EXPECT_GT(fb.lastCallSeconds(), 120.0);
+    // The run itself plus the 60 s a hung call consumes.
+    EXPECT_GT(fb.lastCallSeconds(), 60.0);
     EXPECT_EQ(fb.injected().of(model::FaultKind::Hang), 1);
 }
 

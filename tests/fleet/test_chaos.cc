@@ -47,19 +47,21 @@ TEST(Chaos, ZeroRatesInjectNothing)
 
 TEST(Chaos, MaxFaultyAttemptsGuaranteesACleanAttempt)
 {
+    EXPECT_EQ(fleet::kMaxFaultyAttempts, 2);
     fleet::ChaosSpec spec;
     spec.shard_kill_rate = 1.0;
     spec.shard_stall_rate = 1.0;
-    spec.max_faulty_attempts = 2;
     for (int shard = 0; shard < 8; ++shard) {
         // Attempts before the cap are always faulty at rate 1.
-        for (int attempt = 0; attempt < 2; ++attempt) {
+        for (int attempt = 0; attempt < fleet::kMaxFaultyAttempts;
+             ++attempt) {
             const auto d =
                     fleet::chaosForAttempt(spec, shard, attempt);
             EXPECT_TRUE(d.kill || d.stall);
         }
         // At and past the cap chaos backs off entirely.
-        for (int attempt = 2; attempt < 5; ++attempt) {
+        for (int attempt = fleet::kMaxFaultyAttempts;
+             attempt < fleet::kMaxFaultyAttempts + 3; ++attempt) {
             const auto d =
                     fleet::chaosForAttempt(spec, shard, attempt);
             EXPECT_FALSE(d.kill);

@@ -15,6 +15,7 @@
 #include <string>
 #include <thread>
 
+#include "fleet/chaos.hh"
 #include "fleet/shard.hh"
 #include "fleet/supervisor.hh"
 #include "obs/metrics.hh"
@@ -110,16 +111,19 @@ TEST_F(FleetSupervisorTest, StalledShardsRecoverThroughRetry)
     opts.shards = 3;
     opts.watchdog_deadline_s = 0.25;
     opts.chaos.shard_stall_rate = 1.0;
-    opts.chaos.max_faulty_attempts = 1; // attempt 0 stalls, 1 clean
     const auto result = fleet::runFleetCampaign(opts);
 
-    // Every shard stalled once, was cancelled by the watchdog,
-    // retried, and then completed: full accuracy, no quarantine.
+    // Every shard stalled on each of its kMaxFaultyAttempts (2)
+    // attempts, was cancelled by the watchdog and retried, and then
+    // completed: full accuracy, no quarantine.
+    static_assert(fleet::kMaxFaultyAttempts == 2);
     EXPECT_EQ(result.scoreboard.devices_ok, 3);
-    EXPECT_EQ(result.chaos_stalls, 3);
-    EXPECT_GE(result.watchdog_fires, 3);
-    EXPECT_GE(result.shard_retries, 3);
+    EXPECT_EQ(result.chaos_stalls, 6);
+    EXPECT_GE(result.watchdog_fires, 6);
+    EXPECT_GE(result.shard_retries, 6);
     EXPECT_EQ(result.shards_quarantined, 0);
+    for (const auto &shard : result.shards)
+        EXPECT_GE(shard.attempts, 3); // two stalls, then a clean one
 }
 
 TEST_F(FleetSupervisorTest, QuarantineKeepsExplicitAccounting)
@@ -127,13 +131,16 @@ TEST_F(FleetSupervisorTest, QuarantineKeepsExplicitAccounting)
     fleet::FleetOptions opts = fastOpts();
     opts.devices = 4;
     opts.shards = 2;
-    opts.watchdog_deadline_s = 0.1;
-    opts.shard_retry_budget = 1;
-    opts.chaos.shard_stall_rate = 1.0;
-    opts.chaos.max_faulty_attempts = 100; // never a clean attempt
+    // A deadline that has passed when each attempt starts: every
+    // attempt is cancelled, so each shard spends its retry budget.
+    opts.watchdog_deadline_s = 0.0;
     const auto result = fleet::runFleetCampaign(opts);
 
     EXPECT_EQ(result.shards_quarantined, 2);
+    EXPECT_EQ(result.shard_retries, 2 * fleet::kShardRetryBudget);
+    ASSERT_EQ(result.shards.size(), 2u);
+    for (const auto &shard : result.shards)
+        EXPECT_EQ(shard.attempts, fleet::kShardRetryBudget + 1);
     EXPECT_EQ(result.scoreboard.devices_ok, 0);
     EXPECT_EQ(result.scoreboard.devices_failed, 4);
     ASSERT_EQ(result.scoreboard.failures.size(), 4u);

@@ -13,6 +13,7 @@
 #include <cmath>
 #include <filesystem>
 
+#include "../resilient_test_util.hh"
 #include "core/campaign.hh"
 #include "core/faults.hh"
 #include "core/model_io.hh"
@@ -22,6 +23,7 @@ namespace
 {
 
 using namespace gpupm;
+using testutil::usable;
 
 model::ResilientCampaignOptions
 fastOpts()
@@ -55,14 +57,14 @@ TEST(FaultyCampaign, SurvivesFaultsAndTrainsAnEquivalentModel)
     model::SimulatedBackend clean(board, opts.base.seed);
     const auto base = model::runResilientTrainingCampaign(
             clean, ubench::buildSuite(), opts);
-    ASSERT_TRUE(base.complete);
+    ASSERT_TRUE(usable(base));
     EXPECT_EQ(base.report.cells_failed, 0);
     EXPECT_EQ(base.report.cells_done, base.report.cells_total);
 
     // ~8% of calls fail in some way; the campaign must complete
     // without aborting and report what it had to survive.
     const auto faulty = runFaulty(board, 0.08, opts);
-    ASSERT_TRUE(faulty.complete);
+    ASSERT_TRUE(usable(faulty));
     EXPECT_GT(faulty.report.faults_injected, 0);
     EXPECT_GT(faulty.report.totals.retries, 0);
     EXPECT_GT(faulty.report.totals.attempts,
@@ -100,7 +102,7 @@ TEST(FaultyCampaign, QuarantinesBrokenConfigAndTrainsOnSparseGrid)
     const gpu::FreqConfig bad{595, 810};
     const auto res = runFaulty(board, 0.0, fastOpts(), {bad});
 
-    ASSERT_TRUE(res.complete);
+    ASSERT_TRUE(usable(res));
     ASSERT_EQ(res.report.quarantined.size(), 1u);
     EXPECT_EQ(res.report.quarantined[0], bad);
     EXPECT_GT(res.report.totals.call_failures, 0);
@@ -130,7 +132,6 @@ TEST(FaultyCampaign, BrokenReferenceIsATypedError)
     sim::PhysicalGpu board(gpu::DeviceKind::GtxTitanX);
     const auto ref = board.descriptor().referenceConfig();
     const auto res = runFaulty(board, 0.0, fastOpts(), {ref});
-    EXPECT_FALSE(res.complete);
     EXPECT_FALSE(res.checkpoint_error);
     ASSERT_TRUE(res.reference_error);
     EXPECT_EQ(res.reference_error->message.rfind("cannot profile '", 0),
@@ -179,7 +180,7 @@ TEST(FaultyCampaign, UnmeasuredReferencePowerIsATypedError)
     DeadReferenceRail backend(board, opts.base.seed);
     const auto res = model::runResilientTrainingCampaign(
             backend, ubench::buildSuite(), opts);
-    EXPECT_FALSE(res.complete);
+    EXPECT_FALSE(res.checkpoint_error);
     ASSERT_TRUE(res.reference_error);
     EXPECT_EQ(res.reference_error->code, model::MeasureErrc::Fatal);
     EXPECT_NE(res.reference_error->message.find("failed persistently"),
@@ -197,40 +198,31 @@ TEST(FaultyCampaign, CheckpointResumeReproducesUninterruptedRun)
     std::filesystem::remove(ck_path);
 
     auto opts = fastOpts();
-
-    // Uninterrupted reference run (no checkpointing at all).
-    const auto whole = runFaulty(board, 0.05, opts);
-    ASSERT_TRUE(whole.complete);
-
-    // Same campaign, killed after 1500 cells...
     opts.checkpoint_path = ck_path;
-    opts.checkpoint_every = 64;
-    opts.max_cells = 1500;
-    const auto part = runFaulty(board, 0.05, opts);
-    EXPECT_FALSE(part.complete);
-    ASSERT_TRUE(std::filesystem::exists(ck_path));
+
+    // Uninterrupted reference run.
+    const auto whole = runFaulty(board, 0.05, opts);
+    ASSERT_TRUE(usable(whole));
+
+    // Its checkpoint as a run killed after 1500 cells would have left
+    // it...
+    const auto finished = model::tryLoad<model::CampaignCheckpoint>(ck_path);
+    ASSERT_TRUE(finished.ok());
+    ASSERT_TRUE(model::trySave(
+                        testutil::checkpointPrefix(finished.value(), 1500),
+                        ck_path)
+                        .ok());
 
     // ...then resumed to completion in a fresh process (fresh backend
     // chain; only the checkpoint file carries state across).
-    opts.max_cells = 0;
     const auto resumed = runFaulty(board, 0.05, opts);
-    ASSERT_TRUE(resumed.complete);
-    EXPECT_GT(resumed.report.cells_resumed, 0);
+    ASSERT_TRUE(usable(resumed));
+    EXPECT_EQ(resumed.report.cells_resumed, 1500);
 
     // The resumed training data is bit-identical to the
     // uninterrupted run's.
-    ASSERT_EQ(resumed.data.configs, whole.data.configs);
-    ASSERT_EQ(resumed.data.power_w.size(), whole.data.power_w.size());
-    for (std::size_t b = 0; b < whole.data.power_w.size(); ++b) {
-        ASSERT_EQ(resumed.data.power_w[b].size(),
-                  whole.data.power_w[b].size());
-        for (std::size_t c = 0; c < whole.data.power_w[b].size(); ++c)
-            EXPECT_DOUBLE_EQ(resumed.data.power_w[b][c],
-                             whole.data.power_w[b][c]);
-        for (std::size_t i = 0; i < gpu::kNumComponents; ++i)
-            EXPECT_DOUBLE_EQ(resumed.data.utils[b][i],
-                             whole.data.utils[b][i]);
-    }
+    EXPECT_EQ(model::serialize(resumed.data),
+              model::serialize(whole.data));
     std::filesystem::remove(ck_path);
 }
 

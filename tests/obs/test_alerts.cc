@@ -226,25 +226,25 @@ TEST_F(AlertsTest, DriftRuleCarriesTheFig7Envelope)
 
 TEST_F(AlertsTest, EvaluatesAcrossTierBoundaries)
 {
-    // A raw ring of 5 points with a 120 s window: the evaluation
-    // window reaches far past raw retention, so the windowed mean
-    // must come from the downsampled tiers (step window+1 -> tier 2).
-    obs::TsdbOptions o;
-    o.raw_capacity = 5;
-    obs::Tsdb db(o);
+    // A 600 s window at one point a second reaches past the raw
+    // ring's 240 points, so the windowed mean must come from the
+    // downsampled tiers (step window+1 -> tier 2).
+    static_assert(obs::Tsdb::kRawCapacity == 240);
+    obs::Tsdb db;
 
     obs::AlertRule r = thresholdRule();
-    r.window_us = 120 * kSec;
+    r.window_us = 600 * kSec;
     r.for_us = 0;
     obs::AlertEngine eng(db, {r});
 
-    for (int t = 1; t <= 120; ++t)
-        db.append("s", t * kSec, 100.0);
-    eng.evaluate(120 * kSec);
+    // 100 over the first 360 s, 0 over the 240 s the raw ring keeps.
+    for (int t = 1; t <= 600; ++t)
+        db.append("s", t * kSec, t <= 360 ? 100.0 : 0.0);
+    eng.evaluate(600 * kSec);
     const auto st = eng.snapshot();
     EXPECT_EQ(st[0].state, obs::AlertState::Firing);
-    // The mean covers the whole window, not just the 5 raw points.
-    EXPECT_DOUBLE_EQ(st[0].last_value, 100.0);
+    // The mean covers the whole window, not just the raw points.
+    EXPECT_DOUBLE_EQ(st[0].last_value, 60.0);
 }
 
 TEST_F(AlertsTest, TransitionsFeedGaugeRecorderAndSink)

@@ -161,20 +161,23 @@ TEST_F(SamplerTest, EventLogIsWellFormedNdjson)
 
 TEST_F(SamplerTest, ResidualWindowIsBounded)
 {
-    auto o = fastOptions();
-    o.max_samples = 4;
-    auto probe = [](const std::string &app,
-                    const gpu::FreqConfig &cfg) {
+    double n = 0.0; // the k-th sample measures k W
+    auto probe = [&n](const std::string &app,
+                      const gpu::FreqConfig &cfg) {
         obs::MonitorSample s;
         s.app = app;
         s.cfg = cfg;
-        s.measured_w = 1.0;
-        s.predicted_w = 1.0;
+        s.measured_w = ++n;
+        s.predicted_w = n;
         return s;
     };
-    obs::Sampler sampler(probe, schedule_, o);
-    tick(sampler, 12);
-    EXPECT_EQ(sampler.residualsSnapshot().size(), 4u);
+    obs::Sampler sampler(probe, schedule_, fastOptions());
+    tick(sampler, static_cast<int>(obs::Sampler::kMaxResiduals) + 8);
+    const auto residuals = sampler.residualsSnapshot();
+    ASSERT_EQ(residuals.size(), obs::Sampler::kMaxResiduals);
+    // The oldest 8 fell off the front.
+    EXPECT_DOUBLE_EQ(residuals.front().measured_w, 9.0);
+    EXPECT_DOUBLE_EQ(residuals.back().measured_w, n);
 }
 
 TEST_F(SamplerTest, EventLogRotatesAtByteCapWithoutSplittingLines)

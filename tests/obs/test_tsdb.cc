@@ -73,29 +73,29 @@ TEST(TsdbTest, TierSelectionFollowsStep)
 
 TEST(TsdbTest, DownsampledTiersOutliveTheRawRing)
 {
-    obs::TsdbOptions o;
-    o.raw_capacity = 10; // raw history: last 10 points only
-    obs::Tsdb db(o);
-    for (int i = 0; i < 100; ++i)
+    // One point a second, 60 more than the raw ring holds.
+    constexpr int kPoints = obs::Tsdb::kRawCapacity + 60;
+    obs::Tsdb db;
+    for (int i = 0; i < kPoints; ++i)
         db.append("s", i * kSec, static_cast<double>(i));
 
     // Raw query over the whole range only sees the ring's tail...
     obs::TsQuery q;
     q.series = "s";
     q.start_us = 0;
-    q.end_us = 100 * kSec;
+    q.end_us = kPoints * kSec;
     q.step_us = kSec;
     auto res = db.query(q);
     ASSERT_TRUE(res.ok);
-    ASSERT_EQ(res.points.size(), 10u);
-    EXPECT_EQ(res.points.front().start_us, 90 * kSec);
+    ASSERT_EQ(res.points.size(), obs::Tsdb::kRawCapacity);
+    EXPECT_EQ(res.points.front().start_us, 60 * kSec);
 
     // ...but the 10 s tier still covers the evicted past.
     q.step_us = 10 * kSec;
     res = db.query(q);
     ASSERT_TRUE(res.ok);
     EXPECT_EQ(res.tier, 1);
-    ASSERT_EQ(res.points.size(), 10u);
+    ASSERT_EQ(res.points.size(), static_cast<std::size_t>(kPoints / 10));
     EXPECT_EQ(res.points.front().start_us, 0);
     EXPECT_EQ(res.points.front().count, 10);
     // Bucket [0,10s) holds values 0..9.
@@ -106,22 +106,22 @@ TEST(TsdbTest, DownsampledTiersOutliveTheRawRing)
 
 TEST(TsdbTest, TierCapacityIsBounded)
 {
-    obs::TsdbOptions o;
-    o.tier_capacity = 4;
-    obs::Tsdb db(o);
-    // 20 distinct 10 s buckets; only the newest 4 survive in tier 1.
-    for (int i = 0; i < 20; ++i)
+    obs::Tsdb db;
+    // 10 more distinct 10 s buckets than tier 1 holds; only the
+    // newest kTierCapacity survive.
+    constexpr int kBuckets = obs::Tsdb::kTierCapacity + 10;
+    for (int i = 0; i < kBuckets; ++i)
         db.append("s", i * 10 * kSec, 1.0);
 
     obs::TsQuery q;
     q.series = "s";
     q.start_us = 0;
-    q.end_us = 200 * kSec;
+    q.end_us = kBuckets * 10 * kSec;
     q.step_us = 10 * kSec;
     const auto res = db.query(q);
     ASSERT_TRUE(res.ok);
-    EXPECT_EQ(res.points.size(), 4u);
-    EXPECT_EQ(res.points.front().start_us, 160 * kSec);
+    EXPECT_EQ(res.points.size(), obs::Tsdb::kTierCapacity);
+    EXPECT_EQ(res.points.front().start_us, 100 * kSec);
 }
 
 TEST(TsdbTest, NonFiniteValuesAreDroppedAndCounted)
@@ -139,47 +139,61 @@ TEST(TsdbTest, NonFiniteValuesAreDroppedAndCounted)
     EXPECT_EQ(db.seriesCount(), 1u);
 }
 
+/** Series names that sort in the order of `i`. */
+std::string
+seriesName(std::size_t i)
+{
+    std::string digits = std::to_string(i);
+    return "s" + std::string(4 - digits.size(), '0') + digits;
+}
+
 TEST(TsdbTest, CardinalityCapEvictsOldestWrite)
 {
-    obs::TsdbOptions o;
-    o.max_series = 4;
-    obs::Tsdb db(o);
-    db.append("a", 1 * kSec, 1.0);
-    db.append("b", 2 * kSec, 1.0);
-    db.append("c", 3 * kSec, 1.0);
-    db.append("d", 4 * kSec, 1.0);
-    EXPECT_EQ(db.seriesCount(), 4u);
+    constexpr std::size_t kCap = obs::Tsdb::kMaxSeries;
+    obs::Tsdb db;
+    for (std::size_t i = 0; i < kCap; ++i)
+        db.append(seriesName(i), static_cast<std::int64_t>(i + 1) * kSec,
+                  1.0);
+    EXPECT_EQ(db.seriesCount(), kCap);
     EXPECT_EQ(db.evictions(), 0u);
 
-    // "a" has the oldest last-write; a fifth series evicts it.
-    db.append("e", 5 * kSec, 1.0);
-    EXPECT_EQ(db.seriesCount(), 4u);
+    // The first series has the oldest last-write; one more evicts it.
+    db.append(seriesName(kCap), static_cast<std::int64_t>(kCap + 1) * kSec,
+              1.0);
+    EXPECT_EQ(db.seriesCount(), kCap);
     EXPECT_EQ(db.evictions(), 1u);
-    const auto names = db.seriesNames();
-    EXPECT_EQ(names, (std::vector<std::string>{"b", "c", "d", "e"}));
+    std::vector<std::string> survivors;
+    for (std::size_t i = 1; i <= kCap; ++i)
+        survivors.push_back(seriesName(i));
+    EXPECT_EQ(db.seriesNames(), survivors);
 
     obs::TsQuery q;
-    q.series = "a";
+    q.series = seriesName(0);
     q.start_us = 0;
     q.end_us = 10 * kSec;
     EXPECT_FALSE(db.query(q).ok);
 
-    // Equal last writes break by name, not by insertion order.
-    obs::Tsdb tied(o);
-    for (const char *name : {"d", "c", "b", "a"})
-        tied.append(name, kSec, 1.0);
-    tied.append("e", 2 * kSec, 1.0);
-    EXPECT_EQ(tied.seriesNames(),
-              (std::vector<std::string>{"b", "c", "d", "e"}));
+    // Equal last writes break by name, not by insertion order: the
+    // first name goes although it was written last.
+    obs::Tsdb tied;
+    for (std::size_t i = kCap; i-- > 0;)
+        tied.append(seriesName(i), kSec, 1.0);
+    tied.append(seriesName(kCap), 2 * kSec, 1.0);
+    EXPECT_EQ(tied.seriesNames(), survivors);
 }
 
 TEST(TsdbTest, RegistryFedEvictionsReachTheMetricsExposition)
 {
     obs::Registry::global().reset();
     obs::registerStandardMetrics();
-    obs::TsdbOptions o;
-    o.max_series = 8; // far fewer than the standard catalog's samples
-    obs::Tsdb db(o);
+    // More gauges than the store holds series, on top of the standard
+    // catalog.
+    for (std::size_t i = 0; i <= obs::Tsdb::kMaxSeries; ++i)
+        obs::Registry::global()
+                .gauge("gpupm_test_pad", "i=\"" + std::to_string(i) + "\"",
+                       "padding")
+                .set(1.0);
+    obs::Tsdb db;
     db.recordRegistry(obs::Registry::global(), kSec);
     ASSERT_GT(db.evictions(), 0u);
     const std::string prom = obs::Registry::global().renderPrometheus();
@@ -195,32 +209,34 @@ TEST(TsdbTest, RegistryFedEvictionsReachTheMetricsExposition)
 
 TEST(TsdbTest, MemoryStaysBoundedUnderSoak)
 {
-    obs::TsdbOptions o;
-    o.max_series = 16;
-    obs::Tsdb db(o);
+    obs::Tsdb db;
 
     // Fixed accounting: the bound is a function of the caps alone.
     const std::size_t cap_bound =
             sizeof(obs::Tsdb) +
-            o.max_series *
-                    (o.raw_capacity * sizeof(obs::TsPoint) +
-                     2 * o.tier_capacity * sizeof(obs::TsBucket) +
+            obs::Tsdb::kMaxSeries *
+                    (obs::Tsdb::kRawCapacity * sizeof(obs::TsPoint) +
+                     2 * obs::Tsdb::kTierCapacity * sizeof(obs::TsBucket) +
                      1024);
 
     std::size_t high_water = 0;
     for (int i = 0; i < 10'000; ++i) {
-        // 20 metric names cycling: forces eviction churn on top of
-        // ring wraparound.
+        // Every other append goes to one of 4 hot series, whose rings
+        // wrap; the rest cycle through 20 more names than the cap, so
+        // new series keep evicting the least recently written.
         const std::string name =
-                "gpupm_soak_series_" + std::to_string(i % 20);
+                i % 2 ? "gpupm_soak_hot_" + std::to_string(i % 8)
+                      : "gpupm_soak_cold_" +
+                                std::to_string(i / 2 %
+                                               (obs::Tsdb::kMaxSeries + 20));
         db.append(name, i * kSec / 10, std::sin(i * 0.01));
         high_water = std::max(high_water, db.memoryBytes());
     }
-    EXPECT_LE(db.seriesCount(), o.max_series);
+    EXPECT_LE(db.seriesCount(), obs::Tsdb::kMaxSeries);
     EXPECT_GT(db.evictions(), 0u);
     EXPECT_LE(high_water, cap_bound)
             << "soak high-water " << high_water
-            << " exceeded the configured bound " << cap_bound;
+            << " exceeded the bound " << cap_bound;
 }
 
 TEST(TsdbTest, QueryErrorPaths)
