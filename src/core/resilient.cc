@@ -548,6 +548,24 @@ runResilientTrainingCampaign(
         }
     }
 
+    // The report's totals are what the run resumed from plus this
+    // run's counters, written at every save and at the end alike, so
+    // a checkpoint left by a crash carries the totals of its rows.
+    const ResilienceCounters resumed_totals = ck.report.totals;
+    const long resumed_faults = ck.report.faults_injected;
+    const auto tally = [&] {
+        const ResilienceCounters &now = shield.counters();
+        ResilienceCounters &totals = ck.report.totals;
+        for (const auto &f : kCounterFields)
+            totals.*f.counter =
+                    resumed_totals.*f.counter + now.*f.counter;
+        totals.backoff_total_s =
+                resumed_totals.backoff_total_s + now.backoff_total_s;
+        if (injector)
+            ck.report.faults_injected =
+                    resumed_faults + injector->injected().total();
+    };
+
     long since_checkpoint = 0;
     bool stopped = false;
     // A checkpoint that cannot be written stops the run with a typed
@@ -555,6 +573,7 @@ runResilientTrainingCampaign(
     std::optional<IoStatus> save_error;
     const auto save = [&] {
         if (checkpointing && !save_error) {
+            tally();
             // The resumed list is a prefix of the shield's, so every
             // save carries the whole quarantine in its order.
             ck.report.quarantined = shield.quarantined();
@@ -671,16 +690,10 @@ runResilientTrainingCampaign(
     }
 
     // Totals and quarantine state into the report.
-    const ResilienceCounters &now = shield.counters();
-    ResilienceCounters &totals = ck.report.totals;
-    for (const auto &f : kCounterFields)
-        totals.*f.counter += now.*f.counter;
-    totals.backoff_total_s += now.backoff_total_s;
-    if (injector) {
-        ck.report.faults_injected += injector->injected().total();
+    tally();
+    if (injector)
         obs::campaignFaultsInjectedTotal().inc(
                 injector->injected().total());
-    }
     ck.report.quarantined = shield.quarantined();
     ck.report.cells_done = doneCells(ck);
 

@@ -426,43 +426,42 @@ Registry::renderJson() const
     return os.str();
 }
 
-std::vector<MetricSample>
-Registry::collectSamples() const
+SampleLayout
+Registry::collectSamples(std::vector<double> &values,
+                         std::vector<std::string> *names) const
 {
     std::lock_guard<std::mutex> lock(mu_);
-    std::vector<MetricSample> out;
+    values.clear();
+    if (names)
+        names->clear();
     for (const auto &[name, family] : metrics_) {
         for (const auto &[labels, e] : family) {
-            const std::string full =
-                    labels.empty() ? name : name + "{" + labels + "}";
+            const auto put = [&](const char *suffix, double v) {
+                values.push_back(v);
+                if (!names)
+                    return;
+                std::string full = name + suffix;
+                if (!labels.empty())
+                    full += "{" + labels + "}";
+                names->push_back(std::move(full));
+            };
             switch (e.kind) {
               case Kind::Counter:
-                out.push_back(
-                        {full, e.counter ? e.counter->value() : 0.0});
+                put("", e.counter ? e.counter->value() : 0.0);
                 break;
               case Kind::Gauge:
-                out.push_back(
-                        {full, e.gauge ? e.gauge->value() : 0.0});
+                put("", e.gauge ? e.gauge->value() : 0.0);
                 break;
-              case Kind::Histogram: {
+              case Kind::Histogram:
                 if (!e.histogram)
                     break;
-                const std::string sum =
-                        labels.empty()
-                                ? name + "_sum"
-                                : name + "_sum{" + labels + "}";
-                const std::string count =
-                        labels.empty()
-                                ? name + "_count"
-                                : name + "_count{" + labels + "}";
-                out.push_back({sum, e.histogram->sum()});
-                out.push_back({count, e.histogram->count()});
+                put("_sum", e.histogram->sum());
+                put("_count", e.histogram->count());
                 break;
-              }
             }
         }
     }
-    return out;
+    return {generation(), values.size()};
 }
 
 bool
@@ -475,12 +474,19 @@ Registry::writePrometheus(const std::string &path) const
     return static_cast<bool>(out);
 }
 
+std::uint64_t
+Registry::nextGeneration()
+{
+    static std::atomic<std::uint64_t> next{1};
+    return next.fetch_add(1, std::memory_order_relaxed);
+}
+
 void
 Registry::reset()
 {
     std::lock_guard<std::mutex> lock(mu_);
     metrics_.clear();
-    generation_.fetch_add(1, std::memory_order_release);
+    generation_.store(nextGeneration(), std::memory_order_release);
 }
 
 } // namespace obs

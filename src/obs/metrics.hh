@@ -119,17 +119,19 @@ std::vector<double> iterationBuckets(); ///< 1 .. 50 fit iterations
 std::vector<double> errorPctBuckets();  ///< 0.5 .. 50 percent error
 
 /**
- * One numeric sample of a registered metric, as captured by
- * Registry::collectSamples(). `name` carries the family name plus the
- * rendered label body (`family{key="value"}`) exactly as the
- * Prometheus exposition would — the time-series store (tsdb.hh) keys
- * its series on this string, so a scrape and a tsdb query name the
- * same signal identically.
+ * Identifies the layout of Registry::collectSamples(): which samples
+ * it yields, and in what order. Registry entries are never removed
+ * between reset()s, and every reset() draws a new generation, so two
+ * walks with equal layouts yielded the same names in the same order.
+ * The time-series store (tsdb.hh) resolves a layout's names to its
+ * series once and then appends values only.
  */
-struct MetricSample
+struct SampleLayout
 {
-    std::string name; ///< family, or family{labels}
-    double value = 0.0;
+    std::uint64_t generation = 0; ///< 0 is no registry's generation
+    std::size_t samples = 0;
+
+    bool operator==(const SampleLayout &) const = default;
 };
 
 /**
@@ -178,13 +180,20 @@ class Registry
     std::string renderJson() const;
 
     /**
-     * Snapshot every numeric signal: one sample per counter and gauge
-     * child, two per histogram child (`name_sum`, `name_count` — the
-     * rates Prometheus would derive; per-bucket series would multiply
-     * tsdb cardinality for little alerting value). Ordered by family
-     * name then label body, so consumers see a stable order.
+     * Read every numeric signal, under the registry lock, into
+     * `values`: one sample per counter and gauge child, two per
+     * histogram child (`name_sum`, `name_count` — the rates Prometheus
+     * would derive; per-bucket series would multiply tsdb cardinality
+     * for little alerting value). Ordered by family name then label
+     * body, so consumers see a stable order. When `names` is given it
+     * receives each sample's name as the Prometheus exposition renders
+     * it (`family{key="value"}`), so a scrape and a tsdb query name the
+     * same signal identically; without it no string is built. Returns
+     * the layout the walk saw, read under the same lock.
      */
-    std::vector<MetricSample> collectSamples() const;
+    SampleLayout collectSamples(std::vector<double> &values,
+                                std::vector<std::string> *names =
+                                        nullptr) const;
 
     /** Write renderPrometheus() to a file; false on I/O failure. */
     bool writePrometheus(const std::string &path) const;
@@ -195,7 +204,11 @@ class Registry
      */
     void reset();
 
-    /** Starts at 1; every reset() adds one. */
+    /**
+     * Never 0 and never shared: each registry and each reset() draws
+     * the next value of one process-wide sequence, so a generation
+     * names one registry's entries since its last reset.
+     */
     std::uint64_t generation() const
     {
         return generation_.load(std::memory_order_acquire);
@@ -216,11 +229,12 @@ class Registry
 
     Entry &entryOf(const std::string &name, const std::string &labels,
                    Kind kind, const std::string &help);
+    static std::uint64_t nextGeneration();
 
     mutable std::mutex mu_;
     /** family name -> label body -> child (one "" child when bare). */
     std::map<std::string, std::map<std::string, Entry>> metrics_;
-    std::atomic<std::uint64_t> generation_{1};
+    std::atomic<std::uint64_t> generation_{nextGeneration()};
 };
 
 } // namespace obs

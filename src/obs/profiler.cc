@@ -101,28 +101,6 @@ labelMap()
     return labels;
 }
 
-/** Resolve one PC to a (demangled) symbol, "0x..." as fallback. */
-std::string
-symbolize(void *pc)
-{
-    Dl_info info{};
-    if (dladdr(pc, &info) != 0 && info.dli_sname != nullptr) {
-        int status = 0;
-        char *dem = abi::__cxa_demangle(info.dli_sname, nullptr,
-                                        nullptr, &status);
-        if (status == 0 && dem != nullptr) {
-            std::string out(dem);
-            std::free(dem);
-            return out;
-        }
-        return info.dli_sname;
-    }
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "0x%zx",
-                  reinterpret_cast<std::size_t>(pc));
-    return buf;
-}
-
 /** Folded-format frame sanitization: ';' is the separator. */
 std::string
 foldSanitize(std::string s)
@@ -142,6 +120,37 @@ formatPct(double v)
 }
 
 } // namespace
+
+std::string
+symbolize(const void *pc)
+{
+    Dl_info info{};
+    const bool placed = dladdr(pc, &info) != 0;
+    if (placed && info.dli_sname != nullptr) {
+        int status = 0;
+        char *dem = abi::__cxa_demangle(info.dli_sname, nullptr,
+                                        nullptr, &status);
+        if (status == 0 && dem != nullptr) {
+            std::string out(dem);
+            std::free(dem);
+            return out;
+        }
+        return info.dli_sname;
+    }
+    char buf[32];
+    if (!placed || info.dli_fname == nullptr || *info.dli_fname == '\0') {
+        std::snprintf(buf, sizeof(buf), "0x%zx",
+                      reinterpret_cast<std::size_t>(pc));
+        return buf;
+    }
+    // Placed but unnamed (internal linkage, or a stripped library):
+    // the object and the offset addr2line takes.
+    const char *slash = std::strrchr(info.dli_fname, '/');
+    std::snprintf(buf, sizeof(buf), "+0x%zx",
+                  reinterpret_cast<std::size_t>(pc) -
+                          reinterpret_cast<std::size_t>(info.dli_fbase));
+    return (slash ? slash + 1 : info.dli_fname) + std::string(buf);
+}
 
 std::atomic<bool> Profiler::context_enabled_{false};
 

@@ -35,7 +35,9 @@
  * project-wide; see the top-level CMakeLists.txt) and symbolization
  * of non-static functions requires -rdynamic. Both degrade
  * gracefully: missing frame pointers shorten stacks to the leaf PC,
- * unresolvable PCs render as hex addresses — category attribution
+ * a PC that dladdr places in an object but cannot name renders as
+ * `<object>+0x<offset>` (e.g. `libm.so.6+0x702d0`, `gpupm+0x1230`),
+ * and one it cannot place as a hex address — category attribution
  * needs neither.
  */
 
@@ -221,6 +223,14 @@ class Profiler
     std::atomic<std::uint64_t> completed_{0};
     std::atomic<std::uint64_t> dropped_{0};
 };
+
+/**
+ * One PC as a profile frame: the demangled symbol when dladdr names
+ * it, `<object basename>+0x<pc - load base>` when dladdr places it
+ * but cannot name it (a static function, a stripped library), and
+ * `0x<pc>` when dladdr fails.
+ */
+std::string symbolize(const void *pc);
 
 /**
  * Span-context maintenance, called by SpanGuard (trace.cc) while

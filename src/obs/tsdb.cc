@@ -95,32 +95,42 @@ Tsdb::bucketInto(std::deque<TsBucket> &tier, std::int64_t res_us,
         tier.pop_front();
 }
 
-void
+Tsdb::Series *
 Tsdb::appendLocked(const std::string &series, std::int64_t t_us,
                    double value)
 {
     if (!std::isfinite(value)) {
         ++dropped_not_finite_;
-        return;
+        return nullptr;
     }
     auto it = series_.find(series);
     if (it == series_.end()) {
         if (series_.size() >= kMaxSeries) {
             // Evict the series written to least recently; ties break
             // towards the first in name order.
-            series_.erase(std::min_element(
+            const auto victim = std::min_element(
                     series_.begin(), series_.end(),
                     [](const auto &a, const auto &b) {
                         return a.second.last_write_us <
                                b.second.last_write_us;
-                    }));
+                    });
+            name_bytes_ -= victim->first.capacity();
+            series_.erase(victim);
+            slots_layout_ = {}; // a cached Series* may dangle
             ++evictions_;
             tsdbEvictionsTotal().inc();
         }
         it = series_.emplace(series, Series{}).first;
         it->second.raw.resize(kRawCapacity);
+        name_bytes_ += it->first.capacity();
     }
-    Series &s = it->second;
+    writeLocked(it->second, t_us, value);
+    return &it->second;
+}
+
+void
+Tsdb::writeLocked(Series &s, std::int64_t t_us, double value)
+{
     const std::size_t slot = (s.raw_head + s.raw_size) % kRawCapacity;
     if (s.raw_size == kRawCapacity) {
         s.raw[s.raw_head] = {t_us, value};
@@ -145,6 +155,19 @@ Tsdb::append(const std::string &series, std::int64_t t_us,
 }
 
 void
+Tsdb::fillLocked(const Registry &reg, std::int64_t t_us)
+{
+    // The by-name append, keeping each sample's series. An eviction
+    // on the way clears slots_layout_ again, so the next tick refills.
+    std::vector<std::string> names;
+    slots_layout_ = reg.collectSamples(values_, &names);
+    slots_.resize(names.size());
+    for (std::size_t i = 0; i < names.size(); ++i)
+        slots_[i] = appendLocked(names[i], t_us, values_[i]);
+    ++fills_;
+}
+
+void
 Tsdb::recordRegistry(const Registry &reg, std::int64_t t_us)
 {
     // Refresh self-metrics first so this snapshot already carries
@@ -152,13 +175,25 @@ Tsdb::recordRegistry(const Registry &reg, std::int64_t t_us)
     // fine for trend series.
     tsdbSeriesCount().set(static_cast<double>(seriesCount()));
     tsdbMemoryBytes().set(static_cast<double>(memoryBytes()));
-    const std::vector<MetricSample> samples = reg.collectSamples();
     std::uint64_t appended = 0;
     {
         std::lock_guard<std::mutex> lock(mu_);
         const std::uint64_t before = points_appended_;
-        for (const MetricSample &m : samples)
-            appendLocked(m.name, t_us, m.value);
+        bool resolved = reg.collectSamples(values_) == slots_layout_;
+        // A sample the fill dropped has no series yet; once finite,
+        // creating it (and maybe evicting) is the fill's job.
+        for (std::size_t i = 0; resolved && i < slots_.size(); ++i)
+            resolved = slots_[i] || !std::isfinite(values_[i]);
+        if (!resolved) {
+            fillLocked(reg, t_us);
+        } else {
+            for (std::size_t i = 0; i < slots_.size(); ++i) {
+                if (std::isfinite(values_[i]))
+                    writeLocked(*slots_[i], t_us, values_[i]);
+                else
+                    ++dropped_not_finite_;
+            }
+        }
         appended = points_appended_ - before;
     }
     tsdbPointsTotal().inc(static_cast<double>(appended));
@@ -288,10 +323,8 @@ Tsdb::memoryBytes() const
             2 * kTierCapacity * sizeof(TsBucket) +
             sizeof(decltype(series_)::value_type);
     std::lock_guard<std::mutex> lock(mu_);
-    std::size_t total = sizeof(Tsdb);
-    for (const auto &entry : series_)
-        total += per_series_fixed + entry.first.capacity();
-    return total;
+    return sizeof(Tsdb) + series_.size() * per_series_fixed +
+           name_bytes_;
 }
 
 } // namespace obs

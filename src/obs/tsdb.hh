@@ -9,6 +9,16 @@
  * scrape of /metrics and a range query of /api/query name the same
  * signal identically.
  *
+ * The names are resolved once per registry layout (SampleLayout), not
+ * per tick: the first snapshot of a layout walks the registry with
+ * names and appends each sample by name (the fill), keeping a pointer
+ * to every series it wrote. Every later snapshot of that layout walks
+ * values only and writes each one through its pointer, building no
+ * string and searching no map. Anything that would make the by-name
+ * append behave differently refills: a new layout, any eviction (the
+ * pointers may dangle), or a sample that had no series at the fill
+ * (its value was not finite) turning finite.
+ *
  * Memory is bounded by construction, not by hope:
  *  - each series holds a fixed-capacity raw ring plus two capped
  *    downsampling tiers (10s and 1m buckets of min/max/sum/count);
@@ -17,13 +27,13 @@
  *    series past the cap evicts the one written least recently (ties
  *    break by name order), counted in gpupm_tsdb_evictions_total.
  *
- * One mutex guards one name-ordered map of series. One thread writes
- * (the tick), every tick writes every series, and the HTTP reader
- * takes the same lock for one query. Queries pick the coarsest tier
- * whose resolution fits the requested step (step >= 1m -> tier 2,
- * >= 10s -> tier 1, else raw) and aggregate into step-aligned
- * buckets. DESIGN.md §14 documents the layout and the retention
- * math.
+ * One mutex guards one name-ordered map of series and the snapshot's
+ * slot cache. One thread writes (the tick), every tick writes every
+ * series, and the HTTP reader takes the same lock for one query.
+ * Queries pick the coarsest tier whose resolution fits the requested
+ * step (step >= 1m -> tier 2, >= 10s -> tier 1, else raw) and
+ * aggregate into step-aligned buckets. DESIGN.md §14 documents the
+ * layout and the retention math.
  */
 
 #ifndef GPUPM_OBS_TSDB_HH
@@ -123,8 +133,10 @@ class Tsdb
 
     /**
      * Snapshot `reg` and append every sample at `t_us` — the sampler
-     * hook. Also refreshes the tsdb self-metrics (series count, memory
-     * bytes, points appended) so the store reports on itself.
+     * hook. The same points, evictions and counters as appending each
+     * sample by name, resolved once per layout (see file doc). Also
+     * refreshes the tsdb self-metrics (series count, memory bytes,
+     * points appended) so the store reports on itself.
      */
     void recordRegistry(const Registry &reg, std::int64_t t_us);
 
@@ -140,6 +152,7 @@ class Tsdb
      * Fixed per-series accounting: ring + tier capacities at their
      * full sizes plus the name. An upper bound that is the same
      * number the cardinality cap bounds — what the soak test gates.
+     * O(1): the name bytes are a running total.
      */
     std::size_t memoryBytes() const;
 
@@ -157,6 +170,9 @@ class Tsdb
     {
         return locked(dropped_not_finite_);
     }
+
+    /** recordRegistry() snapshots that resolved names (fills). */
+    std::uint64_t layoutFills() const { return locked(fills_); }
 
   private:
     /** A copy of one counter, read under the lock. */
@@ -178,18 +194,30 @@ class Tsdb
         std::int64_t last_write_us = 0; ///< for LRU eviction
     };
 
-    void appendLocked(const std::string &series, std::int64_t t_us,
-                      double value);
+    /** The series written, or nullptr when `value` was dropped. */
+    Series *appendLocked(const std::string &series, std::int64_t t_us,
+                         double value);
+    void writeLocked(Series &s, std::int64_t t_us, double value);
+    void fillLocked(const Registry &reg, std::int64_t t_us);
     static void bucketInto(std::deque<TsBucket> &tier,
                            std::int64_t res_us, std::int64_t t_us,
                            double value);
 
     mutable std::mutex mu_;
     std::map<std::string, Series, std::less<>> series_; ///< under mu_
+    std::size_t name_bytes_ = 0; ///< capacity of every series_ key
     std::uint64_t points_appended_ = 0;
     std::uint64_t evictions_ = 0;
     std::uint64_t dropped_not_finite_ = 0;
     std::int64_t latest_us_ = std::numeric_limits<std::int64_t>::min();
+
+    // recordRegistry()'s slot cache: the layout it was filled for
+    // ({} = none), the series of each sample (nullptr when the fill
+    // dropped it) and the reused value buffer.
+    SampleLayout slots_layout_;
+    std::vector<Series *> slots_;
+    std::vector<double> values_;
+    std::uint64_t fills_ = 0;
 };
 
 } // namespace obs

@@ -268,4 +268,34 @@ TEST(Profiler, SpanGuardCostsNothingWhenIdle)
     EXPECT_GE(prof.samples, 0);
 }
 
+/** Internal linkage: dladdr places it in this binary, unnamed. */
+static int
+unexportedStep(int x)
+{
+    return 3 * x + 1;
+}
+
+TEST(Profiler, UnnamedFramesPrintTheirObjectAndOffset)
+{
+    const std::string frame = gpupm::obs::symbolize(
+            reinterpret_cast<const void *>(&unexportedStep));
+    const std::string prefix = "obs_test_profiler+0x";
+    ASSERT_EQ(frame.rfind(prefix, 0), 0u) << frame;
+    const std::string offset = frame.substr(prefix.size());
+    EXPECT_FALSE(offset.empty());
+    EXPECT_EQ(offset.find_first_not_of("0123456789abcdef"),
+              std::string::npos)
+            << frame;
+    EXPECT_NE(std::stoull(offset, nullptr, 16), 0u) << frame;
+    EXPECT_EQ(unexportedStep(1), 4);
+
+    // An exported function keeps its name; an address no object holds
+    // stays a bare pc.
+    EXPECT_EQ(gpupm::obs::symbolize(reinterpret_cast<const void *>(
+                      &gpupm::obs::profilerPopSpan)),
+              "gpupm::obs::profilerPopSpan()");
+    EXPECT_EQ(gpupm::obs::symbolize(reinterpret_cast<const void *>(0x10)),
+              "0x10");
+}
+
 } // namespace

@@ -3,8 +3,9 @@
  * Tests of the embedded time-series store: raw-ring retention,
  * tiered downsampling, tier selection by query step, cardinality-cap
  * eviction (exact, global, counted in /metrics), NaN rejection,
- * bounded memory under a long soak, query error paths, and
- * concurrent append/query (exercised under TSan).
+ * bounded memory under a long soak, query error paths, the registry
+ * snapshot's slot cache against appending every sample by name, and
+ * concurrent append/query/snapshot (exercised under TSan).
  */
 
 #include <gtest/gtest.h>
@@ -12,7 +13,9 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "obs/metrics.hh"
 #include "obs/standard.hh"
@@ -378,6 +381,260 @@ TEST(TsdbTest, ConcurrentAppendAndQuery)
     reader.join();
     EXPECT_EQ(db.pointsAppended(), 4u * 2000u * 2u);
     EXPECT_EQ(db.seriesCount(), 5u);
+}
+
+/**
+ * The reference snapshot: the registry walked with names and every
+ * sample appended by name, which is what recordRegistry() must be
+ * indistinguishable from.
+ */
+std::uint64_t
+recordByName(obs::Tsdb &db, const obs::Registry &reg, std::int64_t t_us)
+{
+    std::vector<double> values;
+    std::vector<std::string> names;
+    reg.collectSamples(values, &names);
+    const std::uint64_t before = db.pointsAppended();
+    for (std::size_t i = 0; i < names.size(); ++i)
+        db.append(names[i], t_us, values[i]);
+    return db.pointsAppended() - before;
+}
+
+/** Every series' raw, tier-1 and tier-2 buckets and every counter. */
+void
+expectSameStore(const obs::Tsdb &got, const obs::Tsdb &want,
+                std::int64_t end_us)
+{
+    const std::vector<std::string> names = want.seriesNames();
+    ASSERT_EQ(got.seriesNames(), names);
+    for (const std::string &name : names) {
+        for (const std::int64_t step :
+             {kSec, obs::Tsdb::kTier1ResUs, obs::Tsdb::kTier2ResUs}) {
+            obs::TsQuery q;
+            q.series = name;
+            q.start_us = 0;
+            q.end_us = end_us;
+            q.step_us = step;
+            const obs::TsQueryResult a = got.query(q);
+            const obs::TsQueryResult b = want.query(q);
+            ASSERT_TRUE(a.ok && b.ok) << name << ": " << a.error;
+            ASSERT_EQ(a.tier, b.tier);
+            ASSERT_EQ(a.points.size(), b.points.size()) << name;
+            for (std::size_t i = 0; i < a.points.size(); ++i) {
+                const obs::TsBucket &x = a.points[i];
+                const obs::TsBucket &y = b.points[i];
+                ASSERT_EQ(x.start_us, y.start_us) << name;
+                ASSERT_EQ(x.min, y.min) << name;
+                ASSERT_EQ(x.max, y.max) << name;
+                ASSERT_EQ(x.sum, y.sum) << name;
+                ASSERT_EQ(x.count, y.count) << name;
+            }
+        }
+    }
+    EXPECT_EQ(got.pointsAppended(), want.pointsAppended());
+    EXPECT_EQ(got.evictions(), want.evictions());
+    EXPECT_EQ(got.droppedNotFinite(), want.droppedNotFinite());
+    EXPECT_EQ(got.latestTimestamp(), want.latestTimestamp());
+    EXPECT_EQ(got.memoryBytes(), want.memoryBytes());
+}
+
+TEST(TsdbTest, RecordRegistryMatchesAppendingByName)
+{
+    obs::Registry reg;
+    obs::Tsdb fast;
+    obs::Tsdb ref;
+    std::int64_t t = 0;
+    const auto tick = [&] {
+        t += kSec;
+        const double total_before = obs::tsdbPointsTotal().value();
+        fast.recordRegistry(reg, t);
+        const double fast_points =
+                obs::tsdbPointsTotal().value() - total_before;
+        const std::uint64_t ref_points = recordByName(ref, reg, t);
+        EXPECT_EQ(fast_points, static_cast<double>(ref_points))
+                << "gpupm_tsdb_points_total at t=" << t;
+        expectSameStore(fast, ref, t);
+    };
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+
+    // Steady ticks; one gauge is NaN at the fill, so it has no series.
+    obs::Counter &total = reg.counter("demo_total", "d");
+    obs::Gauge &level = reg.gauge("demo_level", "d");
+    obs::Gauge &late = reg.gauge("demo_late", "d");
+    reg.gauge("demo_lab", "x=\"1\"", "d").set(1.0);
+    late.set(nan);
+    for (int i = 0; i < 5; ++i) {
+        total.inc(1.0 + i);
+        level.set(0.5 * i);
+        tick();
+    }
+    EXPECT_EQ(fast.layoutFills(), 1u);
+    // It turns finite: the series is created in its place, by a fill.
+    late.set(3.0);
+    tick();
+    EXPECT_EQ(fast.layoutFills(), 2u);
+    late.set(nan);
+    tick();
+    late.set(4.0);
+    tick();
+    EXPECT_EQ(fast.layoutFills(), 2u);
+
+    // A labelled child and a histogram arrive mid-run.
+    reg.gauge("demo_lab", "x=\"2\"", "d").set(2.0);
+    obs::Histogram &hist =
+            reg.histogram("demo_seconds", "d", obs::secondsBuckets());
+    for (int i = 0; i < 4; ++i) {
+        hist.observe(0.01 * (i + 1));
+        level.set(-1.0 * i);
+        tick();
+    }
+
+    // reset(), then a different set of the same size (7 samples).
+    std::vector<double> values;
+    ASSERT_EQ(reg.collectSamples(values).samples, 7u);
+    reg.reset();
+    for (int i = 0; i < 7; ++i)
+        reg.gauge("other_" + std::to_string(i), "d").set(10.0 + i);
+    ASSERT_EQ(reg.collectSamples(values).samples, 7u);
+    for (int i = 0; i < 3; ++i)
+        tick();
+
+    // More samples than the store holds series: every tick evicts.
+    for (std::size_t i = 0; i < obs::Tsdb::kMaxSeries + 8; ++i)
+        reg.gauge("pad", "i=\"" + std::to_string(i) + "\"", "d")
+                .set(static_cast<double>(i));
+    for (int i = 0; i < 3; ++i)
+        tick();
+    ASSERT_GT(ref.evictions(), 0u);
+
+    // A small set again, then appends from outside the registry that
+    // evict its series too.
+    reg.reset();
+    obs::Gauge &small = reg.gauge("small", "d");
+    reg.gauge("small_late", "d").set(nan);
+    for (int i = 0; i < 3; ++i) {
+        small.set(i);
+        tick();
+    }
+    const std::uint64_t evicted_before = ref.evictions();
+    for (std::size_t i = 0; i < obs::Tsdb::kMaxSeries; ++i) {
+        const std::string name = "ext_" + std::to_string(i);
+        fast.append(name, t + kSec / 2, 1.0);
+        ref.append(name, t + kSec / 2, 1.0);
+    }
+    EXPECT_EQ(ref.evictions() - evicted_before, obs::Tsdb::kMaxSeries);
+    EXPECT_TRUE(ref.seriesNames() == fast.seriesNames());
+    for (int i = 0; i < 3; ++i) {
+        small.set(100.0 + i);
+        tick();
+    }
+    reg.gauge("small_late", "d").set(5.0);
+    for (int i = 0; i < 3; ++i)
+        tick();
+    // 27 ticks; the steady ones appended without resolving names.
+    EXPECT_LT(fast.layoutFills(), 16u);
+}
+
+TEST(TsdbTest, RecordRegistryFillsOncePerLayout)
+{
+    obs::Registry reg;
+    obs::Counter &total = reg.counter("demo_total", "d");
+    reg.histogram("demo_seconds", "d", obs::secondsBuckets());
+    reg.gauge("demo_lab", "x=\"1\"", "d");
+    obs::Tsdb db;
+    for (int i = 0; i < 1000; ++i) {
+        total.inc();
+        db.recordRegistry(reg, (i + 1) * kSec);
+    }
+    EXPECT_EQ(db.layoutFills(), 1u);
+    EXPECT_EQ(db.pointsAppended(), 4000u);
+
+    reg.gauge("demo_lab", "x=\"2\"", "d");
+    for (int i = 1000; i < 1010; ++i)
+        db.recordRegistry(reg, (i + 1) * kSec);
+    EXPECT_EQ(db.layoutFills(), 2u);
+    EXPECT_EQ(db.pointsAppended(), 4050u);
+}
+
+TEST(TsdbTest, MemoryBytesMatchesAWalkAfterChurn)
+{
+    obs::Tsdb db;
+    EXPECT_EQ(db.memoryBytes(), sizeof(obs::Tsdb));
+    // One series fixes the per-series charge; a walk over the live
+    // names must then reproduce memoryBytes() in every state.
+    const std::string first = "first";
+    db.append(first, 0, 1.0);
+    const std::size_t per_series = db.memoryBytes() - sizeof(obs::Tsdb) -
+                                   std::string(first).capacity();
+    const auto walk = [&] {
+        std::size_t bytes = sizeof(obs::Tsdb);
+        for (const std::string &name : db.seriesNames())
+            bytes += per_series + std::string(name).capacity();
+        return bytes;
+    };
+    obs::Registry reg;
+    for (int i = 0; i < 40; ++i)
+        reg.gauge("gpupm_churn_registry_series_with_a_long_name",
+                  "i=\"" + std::to_string(i) + "\"", "d")
+                .set(i);
+    for (int i = 0; i < 3000; ++i) {
+        // Short (inline) and long (heap) names, 100 more than the cap.
+        const std::string name =
+                i % 3 ? "s" + std::to_string(i % 301)
+                      : "a_much_longer_series_name_" +
+                                std::to_string(i % (obs::Tsdb::kMaxSeries +
+                                                    101));
+        db.append(name, i * kSec, 1.0);
+        if (i % 250 == 0)
+            db.recordRegistry(reg, i * kSec);
+        ASSERT_EQ(db.memoryBytes(), walk()) << "after append " << i;
+    }
+    EXPECT_GT(db.evictions(), 0u);
+}
+
+TEST(TsdbTest, ConcurrentSnapshotQueryAndEvictingAppends)
+{
+    obs::Registry reg;
+    obs::Tsdb db;
+    constexpr int kTicks = 400;
+    constexpr int kAppends = 3000;
+    std::uint64_t snapshot_points = 0;
+    std::thread ticker([&] {
+        std::vector<double> values;
+        for (int i = 0; i < kTicks; ++i) {
+            if (i % 40 == 0)
+                reg.gauge("conc_child", "i=\"" + std::to_string(i) + "\"",
+                          "d")
+                        .set(i);
+            reg.counter("conc_ticks_total", "d").inc();
+            snapshot_points += reg.collectSamples(values).samples;
+            db.recordRegistry(reg, i * 1000);
+        }
+    });
+    std::thread reader([&] {
+        for (int i = 0; i < 200; ++i) {
+            obs::TsQuery q;
+            q.series = "conc_ticks_total";
+            q.start_us = 0;
+            q.end_us = kTicks * 1000;
+            q.step_us = 100'000;
+            (void)db.query(q);
+            (void)reg.renderPrometheus();
+            (void)obs::Registry::global().renderPrometheus();
+            (void)db.seriesNames();
+            (void)db.memoryBytes();
+        }
+    });
+    std::thread appender([&] {
+        for (int i = 0; i < kAppends; ++i)
+            db.append("conc_ext_" + std::to_string(i), i * 150, 1.0);
+    });
+    ticker.join();
+    reader.join();
+    appender.join();
+    EXPECT_EQ(db.pointsAppended(), snapshot_points + kAppends);
+    EXPECT_GT(db.evictions(), 0u);
+    EXPECT_LE(db.seriesCount(), obs::Tsdb::kMaxSeries);
 }
 
 } // namespace
