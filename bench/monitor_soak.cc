@@ -1,9 +1,10 @@
 /**
  * @file
- * Monitor-soak benchmark: 10k virtually-clocked sampler ticks with
- * the embedded time-series store and the alert engine enabled, over a
- * synthetic deterministic probe (no model training — this measures
- * the observability overhead, not the simulator).
+ * Monitor-soak benchmark: 10k virtually-clocked ticks of the daemon's
+ * run-time pipeline (obs::LivePipeline: flight recorder, time-series
+ * store, alert engine and sampler) over a synthetic deterministic
+ * probe (no model training — this measures the observability
+ * overhead, not the simulator).
  *
  * Gates, in order of importance:
  *  - the tsdb memory high-water must stay under the bound implied by
@@ -26,13 +27,9 @@
 #include <iostream>
 
 #include "bench_common.hh"
-#include "obs/alerts.hh"
+#include "obs/live.hh"
 #include "obs/metrics.hh"
-#include "obs/sampler.hh"
 #include "obs/standard.hh"
-#include "obs/trace.hh"
-#include "obs/trace_store.hh"
-#include "obs/tsdb.hh"
 
 int
 main(int argc, char **argv)
@@ -71,8 +68,6 @@ main(int argc, char **argv)
             {"SOAK3", {1392, 3505}},
     };
 
-    obs::Tsdb tsdb;
-
     obs::AlertRule rule;
     rule.name = "soak_mae_high";
     rule.series = "gpupm_accuracy_rolling_mae_pct";
@@ -81,16 +76,34 @@ main(int argc, char **argv)
     rule.window_us = 10 * kPeriodUs;
     rule.for_us = 5 * kPeriodUs;
     rule.cooldown_us = 50 * kPeriodUs;
-    obs::AlertEngine engine(tsdb, {rule});
 
-    obs::SamplerOptions sopts;
-    sopts.period_ms = static_cast<int>(kPeriodUs / 1000);
-    sopts.rolling_window = 64;
-    sopts.device = 1;
-    sopts.device_name = "Soak GPU";
-    sopts.reference = {1000, 3505};
-    obs::Sampler sampler(probe, schedule, sopts, nullptr, &tsdb,
-                         &engine);
+    const obs::SamplerOptions sopts{
+            .period_ms = static_cast<int>(kPeriodUs / 1000),
+            .rolling_window = 64,
+            .device = 1,
+            .device_name = "Soak GPU",
+            .reference = {1000, 3505},
+    };
+    // One pass: kTicks ticks of `pipe`, reading `memory()` every 100
+    // ticks. Returns the pass's µs per tick and the memory high-water.
+    auto soak = [&](obs::LivePipeline &pipe, auto memory) {
+        std::size_t high_water = 0;
+        const auto start = std::chrono::steady_clock::now();
+        for (int t = 0; t < kTicks; ++t) {
+            pipe.sampler.tickSynchronously((t + 1) * kPeriodUs);
+            if (t % 100 == 0)
+                high_water = std::max(high_water, memory());
+        }
+        const double us = std::chrono::duration<double, std::micro>(
+                                  std::chrono::steady_clock::now() - start)
+                                  .count();
+        return std::make_pair(us / kTicks, std::max(high_water, memory()));
+    };
+
+    obs::LivePipeline live(probe, schedule, sopts, {rule});
+    const obs::Tsdb &tsdb = live.tsdb;
+    const auto [tick_us, high_water] =
+            soak(live, [&tsdb] { return tsdb.memoryBytes(); });
 
     // Fixed-accounting bound: a pure function of the store's caps.
     const std::size_t mem_bound =
@@ -100,24 +113,10 @@ main(int argc, char **argv)
                      2 * obs::Tsdb::kTierCapacity * sizeof(obs::TsBucket) +
                      1024);
 
-    std::size_t high_water = 0;
-    const auto loop_start = std::chrono::steady_clock::now();
-    for (int t = 0; t < kTicks; ++t) {
-        sampler.tickSynchronously((t + 1) * kPeriodUs);
-        if (t % 100 == 0)
-            high_water =
-                    std::max(high_water, tsdb.memoryBytes());
-    }
-    const double loop_ms =
-            std::chrono::duration<double, std::milli>(
-                    std::chrono::steady_clock::now() - loop_start)
-                    .count();
-    high_water = std::max(high_water, tsdb.memoryBytes());
-
     // The fault must have walked the rule through the whole
     // lifecycle: firing inside the window, resolved after it.
     bool fired = false, resolved = false;
-    const auto statuses = engine.snapshot();
+    const auto statuses = live.engine.snapshot();
     for (const auto &tr : statuses[0].history) {
         if (tr.state == obs::AlertState::Firing)
             fired = true;
@@ -130,43 +129,18 @@ main(int argc, char **argv)
     // feeding a bounded TraceStore in store-only mode — the monitor
     // daemon's exact configuration. Measures the tracing overhead on
     // the tick path and soaks the tail-sampler's two contracts: hard
-    // byte bound, zero error-trace loss.
+    // byte bound, zero error-trace loss. When BenchReporter already
+    // enabled the tracer, the attachment leaves its span buffer be.
     tick = 0;
-    obs::Tsdb traced_tsdb;
-    obs::AlertEngine traced_engine(traced_tsdb, {rule});
-    obs::Sampler traced_sampler(probe, schedule, sopts, nullptr,
-                                &traced_tsdb, &traced_engine);
-    obs::TraceStore trace_store;
-    auto &tracer = obs::Tracer::global();
-    tracer.seedIds(42);
-    tracer.attachStore(&trace_store);
-    tracer.setRetainEvents(false); // store-only, like the daemon
-    // BenchReporter already enabled the tracer when reporting; only
-    // enable it here (clearing the phase-1 span buffer) on bare runs.
-    const bool was_enabled = tracer.enabled();
-    if (!was_enabled)
-        tracer.enable();
-    std::size_t trace_high_water = 0;
-    const auto traced_start = std::chrono::steady_clock::now();
-    for (int t = 0; t < kTicks; ++t) {
-        traced_sampler.tickSynchronously((t + 1) * kPeriodUs);
-        if (t % 100 == 0)
-            trace_high_water = std::max(trace_high_water,
-                                        trace_store.memoryBytes());
-    }
-    const double traced_ms =
-            std::chrono::duration<double, std::milli>(
-                    std::chrono::steady_clock::now() - traced_start)
-                    .count();
-    trace_high_water =
-            std::max(trace_high_water, trace_store.memoryBytes());
-    if (!was_enabled)
-        tracer.disable();
-    tracer.attachStore(nullptr);
-    tracer.setRetainEvents(true);
+    obs::LivePipeline traced(probe, schedule, sopts, {rule});
+    traced.trace(42, false);
+    const obs::TraceStore &trace_store = traced.store;
+    const auto [traced_tick_us, trace_high_water] = soak(
+            traced, [&trace_store] { return trace_store.memoryBytes(); });
 
-    const double tick_us = loop_ms * 1000.0 / kTicks;
-    const double traced_tick_us = traced_ms * 1000.0 / kTicks;
+    const std::size_t trace_bound = trace_store.memoryBoundBytes();
+    const long errors_offered = trace_store.errorsOfferedTotal();
+    const long errors_evicted = trace_store.errorsEvictedTotal();
     std::cout << "monitor soak: " << kTicks << " ticks, "
               << tsdb.seriesCount() << " series, "
               << tsdb.pointsAppended() << " points, high-water "
@@ -182,10 +156,9 @@ main(int argc, char **argv)
               << " us/tick (bare "
               << gpupm::numio::formatDouble(tick_us) << "), store "
               << trace_store.traceCount() << " traces, high-water "
-              << trace_high_water << " B (bound "
-              << trace_store.memoryBoundBytes() << " B), errors "
-              << trace_store.errorsOfferedTotal() << " offered / "
-              << trace_store.errorsEvictedTotal() << " evicted\n";
+              << trace_high_water << " B (bound " << trace_bound
+              << " B), errors " << errors_offered << " offered / "
+              << errors_evicted << " evicted\n";
 
     bench_report.stat("ticks", kTicks);
     bench_report.stat("tick_overhead_us", tick_us);
@@ -204,43 +177,30 @@ main(int argc, char **argv)
     // utilization against the configured bound.
     bench_report.stat("rolling_mae_pct",
                       obs::accuracyRollingMaePct().value());
-    bench_report.stat("memory_of_bound_pct",
-                      100.0 * static_cast<double>(high_water) /
-                              static_cast<double>(mem_bound));
+    const auto pct = [](double part, double whole) {
+        return 100.0 * part / whole;
+    };
+    bench_report.stat("memory_of_bound_pct", pct(high_water, mem_bound));
     bench_report.stat("tick_overhead_traced_us", traced_tick_us);
     bench_report.stat("trace_store_high_water_bytes",
                       static_cast<double>(trace_high_water));
     bench_report.stat("trace_store_bound_bytes",
-                      static_cast<double>(
-                              trace_store.memoryBoundBytes()));
+                      static_cast<double>(trace_bound));
     bench_report.stat("traces_kept",
                       static_cast<double>(trace_store.traceCount()));
-    bench_report.stat(
-            "traces_error_offered",
-            static_cast<double>(trace_store.errorsOfferedTotal()));
+    bench_report.stat("traces_error_offered",
+                      static_cast<double>(errors_offered));
     // Deterministically-zero gated stats: tail-sampling contract
     // violations show up as a nonzero pct against the golden's 0.
-    bench_report.stat(
-            "trace_memory_over_bound_pct",
-            trace_high_water > trace_store.memoryBoundBytes()
-                    ? 100.0 *
-                              static_cast<double>(
-                                      trace_high_water -
-                                      trace_store.memoryBoundBytes()) /
-                              static_cast<double>(
-                                      trace_store.memoryBoundBytes())
-                    : 0.0);
-    bench_report.stat(
-            "trace_error_loss_pct",
-            trace_store.errorsOfferedTotal() > 0
-                    ? 100.0 *
-                              static_cast<double>(
-                                      trace_store
-                                              .errorsEvictedTotal()) /
-                              static_cast<double>(
-                                      trace_store
-                                              .errorsOfferedTotal())
-                    : 0.0);
+    bench_report.stat("trace_memory_over_bound_pct",
+                      trace_high_water > trace_bound
+                              ? pct(trace_high_water - trace_bound,
+                                    trace_bound)
+                              : 0.0);
+    bench_report.stat("trace_error_loss_pct",
+                      errors_offered > 0
+                              ? pct(errors_evicted, errors_offered)
+                              : 0.0);
 
     if (high_water > mem_bound) {
         std::cout << "FAIL: tsdb memory exceeded its bound\n";
@@ -250,16 +210,13 @@ main(int argc, char **argv)
         std::cout << "FAIL: alert lifecycle incomplete\n";
         return 1;
     }
-    if (trace_high_water > trace_store.memoryBoundBytes()) {
+    if (trace_high_water > trace_bound) {
         std::cout << "FAIL: trace store exceeded its byte bound\n";
         return 1;
     }
-    if (trace_store.errorsOfferedTotal() < 1 ||
-        trace_store.errorsEvictedTotal() > 0) {
+    if (errors_offered < 1 || errors_evicted > 0) {
         std::cout << "FAIL: tail sampler lost error traces ("
-                  << trace_store.errorsOfferedTotal()
-                  << " offered, "
-                  << trace_store.errorsEvictedTotal()
+                  << errors_offered << " offered, " << errors_evicted
                   << " evicted)\n";
         return 1;
     }

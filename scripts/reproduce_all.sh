@@ -38,7 +38,7 @@ if [ "${GPUPM_SKIP_SANITIZE:-0}" != "1" ]; then
         obs_test_convergence \
         obs_test_scoreboard obs_test_http_server \
         obs_test_flight_recorder obs_test_sampler \
-        obs_test_profiler obs_test_tsdb obs_test_alerts \
+        obs_test_profiler obs_test_tsdb obs_test_alerts obs_test_live \
         obs_test_off_path nvml_test_device \
         core_test_scoreboard_io core_test_checkpoint_recovery \
         integration_test_faulty_campaign \
@@ -132,6 +132,12 @@ if [ "${GPUPM_SKIP_SANITIZE:-0}" != "1" ]; then
     mkdir -p build-asan/monitor_work
     build-asan/tools/gpupm_scrape monitor-selftest \
         build-asan/tools/gpupm titanx --work=build-asan/monitor_work
+    # The live drift lifecycle under ASan+UBSan: alert transitions
+    # reach the NDJSON event log through the flight recorder.
+    echo "== sanitize: gpupm monitor drift demo"
+    mkdir -p build-asan/drift_work
+    build-asan/tools/gpupm_scrape drift-demo \
+        build-asan/tools/gpupm titanx --work=build-asan/drift_work
     # Profiler smoke under ASan+UBSan: the SIGPROF handler walks raw
     # frame-pointer chains (itself exempted via no_sanitize), but
     # start/stop/collect, symbolization and the span-context push/pop
@@ -154,15 +160,21 @@ if [ "${GPUPM_SKIP_TSAN:-0}" != "1" ]; then
         fleet_test_chaos fleet_test_shard_io fleet_test_supervisor \
         fleet_test_chaos_gate fleet_test_chaos_trace \
         obs_test_http_server obs_test_metrics obs_test_profiler \
-        obs_test_tsdb obs_test_trace obs_test_trace_store gpupm_cli \
-        gpupm_scrape
+        obs_test_tsdb obs_test_trace obs_test_trace_store \
+        obs_test_flight_recorder obs_test_sampler obs_test_live \
+        gpupm_cli gpupm_scrape
+    # The flight recorder writes the event log under its lock while
+    # /profilez records into it from the HTTP thread.
     for t in build-tsan/tests/fleet_test_* \
              build-tsan/tests/obs_test_http_server \
              build-tsan/tests/obs_test_metrics \
              build-tsan/tests/obs_test_profiler \
              build-tsan/tests/obs_test_tsdb \
              build-tsan/tests/obs_test_trace \
-             build-tsan/tests/obs_test_trace_store; do
+             build-tsan/tests/obs_test_trace_store \
+             build-tsan/tests/obs_test_flight_recorder \
+             build-tsan/tests/obs_test_sampler \
+             build-tsan/tests/obs_test_live; do
         [ -f "$t" ] && [ -x "$t" ] || continue
         echo "== tsan: $t"
         "$t"

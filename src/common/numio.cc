@@ -1,6 +1,7 @@
 #include "numio.hh"
 
 #include <charconv>
+#include <utility>
 
 namespace gpupm
 {
@@ -59,6 +60,23 @@ bool
 parseU64(std::string_view token, std::uint64_t &out)
 {
     return parseWhole(token, out);
+}
+
+double
+parseDuration(std::string_view text)
+{
+    static constexpr std::pair<std::string_view, double> units[] = {
+            {"ms", 1e-3}, {"s", 1.0}, {"m", 60.0}, {"", 1.0}};
+    for (const auto &[unit, scale] : units) {
+        if (!text.ends_with(unit))
+            continue;
+        text.remove_suffix(unit.size());
+        double v = 0.0;
+        const bool ok = parseDouble(text, v) && v >= 0.0 &&
+                        v * scale <= kMaxSeconds;
+        return ok ? v * scale : -1.0;
+    }
+    return -1.0; // unreachable: the bare-number unit "" always matches
 }
 
 } // namespace numio

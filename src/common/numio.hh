@@ -43,6 +43,17 @@ bool parseLong(std::string_view token, long &out);
 /** Parse a whole token as an unsigned 64-bit decimal integer. */
 bool parseU64(std::string_view token, std::uint64_t &out);
 
+/** Longest duration parseDuration() accepts: about 31.7 years. */
+constexpr double kMaxSeconds = 1e9;
+
+/**
+ * Parse a human duration in seconds: "2s", "500ms", "1m", or a bare
+ * number of seconds. Negative when malformed, negative or above
+ * kMaxSeconds, so every caller can convert the result to whole
+ * microseconds in an int64_t.
+ */
+double parseDuration(std::string_view text);
+
 } // namespace numio
 } // namespace gpupm
 

@@ -108,13 +108,6 @@ AlertEngine::AlertEngine(const Tsdb &tsdb, std::vector<AlertRule> rules,
     }
 }
 
-void
-AlertEngine::setEventSink(std::function<void(const std::string &)> sink)
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    sink_ = std::move(sink);
-}
-
 bool
 AlertEngine::evaluateValue(const AlertRule &rule, std::int64_t now_us,
                            double &out) const
@@ -181,18 +174,17 @@ AlertEngine::transition(RuleState &rs, AlertState to,
     alertsFiring(rs.rule.name)
             .set(to == AlertState::Firing ? 1.0 : 0.0);
 
-    const std::string detail =
-            rs.rule.name + " -> " + alertStateName(to) + " (value " +
-            jsonNumberOrNull(rs.last_value) + ", threshold " +
-            numio::formatDouble(rs.rule.threshold) + ")";
-    if (recorder_) {
-        FlightRecord rec;
-        rec.kind = "alert";
-        rec.name = "alert." + std::string(alertStateName(to));
-        rec.detail = detail;
-        recorder_->record(std::move(rec));
-    }
-    if (sink_) {
+    if (!recorder_)
+        return;
+    FlightRecord rec;
+    rec.kind = "alert";
+    rec.name = "alert." + std::string(alertStateName(to));
+    rec.detail = rs.rule.name + " -> " + alertStateName(to) +
+                 " (value " + jsonNumberOrNull(rs.last_value) +
+                 ", threshold " +
+                 numio::formatDouble(rs.rule.threshold) + ")";
+    std::string line;
+    if (recorder_->logOpen()) {
         std::ostringstream os;
         os << "{\"event\":\"alert\",\"rule\":\""
            << json::escape(rs.rule.name) << "\",\"state\":\""
@@ -206,8 +198,9 @@ AlertEngine::transition(RuleState &rs, AlertState to,
             os << ",\"trace_id\":\"" << traceIdHex(ctx.trace_id)
                << "\"";
         os << "}";
-        sink_(os.str());
+        line = os.str();
     }
+    recorder_->record(std::move(rec), line);
 }
 
 void

@@ -26,10 +26,10 @@
  * (Tsdb::append drops them).
  *
  * Transitions increment `gpupm_alert_transitions_total`, flip the
- * `gpupm_alerts_firing{rule=...}` gauge, land in the flight recorder
- * (kind "alert") and — when a sink is attached — emit one NDJSON
- * line onto the monitor's event stream. DESIGN.md §14 documents the
- * rule grammar accepted by `--alert`.
+ * `gpupm_alerts_firing{rule=...}` gauge and land in the flight
+ * recorder (kind "alert"), with one NDJSON line for the monitor's
+ * event log while the recorder has one open. DESIGN.md §14 documents
+ * the rule grammar accepted by `--alert`.
  */
 
 #ifndef GPUPM_OBS_ALERTS_HH
@@ -37,7 +37,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <mutex>
 #include <optional>
 #include <string>
@@ -124,9 +123,6 @@ class AlertEngine
     AlertEngine(const AlertEngine &) = delete;
     AlertEngine &operator=(const AlertEngine &) = delete;
 
-    /** NDJSON sink for transition events (the monitor event log). */
-    void setEventSink(std::function<void(const std::string &)> sink);
-
     /** Evaluate every rule at `now_us`; called once per tick. */
     void evaluate(std::int64_t now_us);
 
@@ -168,7 +164,6 @@ class AlertEngine
     FlightRecorder *recorder_ = nullptr;
     mutable std::mutex mu_;
     std::vector<RuleState> rules_;
-    std::function<void(const std::string &)> sink_;
     std::int64_t last_evaluated_us_ = -1;
 };
 

@@ -1,6 +1,7 @@
 #include "flight_recorder.hh"
 
 #include <algorithm>
+#include <cstdio>
 #include <sstream>
 
 #include "common/json.hh"
@@ -38,7 +39,7 @@ FlightRecorder::nowUs() const
 }
 
 void
-FlightRecorder::record(FlightRecord r)
+FlightRecorder::record(FlightRecord r, std::string_view ndjson_line)
 {
     if (r.ts_us == 0)
         r.ts_us = nowUs();
@@ -49,6 +50,55 @@ FlightRecorder::record(FlightRecord r)
     slots_[static_cast<std::size_t>(next_seq_) % slots_.size()] =
             std::move(r);
     ++next_seq_;
+    if (!ndjson_line.empty() && log_.is_open())
+        writeLogLocked(ndjson_line);
+}
+
+bool
+FlightRecorder::openLog(const std::string &path, long max_bytes,
+                        int max_files, std::string *err)
+{
+    std::lock_guard<std::mutex> lock(mu_);
+    log_path_ = path;
+    log_max_bytes_ = max_bytes;
+    log_max_files_ = std::max(max_files, 1);
+    log_bytes_ = 0;
+    log_.open(path, std::ios::binary | std::ios::trunc);
+    log_open_.store(log_.is_open());
+    if (!log_ && err)
+        *err = "cannot open event log '" + path + "' for writing";
+    return log_.is_open();
+}
+
+void
+FlightRecorder::writeLogLocked(std::string_view line)
+{
+    const long size = static_cast<long>(line.size()) + 1;
+    if (log_max_bytes_ > 0 && log_bytes_ > 0 &&
+        log_bytes_ + size > log_max_bytes_) {
+        log_.close();
+        // Shift generations oldest-last: `.N-1` -> `.N`, ..., `.1` ->
+        // `.2`, live -> `.1`. std::rename replaces an existing
+        // destination atomically on POSIX — readers see either the
+        // old or the new generation, never a missing one. The oldest
+        // generation falls off the end.
+        for (int g = log_max_files_; g >= 2; --g)
+            std::rename((log_path_ + "." + std::to_string(g - 1)).c_str(),
+                        (log_path_ + "." + std::to_string(g)).c_str());
+        std::rename(log_path_.c_str(), (log_path_ + ".1").c_str());
+        log_.open(log_path_, std::ios::binary | std::ios::trunc);
+        log_bytes_ = 0;
+        ++log_rotations_;
+        if (!log_) {
+            log_open_.store(false);
+            warn("event-log rotation failed to reopen '", log_path_,
+                 "'; event logging disabled");
+            return;
+        }
+    }
+    log_ << line << "\n";
+    log_.flush();
+    log_bytes_ += size;
 }
 
 void

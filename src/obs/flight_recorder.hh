@@ -14,15 +14,24 @@
  * global sequence number so readers can detect wraparound (recorded()
  * minus capacity() records have been overwritten) and verify
  * ordering.
+ *
+ * The recorder is also the monitor's one event sink: once a caller
+ * opens a log on it (openLog), every record that comes with an NDJSON
+ * line — each sample and each alert transition — also appends that
+ * line to the log, under the same lock, so the file holds the events
+ * in the order the ring numbered them.
  */
 
 #ifndef GPUPM_OBS_FLIGHT_RECORDER_HH
 #define GPUPM_OBS_FLIGHT_RECORDER_HH
 
+#include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <fstream>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace gpupm
@@ -61,9 +70,31 @@ class FlightRecorder
 
     /**
      * Retain one record, overwriting the oldest once full. seq is
-     * assigned here; a zero ts_us is stamped with nowUs().
+     * assigned here; a zero ts_us is stamped with nowUs(). A non-empty
+     * `ndjson_line` is also appended to the log, when one is open.
      */
-    void record(FlightRecord r);
+    void record(FlightRecord r, std::string_view ndjson_line = {});
+
+    /**
+     * Open the NDJSON event log at `path`, truncating it. Once a write
+     * would take the file past `max_bytes` (0 = never), it rotates
+     * first: `<path>.N-1` -> `<path>.N`, ..., `<path>` -> `<path>.1`,
+     * keeping `max_files` generations, and a fresh `<path>` takes the
+     * line. So a line is never split across generations. False and
+     * *err when the file cannot be opened.
+     */
+    bool openLog(const std::string &path, long max_bytes = 0,
+                 int max_files = 1, std::string *err = nullptr);
+
+    /** Whether a log is open: callers build NDJSON lines only then. */
+    bool logOpen() const { return log_open_.load(); }
+
+    /** Log rotations so far. */
+    long logRotations() const
+    {
+        std::lock_guard<std::mutex> lock(mu_);
+        return log_rotations_;
+    }
 
     /** Convenience: record a span-like entry. */
     void recordSpan(const std::string &name, std::int64_t dur_us,
@@ -82,10 +113,22 @@ class FlightRecorder
     void clear();
 
   private:
+    void writeLogLocked(std::string_view line);
+
     const std::chrono::steady_clock::time_point epoch_;
     mutable std::mutex mu_;
     std::vector<FlightRecord> slots_; ///< slot i holds seq % capacity
     std::int64_t next_seq_ = 0;       ///< guarded by mu_
+
+    // The event log; guarded by mu_. log_open_ mirrors
+    // log_.is_open() so that logOpen() takes no lock.
+    std::atomic<bool> log_open_{false};
+    std::ofstream log_;
+    std::string log_path_;
+    long log_max_bytes_ = 0;
+    int log_max_files_ = 1;
+    long log_bytes_ = 0; ///< written since the last (re)open
+    long log_rotations_ = 0;
 };
 
 } // namespace obs

@@ -29,28 +29,6 @@ Sampler::Sampler(SampleProbe probe,
     GPUPM_ASSERT(static_cast<bool>(probe_), "sampler needs a probe");
     GPUPM_ASSERT(!schedule_.empty(), "sampler needs a schedule");
     GPUPM_ASSERT(opts_.period_ms > 0, "sampler period must be > 0");
-    // Alert transitions ride the same NDJSON stream as samples. The
-    // engine only fires the sink from evaluate(), which runs on the
-    // tick path — the single thread that owns events_.
-    if (alerts_)
-        alerts_->setEventSink(
-                [this](const std::string &line) { writeEventLine(line); });
-}
-
-bool
-Sampler::openEvents(std::string *err)
-{
-    if (opts_.events_out.empty() || events_.is_open())
-        return true;
-    events_.open(opts_.events_out, std::ios::binary | std::ios::trunc);
-    if (!events_) {
-        if (err)
-            *err = "cannot open event log '" + opts_.events_out +
-                   "' for writing";
-        return false;
-    }
-    events_bytes_ = 0;
-    return true;
 }
 
 double
@@ -208,9 +186,12 @@ Sampler::audit(const MonitorSample &s, const SchedulePoint &pt,
         rec.name = "monitor.sample";
         rec.dur_us = static_cast<std::int64_t>(probe_seconds * 1e6);
         rec.detail = detail.str();
-        recorder_->record(std::move(rec));
+        recorder_->record(std::move(rec),
+                          recorder_->logOpen()
+                                  ? eventLine(s, r.absErrPct(),
+                                              probe_seconds)
+                                  : std::string());
     }
-    logEvent(s, probe_seconds);
 }
 
 void
@@ -234,14 +215,10 @@ Sampler::updateRollingMae()
         accuracyRollingMaePct().set(sum / static_cast<double>(n));
 }
 
-void
-Sampler::logEvent(const MonitorSample &s, double probe_seconds)
+std::string
+Sampler::eventLine(const MonitorSample &s, double abs_err_pct,
+                   double probe_seconds) const
 {
-    if (!events_.is_open())
-        return;
-    ResidualSample r;
-    r.measured_w = s.measured_w;
-    r.predicted_w = s.predicted_w;
     std::ostringstream os;
     os << "{\"tick\":" << ticks_.load(std::memory_order_relaxed)
        << ",\"app\":\"" << json::escape(s.app)
@@ -249,56 +226,14 @@ Sampler::logEvent(const MonitorSample &s, double probe_seconds)
        << ",\"mem_mhz\":" << s.cfg.mem_mhz << ",\"measured_w\":"
        << numio::formatDouble(s.measured_w) << ",\"predicted_w\":"
        << numio::formatDouble(s.predicted_w) << ",\"abs_err_pct\":"
-       << numio::formatDouble(r.absErrPct()) << ",\"probe_seconds\":"
+       << numio::formatDouble(abs_err_pct) << ",\"probe_seconds\":"
        << numio::formatDouble(probe_seconds);
     // Join key into the trace store and the flight recorder; only
     // present while the tracer is on (the tick span owns the ctx).
     if (const auto ctx = currentTraceContext(); ctx.trace_id)
         os << ",\"trace_id\":\"" << traceIdHex(ctx.trace_id) << "\"";
     os << "}";
-    writeEventLine(os.str());
-}
-
-void
-Sampler::writeEventLine(const std::string &line)
-{
-    if (!events_.is_open())
-        return;
-    // Rotation check happens *before* the write, so a line is never
-    // split across generations and `<path>` never exceeds the cap by
-    // more than one line.
-    if (opts_.events_max_bytes > 0 &&
-        events_bytes_ + static_cast<long>(line.size()) + 1 >
-                opts_.events_max_bytes &&
-        events_bytes_ > 0) {
-        events_.close();
-        // Shift generations oldest-last: `.N-1` -> `.N`, ..., `.1` ->
-        // `.2`, live -> `.1`. std::rename replaces an existing
-        // destination atomically on POSIX — readers see either the
-        // old or the new generation, never a missing one. The oldest
-        // generation falls off the end.
-        const int gens = std::max(opts_.events_max_files, 1);
-        for (int g = gens; g >= 2; --g)
-            std::rename((opts_.events_out + "." +
-                         std::to_string(g - 1))
-                                .c_str(),
-                        (opts_.events_out + "." + std::to_string(g))
-                                .c_str());
-        std::rename(opts_.events_out.c_str(),
-                    (opts_.events_out + ".1").c_str());
-        events_.open(opts_.events_out,
-                     std::ios::binary | std::ios::trunc);
-        events_bytes_ = 0;
-        ++event_rotations_;
-        if (!events_) {
-            warn("event-log rotation failed to reopen '",
-                 opts_.events_out, "'; event logging disabled");
-            return;
-        }
-    }
-    events_ << line << "\n";
-    events_.flush();
-    events_bytes_ += static_cast<long>(line.size()) + 1;
+    return os.str();
 }
 
 } // namespace obs

@@ -10,8 +10,8 @@
  * predicts one cell, and feeds the resulting residual into the
  * accuracy aggregators (obs::residuals / obs::scoreboard), the
  * metrics registry, the flight recorder, the tsdb and the alert
- * engine — optionally appending one NDJSON line per sample to a
- * structured event log.
+ * engine. Each sample goes to the recorder once, with its NDJSON line
+ * while the recorder has an event log open.
  *
  * The Sampler owns no thread and no clock for its ticks: its caller
  * ticks it. `gpupm monitor`'s main loop ticks on the wall clock
@@ -30,7 +30,6 @@
 #include <atomic>
 #include <chrono>
 #include <deque>
-#include <fstream>
 #include <functional>
 #include <mutex>
 #include <string>
@@ -81,17 +80,6 @@ struct SchedulePoint
 struct SamplerOptions
 {
     int period_ms = 250;      ///< tick period (staleness threshold)
-    std::string events_out;   ///< NDJSON event log path; "" = off
-    /**
-     * Rotate the event log once it exceeds this many bytes: the
-     * current file is atomically renamed to `<events_out>.1` (older
-     * generations shift to `.2` .. `.events_max_files`, the oldest
-     * falls off) and a fresh log is opened. 0 disables rotation
-     * (unbounded growth).
-     */
-    long events_max_bytes = 0;
-    /** Rotated generations retained (`.1` .. `.N`); minimum 1. */
-    int events_max_files = 1;
     /** Residuals in the rolling-MAE window feeding
      *  gpupm_accuracy_rolling_mae_pct (and the drift rule). */
     std::size_t rolling_window = 64;
@@ -115,9 +103,6 @@ class Sampler
 
     Sampler(const Sampler &) = delete;
     Sampler &operator=(const Sampler &) = delete;
-
-    /** Open the event log (if any). False + *err on failure. */
-    bool openEvents(std::string *err = nullptr);
 
     /**
      * Run exactly one tick on the calling thread at time `t_us`
@@ -147,17 +132,13 @@ class Sampler
     /** Live scoreboard over the retained residual window. */
     Scoreboard scoreboardSnapshot() const;
 
-    const SamplerOptions &options() const { return opts_; }
-
-    /** Rotations performed so far (`<events_out>.1` rewrites). */
-    long eventRotations() const { return event_rotations_; }
-
   private:
-    /** A successful sample into the residuals, metrics and logs. */
+    /** A successful sample into the residuals, metrics and recorder. */
     void audit(const MonitorSample &s, const SchedulePoint &pt,
                double probe_seconds);
-    void logEvent(const MonitorSample &s, double probe_seconds);
-    void writeEventLine(const std::string &line);
+    /** The sample's NDJSON event-log line. */
+    std::string eventLine(const MonitorSample &s, double abs_err_pct,
+                          double probe_seconds) const;
     void updateRollingMae();
 
     SampleProbe probe_;
@@ -175,10 +156,6 @@ class Sampler
     std::chrono::steady_clock::time_point started_ =
             std::chrono::steady_clock::now();
     std::atomic<std::int64_t> last_sample_us_{-1}; ///< since started_
-
-    std::ofstream events_;  ///< ticking thread only
-    long events_bytes_ = 0; ///< bytes written since (re)open
-    long event_rotations_ = 0;
 };
 
 } // namespace obs

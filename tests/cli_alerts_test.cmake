@@ -103,3 +103,22 @@ execute_process(COMMAND ${CLI} alerts titanx --alert=nonsense
 if(NOT rc EQUAL 2 OR NOT err MATCHES "--alert")
     message(FATAL_ERROR "bad alert spec not rejected: ${rc}: ${err}")
 endif()
+
+# So is a duration past 1e9 s, whose microseconds would not fit in an
+# int64_t: the error names the whole spec, before any training starts.
+set(long_spec x:threshold:gpupm_monitor_ticks_total:gt:1:1e14s)
+execute_process(COMMAND ${CLI} alerts titanx --alert=${long_spec}
+                RESULT_VARIABLE rc ERROR_VARIABLE err)
+if(NOT rc EQUAL 2 OR NOT err MATCHES "--alert spec '${long_spec}'"
+   OR err MATCHES "training")
+    message(FATAL_ERROR "overlong alert window not rejected: ${rc}: ${err}")
+endif()
+
+# An event log that cannot be opened is an error (exit 1) naming the
+# path, not a silent run without a log.
+execute_process(COMMAND ${CLI} alerts titanx --ticks=5
+                        --events-out=${WORK}/no_such_dir/ev.ndjson
+                RESULT_VARIABLE rc ERROR_VARIABLE err)
+if(NOT rc EQUAL 1 OR NOT err MATCHES "cannot open event log")
+    message(FATAL_ERROR "unwritable event log not rejected: ${rc}: ${err}")
+endif()

@@ -105,4 +105,21 @@ TEST(Numio, ImmuneToCommaDecimalLocale)
     std::locale::global(old);
 }
 
+TEST(Numio, DurationsCarryUnitsUpToTheBound)
+{
+    EXPECT_DOUBLE_EQ(numio::parseDuration("2s"), 2.0);
+    EXPECT_DOUBLE_EQ(numio::parseDuration("500ms"), 0.5);
+    EXPECT_DOUBLE_EQ(numio::parseDuration("1m"), 60.0);
+    EXPECT_DOUBLE_EQ(numio::parseDuration("1.5"), 1.5);
+    // At the bound, and just past it in each unit.
+    EXPECT_EQ(numio::parseDuration("1e9"), numio::kMaxSeconds);
+    EXPECT_EQ(numio::parseDuration("1000000000s"), numio::kMaxSeconds);
+    EXPECT_LT(numio::parseDuration("1000000001"), 0.0);
+    EXPECT_LT(numio::parseDuration("1000000000001ms"), 0.0);
+    EXPECT_LT(numio::parseDuration("16666667m"), 0.0);
+    EXPECT_LT(numio::parseDuration("1e14s"), 0.0);
+    for (const char *bad : {"", "s", "-1s", "2x", "nan", "infs", "1e400"})
+        EXPECT_LT(numio::parseDuration(bad), 0.0) << bad;
+}
+
 } // namespace

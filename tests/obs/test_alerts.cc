@@ -4,13 +4,16 @@
  * machine with hysteresis, flapping suppression, empty-window and
  * NaN-sample behaviour, rate rules, the built-in Fig. 7 drift rule,
  * evaluation across downsampling-tier boundaries, and the transition
- * side-channels (gauge, flight recorder, NDJSON sink, history).
+ * side-channels (gauge, flight recorder and its NDJSON event log,
+ * history).
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
+#include <fstream>
 #include <limits>
 
 #include "obs/alerts.hh"
@@ -249,14 +252,14 @@ TEST_F(AlertsTest, EvaluatesAcrossTierBoundaries)
 
 TEST_F(AlertsTest, TransitionsFeedGaugeRecorderAndSink)
 {
+    const std::string path = "alerts_sink_test.ndjson";
     obs::FlightRecorder recorder(32);
+    std::string err;
+    ASSERT_TRUE(recorder.openLog(path, 0, 1, &err)) << err;
     obs::Tsdb db;
     auto rule = thresholdRule();
     rule.for_us = 0;
     obs::AlertEngine eng(db, {rule}, &recorder);
-    std::vector<std::string> lines;
-    eng.setEventSink(
-            [&lines](const std::string &l) { lines.push_back(l); });
 
     // The gauge exists at 0 before any transition.
     EXPECT_DOUBLE_EQ(obs::alertsFiring("high").value(), 0.0);
@@ -278,6 +281,11 @@ TEST_F(AlertsTest, TransitionsFeedGaugeRecorderAndSink)
             saw_alert_record = true;
     EXPECT_TRUE(saw_alert_record);
 
+    std::vector<std::string> lines;
+    std::ifstream in(path);
+    for (std::string l; std::getline(in, l);)
+        lines.push_back(l);
+    std::remove(path.c_str());
     ASSERT_GE(lines.size(), 3u);
     for (const auto &l : lines) {
         EXPECT_EQ(l.front(), '{');

@@ -1,12 +1,14 @@
 /**
  * @file
  * Tests of the flight recorder: capacity/wraparound semantics,
- * sequence ordering under concurrent writers, the JSON rendering and
- * clear().
+ * sequence ordering under concurrent writers, the JSON rendering,
+ * clear(), and the NDJSON event log it writes once one is open.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <fstream>
 #include <set>
 #include <thread>
 #include <vector>
@@ -34,6 +36,20 @@ rec(const std::string &name)
     r.kind = "event";
     r.name = name;
     return r;
+}
+
+/** Lines of `path`, removing the file. */
+std::vector<std::string>
+takeLines(const std::string &path)
+{
+    std::vector<std::string> lines;
+    {
+        std::ifstream in(path);
+        for (std::string l; std::getline(in, l);)
+            lines.push_back(l);
+    }
+    std::remove(path.c_str());
+    return lines;
 }
 
 TEST(FlightRecorder, RetainsEverythingUntilFull)
@@ -142,6 +158,71 @@ TEST(FlightRecorder, ClearForgetsButSequenceContinues)
     const auto snap = fr.snapshot();
     ASSERT_EQ(snap.size(), 1u);
     EXPECT_EQ(snap[0].seq, 2) << "clear() must not reuse sequences";
+}
+
+TEST(FlightRecorder, LogTakesTheLinesOfRecordsThatCarryOne)
+{
+    const std::string path = "flight_recorder_log_test.ndjson";
+    obs::FlightRecorder fr(4);
+    fr.record(rec("before"), "{\"n\":0}"); // no log open yet
+    EXPECT_FALSE(fr.logOpen());
+    std::string err;
+    ASSERT_TRUE(fr.openLog(path, 0, 1, &err)) << err;
+    EXPECT_TRUE(fr.logOpen());
+    fr.record(rec("one"), "{\"n\":1}");
+    fr.recordSpan("ring.only", 0);
+    fr.record(rec("two"), "{\"n\":2}");
+
+    EXPECT_EQ(fr.recorded(), 4);
+    EXPECT_EQ(fr.logRotations(), 0);
+    const auto lines = takeLines(path);
+    ASSERT_EQ(lines.size(), 2u);
+    EXPECT_EQ(lines[0], "{\"n\":1}");
+    EXPECT_EQ(lines[1], "{\"n\":2}");
+}
+
+TEST(FlightRecorder, UnwritableLogIsRefusedByPath)
+{
+    const std::string path = "no_such_directory/events.ndjson";
+    obs::FlightRecorder fr(4);
+    std::string err;
+    EXPECT_FALSE(fr.openLog(path, 0, 1, &err));
+    EXPECT_NE(err.find("cannot open event log '" + path + "'"),
+              std::string::npos)
+            << err;
+    EXPECT_FALSE(fr.logOpen());
+    // The ring still takes the record; the line goes nowhere.
+    fr.record(rec("kept"), "{\"n\":1}");
+    ASSERT_EQ(fr.snapshot().size(), 1u);
+    EXPECT_EQ(fr.snapshot()[0].name, "kept");
+}
+
+TEST(FlightRecorder, LogWritesStayWholeUnderAConcurrentRecorder)
+{
+    // As in the daemon: the tick thread records with lines while an
+    // HTTP handler (/profilez) records spans on its own thread.
+    const std::string path = "flight_recorder_concurrent_test.ndjson";
+    constexpr int kPerThread = 500;
+    obs::FlightRecorder fr(64);
+    std::string err;
+    ASSERT_TRUE(fr.openLog(path, 0, 1, &err)) << err;
+    std::thread ticks([&fr] {
+        for (int i = 0; i < kPerThread; ++i)
+            fr.record(rec("tick"), "{\"tick\":" + std::to_string(i) + "}");
+    });
+    std::thread spans([&fr] {
+        for (int i = 0; i < kPerThread; ++i)
+            fr.recordSpan("monitor.profile", 0);
+    });
+    ticks.join();
+    spans.join();
+
+    EXPECT_EQ(fr.recorded(), 2 * kPerThread);
+    const auto lines = takeLines(path);
+    ASSERT_EQ(lines.size(), static_cast<std::size_t>(kPerThread));
+    for (int i = 0; i < kPerThread; ++i)
+        EXPECT_EQ(lines[static_cast<std::size_t>(i)],
+                  "{\"tick\":" + std::to_string(i) + "}");
 }
 
 } // namespace

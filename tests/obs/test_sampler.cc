@@ -2,8 +2,9 @@
  * @file
  * Tests of the online sampler with a fake probe: tick accounting,
  * residual/scoreboard snapshots, probe-failure handling, staleness,
- * and the NDJSON event log. The caller ticks, so every test drives
- * tickSynchronously() on a virtual clock.
+ * and the sample lines the sampler hands the flight recorder's NDJSON
+ * event log, rotation included. The caller ticks, so every test
+ * drives tickSynchronously() on a virtual clock.
  */
 
 #include <gtest/gtest.h>
@@ -123,8 +124,7 @@ TEST_F(SamplerTest, ProbeFailuresAreCountedNotAggregated)
 
 TEST_F(SamplerTest, EventLogIsWellFormedNdjson)
 {
-    auto o = fastOptions();
-    o.events_out = "sampler_events_test.ndjson";
+    const std::string path = "sampler_events_test.ndjson";
     auto probe = [](const std::string &app,
                     const gpu::FreqConfig &cfg) {
         obs::MonitorSample s;
@@ -134,12 +134,13 @@ TEST_F(SamplerTest, EventLogIsWellFormedNdjson)
         s.predicted_w = 120.25;
         return s;
     };
-    obs::Sampler sampler(probe, schedule_, o);
+    obs::FlightRecorder recorder(16);
     std::string err;
-    ASSERT_TRUE(sampler.openEvents(&err)) << err;
+    ASSERT_TRUE(recorder.openLog(path, 0, 1, &err)) << err;
+    obs::Sampler sampler(probe, schedule_, fastOptions(), &recorder);
     tick(sampler, 3);
 
-    std::ifstream in(o.events_out);
+    std::ifstream in(path);
     ASSERT_TRUE(in.good());
     std::string line;
     int lines = 0;
@@ -156,7 +157,7 @@ TEST_F(SamplerTest, EventLogIsWellFormedNdjson)
     }
     EXPECT_EQ(lines, 3);
     in.close();
-    std::remove(o.events_out.c_str());
+    std::remove(path.c_str());
 }
 
 TEST_F(SamplerTest, ResidualWindowIsBounded)
@@ -182,9 +183,8 @@ TEST_F(SamplerTest, ResidualWindowIsBounded)
 
 TEST_F(SamplerTest, EventLogRotatesAtByteCapWithoutSplittingLines)
 {
-    auto o = fastOptions();
-    o.events_out = "sampler_rotate_test.ndjson";
-    o.events_max_bytes = 600; // a handful of ~190-byte lines
+    const std::string path = "sampler_rotate_test.ndjson";
+    const long max_bytes = 600; // a handful of ~190-byte lines
     auto probe = [](const std::string &app,
                     const gpu::FreqConfig &cfg) {
         obs::MonitorSample s;
@@ -194,45 +194,44 @@ TEST_F(SamplerTest, EventLogRotatesAtByteCapWithoutSplittingLines)
         s.predicted_w = 90.0;
         return s;
     };
-    obs::Sampler sampler(probe, schedule_, o);
+    obs::FlightRecorder recorder(16);
     std::string err;
-    ASSERT_TRUE(sampler.openEvents(&err)) << err;
+    ASSERT_TRUE(recorder.openLog(path, max_bytes, 1, &err)) << err;
+    obs::Sampler sampler(probe, schedule_, fastOptions(), &recorder);
     tick(sampler, 30);
-    EXPECT_GE(sampler.eventRotations(), 1L);
+    EXPECT_GE(recorder.logRotations(), 1L);
 
     // Both generations exist; every line in both is an intact JSON
     // object (rotation never splits a line) and the live file stays
     // within the cap plus at most one line.
     long total_lines = 0;
-    for (const std::string &path :
-         {o.events_out + ".1", o.events_out}) {
-        std::ifstream in(path);
-        ASSERT_TRUE(in.good()) << path;
+    for (const std::string &file : {path + ".1", path}) {
+        std::ifstream in(file);
+        ASSERT_TRUE(in.good()) << file;
         std::string line;
         long bytes = 0;
         while (std::getline(in, line)) {
             ++total_lines;
             bytes += static_cast<long>(line.size()) + 1;
-            EXPECT_EQ(line.front(), '{') << path;
-            EXPECT_EQ(line.back(), '}') << path;
+            EXPECT_EQ(line.front(), '{') << file;
+            EXPECT_EQ(line.back(), '}') << file;
             EXPECT_NE(line.find("\"tick\":"), std::string::npos);
         }
-        EXPECT_LE(bytes, o.events_max_bytes + 250) << path;
+        EXPECT_LE(bytes, max_bytes + 250) << file;
     }
     // One generation of history: rotation keeps recent lines, not
     // all 30 ticks.
     EXPECT_GE(total_lines, 2L);
     EXPECT_LT(total_lines, 30L);
-    std::remove(o.events_out.c_str());
-    std::remove((o.events_out + ".1").c_str());
+    std::remove(path.c_str());
+    std::remove((path + ".1").c_str());
 }
 
 TEST_F(SamplerTest, EventLogKeepsMultipleRotatedGenerations)
 {
-    auto o = fastOptions();
-    o.events_out = "sampler_rotate_gens_test.ndjson";
-    o.events_max_bytes = 600;
-    o.events_max_files = 3; // keep .1 .2 .3 behind the live file
+    const std::string path = "sampler_rotate_gens_test.ndjson";
+    const long max_bytes = 600;
+    const int max_files = 3; // keep .1 .2 .3 behind the live file
     auto probe = [](const std::string &app,
                     const gpu::FreqConfig &cfg) {
         obs::MonitorSample s;
@@ -242,38 +241,39 @@ TEST_F(SamplerTest, EventLogKeepsMultipleRotatedGenerations)
         s.predicted_w = 90.0;
         return s;
     };
-    obs::Sampler sampler(probe, schedule_, o);
+    obs::FlightRecorder recorder(16);
     std::string err;
-    ASSERT_TRUE(sampler.openEvents(&err)) << err;
+    ASSERT_TRUE(recorder.openLog(path, max_bytes, max_files, &err))
+            << err;
+    obs::Sampler sampler(probe, schedule_, fastOptions(), &recorder);
     tick(sampler, 60);
     // Enough ticks to roll through every generation at least once.
-    EXPECT_GE(sampler.eventRotations(), 4L);
+    EXPECT_GE(recorder.logRotations(), 4L);
 
     // All four files exist; every line everywhere is an intact JSON
     // object and each file respects the byte cap (+ one line slack).
     long total_lines = 0;
-    for (const std::string &path :
-         {o.events_out + ".3", o.events_out + ".2",
-          o.events_out + ".1", o.events_out}) {
-        std::ifstream in(path);
-        ASSERT_TRUE(in.good()) << path;
+    for (const std::string &file :
+         {path + ".3", path + ".2", path + ".1", path}) {
+        std::ifstream in(file);
+        ASSERT_TRUE(in.good()) << file;
         std::string line;
         long bytes = 0;
         while (std::getline(in, line)) {
             ++total_lines;
             bytes += static_cast<long>(line.size()) + 1;
-            EXPECT_EQ(line.front(), '{') << path;
-            EXPECT_EQ(line.back(), '}') << path;
+            EXPECT_EQ(line.front(), '{') << file;
+            EXPECT_EQ(line.back(), '}') << file;
             EXPECT_NE(line.find("\"tick\":"), std::string::npos);
         }
-        EXPECT_LE(bytes, o.events_max_bytes + 250) << path;
+        EXPECT_LE(bytes, max_bytes + 250) << file;
     }
     // Three generations of history hold strictly more of the past
     // than one, but rotation still discards the oldest ticks.
     EXPECT_GE(total_lines, 8L);
     EXPECT_LT(total_lines, 60L);
     for (const char *suffix : {"", ".1", ".2", ".3"})
-        std::remove((o.events_out + suffix).c_str());
+        std::remove((path + suffix).c_str());
 }
 
 TEST_F(SamplerTest, SynchronousTicksFeedTsdbAndAlerts)

@@ -38,9 +38,7 @@
 #include <cmath>
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
-#include <functional>
 #include <iostream>
 #include <iterator>
 #include <limits>
@@ -67,17 +65,12 @@
 #include "core/validate.hh"
 #include "fleet/shard_io.hh"
 #include "fleet/supervisor.hh"
-#include "obs/alerts.hh"
 #include "obs/convergence.hh"
-#include "obs/flight_recorder.hh"
-#include "obs/http_server.hh"
+#include "obs/live.hh"
 #include "obs/metrics.hh"
 #include "obs/profiler.hh"
-#include "obs/sampler.hh"
 #include "obs/standard.hh"
 #include "obs/trace.hh"
-#include "obs/trace_store.hh"
-#include "obs/tsdb.hh"
 #include "ubench/cuda_source.hh"
 #include "workloads/workloads.hh"
 
@@ -161,31 +154,6 @@ split(const std::string &text, char sep)
     return parts;
 }
 
-/**
- * Parse a human duration: "2s", "500ms", "1m", or a bare number of
- * seconds. Negative on malformed input.
- */
-double
-parseDuration(const std::string &text)
-{
-    static const std::pair<std::string, double> units[] = {
-            {"ms", 1e-3}, {"s", 1.0}, {"m", 60.0}, {"", 1.0}};
-    for (const auto &[unit, scale] : units) {
-        if (text.size() < unit.size() ||
-            text.compare(text.size() - unit.size(), unit.size(), unit))
-            continue;
-        double v = 0.0;
-        if (!numio::parseDouble(
-                    std::string_view(text).substr(
-                            0, text.size() - unit.size()),
-                    v) ||
-            !(v >= 0.0) || !std::isfinite(v))
-            return -1.0;
-        return v * scale;
-    }
-    return -1.0;
-}
-
 std::optional<DriftInjection>
 parseInjectDrift(const std::string &spec)
 {
@@ -235,7 +203,7 @@ struct Flag
 constexpr double kIntMax = std::numeric_limits<int>::max();
 constexpr double kLongMax = static_cast<double>(
         std::numeric_limits<long>::max());
-constexpr double kMaxSeconds = 1e9;
+using numio::kMaxSeconds;
 
 const Flag kFlags[] = {
         {"--faults", FlagKind::Rate, &CliFlags::fault_rate, 0, 1, true},
@@ -343,7 +311,7 @@ setFlag(const Flag &f, const std::string &val, CliFlags &flags)
             return false;
         break;
       case FlagKind::Duration:
-        x = parseDuration(val);
+        x = numio::parseDuration(val);
         break;
     }
     if (!(x >= f.lo && x <= f.hi))
@@ -503,183 +471,9 @@ finishProfile()
     return prof;
 }
 
-/**
- * The global tracer as the store-backed assembly pipeline a long-lived
- * daemon wants, for this object's lifetime: deterministic ids seeded
- * from the fault seed, completed traces offered to `store` once
- * attach() ran, and — unless --trace-out asked for the full Chrome
- * dump — no unbounded in-memory event list. The destructor detaches
- * before the store goes, so no early return can leave the tracer
- * pointing at a dead store.
- */
-struct TraceStoreAttachment
-{
-    obs::TraceStore store;
-    /// Whether this attachment enabled the tracer. It must not
-    /// re-enable one --trace-out enabled: enable() clears the buffer
-    /// and would corrupt the straddling `cli.<cmd>` root span.
-    bool enabled_here;
-
-    explicit TraceStoreAttachment(
-            const CliFlags &flags,
-            obs::TraceStoreOptions opts = obs::TraceStoreOptions{})
-        : store(opts), enabled_here(!obs::Tracer::global().enabled())
-    {
-        auto &tracer = obs::Tracer::global();
-        tracer.seedIds(flags.fault_seed);
-        if (flags.trace_out.empty())
-            tracer.setRetainEvents(false);
-        if (enabled_here)
-            tracer.enable();
-    }
-    /** Offer every trace completed from now on to `store`. */
-    void attach() { obs::Tracer::global().attachStore(&store); }
-    ~TraceStoreAttachment()
-    {
-        auto &tracer = obs::Tracer::global();
-        if (enabled_here)
-            tracer.disable();
-        tracer.attachStore(nullptr);
-        tracer.setRetainEvents(true);
-    }
-
-    TraceStoreAttachment(const TraceStoreAttachment &) = delete;
-    TraceStoreAttachment &
-    operator=(const TraceStoreAttachment &) = delete;
-};
-
 // -- HTTP ------------------------------------------------------------
 
-constexpr const char *kJson = "application/json";
-constexpr const char *kPrometheus =
-        "text/plain; version=0.0.4; charset=utf-8";
-
-/** `key=value` pairs of a query string; a bare `key` has no value. */
-std::vector<std::pair<std::string, std::string>>
-queryParams(const std::string &query)
-{
-    std::vector<std::pair<std::string, std::string>> params;
-    for (const std::string &kv : split(query, '&')) {
-        if (kv.empty())
-            continue;
-        const auto eq = kv.find('=');
-        params.emplace_back(kv.substr(0, eq),
-                            eq == std::string::npos ? ""
-                                                    : kv.substr(eq + 1));
-    }
-    return params;
-}
-
-/**
- * Register the data endpoints `monitor` and `fleet --port` share:
- * /metrics (after `refresh` updated any gauges), /api/query over
- * `tsdb` and /api/traces over `store`.
- *
- * /api/query parameters: `series` (required), `range`/`step`
- * (durations, default 60s / 1s), or explicit `start_us`/`end_us` for
- * reproducible test queries; the implicit end is the store's newest
- * timestamp.
- *
- * /api/traces parameters (all optional): `category` (root span
- * category), `min_ms` (minimum root duration), `error` (0/1 — error
- * traces only), `trace_id` (16-hex-digit id), `limit` (max traces,
- * default 50). Malformed values are a 400, never a silent empty
- * result.
- */
-void
-serveData(obs::HttpServer &server, const obs::Tsdb &tsdb,
-          const obs::TraceStore &store,
-          std::function<void()> refresh = [] {})
-{
-    server.route("/metrics", [refresh](const obs::HttpRequest &) {
-        obs::touchProcessMetrics();
-        refresh();
-        return obs::HttpResponse{
-                200, kPrometheus,
-                obs::Registry::global().renderPrometheus()};
-    });
-    server.route("/api/query", [&tsdb](const obs::HttpRequest &req) {
-        std::string series;
-        double range_s = 60.0;
-        double step_s = 1.0;
-        long start_us = -1;
-        long end_us = -1;
-        bool bad = false;
-        for (const auto &[key, val] : queryParams(req.query)) {
-            if (key == "series") {
-                series = val;
-            } else if (key == "range") {
-                range_s = parseDuration(val);
-                bad = bad || range_s < 0.0;
-            } else if (key == "step") {
-                step_s = parseDuration(val);
-                bad = bad || step_s <= 0.0;
-            } else if (key == "start_us") {
-                bad = bad || !numio::parseLong(val, start_us);
-            } else if (key == "end_us") {
-                bad = bad || !numio::parseLong(val, end_us);
-            }
-        }
-        if (series.empty() || bad)
-            return obs::HttpResponse{
-                    400, kJson,
-                    "{\"ok\":false,\"error\":\"usage: /api/query"
-                    "?series=<name>&range=60s&step=1s (or "
-                    "start_us/end_us)\"}\n"};
-        obs::TsQuery q;
-        q.series = series;
-        q.end_us = end_us >= 0 ? end_us : tsdb.latestTimestamp();
-        if (q.end_us == std::numeric_limits<std::int64_t>::min())
-            return obs::HttpResponse{
-                    404, kJson,
-                    "{\"ok\":false,\"error\":\"store is empty\"}\n"};
-        q.start_us = start_us >= 0
-                             ? start_us
-                             : q.end_us - static_cast<std::int64_t>(
-                                                  range_s * 1e6);
-        q.step_us = static_cast<std::int64_t>(step_s * 1e6);
-        const obs::TsQueryResult res = tsdb.query(q);
-        return obs::HttpResponse{res.ok ? 200 : 404, kJson,
-                                 res.toJson(series) + "\n"};
-    });
-    server.route("/api/traces", [&store](const obs::HttpRequest &req) {
-        obs::TraceQuery q;
-        bool bad = false;
-        for (const auto &[key, val] : queryParams(req.query)) {
-            if (key == "category") {
-                q.category = val;
-            } else if (key == "min_ms") {
-                double ms = 0.0;
-                const bool ok = numio::parseDouble(val, ms) &&
-                                ms >= 0.0 && std::isfinite(ms);
-                bad = bad || !ok;
-                if (ok)
-                    q.min_dur_us = static_cast<std::int64_t>(ms * 1e3);
-            } else if (key == "error") {
-                bad = bad || (val != "0" && val != "1");
-                q.error_only = val == "1";
-            } else if (key == "trace_id") {
-                char *end = nullptr;
-                q.trace_id = std::strtoull(val.c_str(), &end, 16);
-                bad = bad || val.empty() || *end != '\0' ||
-                      q.trace_id == 0;
-            } else if (key == "limit") {
-                long n = 0;
-                bad = bad || !numio::parseLong(val, n) || n <= 0;
-                q.limit = static_cast<std::size_t>(n > 0 ? n : 1);
-            } else {
-                bad = true;
-            }
-        }
-        if (bad)
-            return obs::HttpResponse{
-                    400, kJson,
-                    "{\"ok\":false,\"error\":\"usage: "
-                    "/api/traces?category=<cat>&min_ms=<ms>&"
-                    "error=1&trace_id=<hex>&limit=<n>\"}\n"};
-        return obs::HttpResponse{200, kJson, store.renderJson(q)};
-    });
-}
+using obs::kJson;
 
 /** Start `server` on --port and write --port-file; false on failure. */
 bool
@@ -1240,10 +1034,9 @@ cmdFleet(const Args &args, const CliFlags &flags)
     // request (~350 spans per device), so the fleet store is sized
     // for a few hundred devices where the monitor's per-tick store
     // keeps its tight 1 MiB default.
-    obs::TraceStoreOptions tsopts;
-    tsopts.max_bytes = 32u << 20;
-    TraceStoreAttachment tracing(flags, tsopts);
-    tracing.attach();
+    obs::TraceStore store({.max_bytes = 32u << 20});
+    obs::TraceStoreAttachment tracing(store, flags.fault_seed,
+                                      !flags.trace_out.empty());
 
     fleet::FleetOptions fopts;
     fopts.devices = n;
@@ -1286,7 +1079,7 @@ cmdFleet(const Args &args, const CliFlags &flags)
         fleet::publishFleetSeries(result, fleet_tsdb);
 
         obs::HttpServer server;
-        serveData(server, fleet_tsdb, tracing.store);
+        obs::serveData(server, fleet_tsdb, store);
         server.route("/fleet", [body = result.toJson()](
                                        const obs::HttpRequest &) {
             return obs::HttpResponse{200, kJson, body};
@@ -1401,7 +1194,7 @@ parseAlertSpec(const std::string &spec, obs::AlertRule &rule,
     std::int64_t *out[] = {&rule.window_us, &rule.for_us,
                            &rule.cooldown_us};
     for (std::size_t i = 5; i < parts.size(); ++i) {
-        const double d = parseDuration(parts[i]);
+        const double d = numio::parseDuration(parts[i]);
         if (d < 0.0) {
             err = std::string("bad ") + what[i - 5] + " duration '" +
                   parts[i] + "'";
@@ -1467,8 +1260,8 @@ buildAlertRules(const CliFlags &flags, const std::string &device,
         obs::AlertRule rule;
         std::string err;
         if (!parseAlertSpec(spec, rule, err)) {
-            std::fprintf(stderr, "bad --alert spec: %s\n",
-                         err.c_str());
+            std::fprintf(stderr, "bad --alert spec '%s': %s\n",
+                         spec.c_str(), err.c_str());
             return false;
         }
         rules.push_back(std::move(rule));
@@ -1477,28 +1270,25 @@ buildAlertRules(const CliFlags &flags, const std::string &device,
 }
 
 /**
- * The run-time pipeline `monitor`, `alerts` and `traces` share: a
+ * What `monitor`, `alerts` and `traces` add to obs::LivePipeline: a
  * model of the board trained in-process (the same procedure as
  * `gpupm fit <device>`, at 3 power repetitions), every validation app
- * profiled once at the reference configuration, and the sampler that
- * measures the simulated NVML device, predicts with the model and
- * feeds the residual to the flight recorder, tsdb and alert engine.
- *
- * Members are ordered as perfbench's MonitorRig: recorder and trace
- * store before the sampler, the server last. So the server stops
- * before anything its handlers read is destroyed, and the tracer is
- * detached before its store goes.
+ * profiled once at the reference configuration, and the probe that
+ * measures the simulated NVML device and predicts with the model.
+ * `pipe` is declared last, so it stops before anything its probe
+ * reads is destroyed.
  */
-struct LivePipeline
+struct LiveSession
 {
-    LivePipeline(gpu::DeviceKind kind, const CliFlags &f)
+    LiveSession(gpu::DeviceKind kind, const CliFlags &f)
         : flags(f), board(kind), dev(board)
     {
     }
 
     /**
-     * Train, profile and wire the sampler. Returns 0, or the exit code
-     * of a failed fit, a bad --alert spec or an unwritable event log.
+     * Build the alert rules, train, profile and assemble `pipe`.
+     * Returns 0, or the exit code of a bad --alert spec (before any
+     * training), a failed fit or an unwritable event log.
      */
     int build(const char *cmd);
 
@@ -1512,7 +1302,7 @@ struct LivePipeline
     {
         const std::int64_t period_us = flags.period_ms * 1000;
         for (long tick = 0; tick < flags.ticks; ++tick)
-            sampler->tickSynchronously((tick + 1) * period_us);
+            pipe->sampler.tickSynchronously((tick + 1) * period_us);
     }
 
     const CliFlags &flags;
@@ -1524,21 +1314,18 @@ struct LivePipeline
     std::map<std::string, sim::KernelDemand> demands;
     std::size_t schedule_points = 0;
     long probe_tick = 0;
-
-    obs::FlightRecorder recorder{256};
-    std::optional<TraceStoreAttachment> tracing;
-    obs::Tsdb tsdb;
-    std::optional<obs::AlertEngine> engine;
-    std::optional<obs::Sampler> sampler;
-    obs::HttpServer server;
+    std::optional<obs::LivePipeline> pipe;
 };
 
 int
-LivePipeline::build(const char *cmd)
+LiveSession::build(const char *cmd)
 {
     const auto &desc = board.descriptor();
     common::setProvenanceDevice(deviceToken(desc.kind));
     obs::registerStandardMetrics();
+    std::vector<obs::AlertRule> rules;
+    if (!buildAlertRules(flags, deviceToken(desc.kind), rules))
+        return 2;
 
     std::fprintf(stderr, "%s: training %s model in-process...\n", cmd,
                  desc.name.c_str());
@@ -1570,31 +1357,25 @@ LivePipeline::build(const char *cmd)
     }
     schedule_points = schedule.size();
 
-    std::vector<obs::AlertRule> rules;
-    if (!buildAlertRules(flags, deviceToken(desc.kind), rules))
-        return 2;
-    engine.emplace(tsdb, std::move(rules), &recorder);
-
-    sampler.emplace(
+    pipe.emplace(
             [this](const std::string &app, const gpu::FreqConfig &cfg) {
                 return probe(app, cfg);
             },
             std::move(schedule),
             obs::SamplerOptions{
                     .period_ms = static_cast<int>(flags.period_ms),
-                    .events_out = flags.events_out,
-                    .events_max_bytes = flags.events_max_bytes,
-                    .events_max_files =
-                            static_cast<int>(flags.events_max_files),
                     .rolling_window = static_cast<std::size_t>(
                             flags.rolling_window),
                     .device = static_cast<int>(desc.kind),
                     .device_name = desc.name,
                     .reference = ref,
             },
-            &recorder, &tsdb, &*engine);
+            std::move(rules));
     std::string err;
-    if (!sampler->openEvents(&err)) {
+    if (!flags.events_out.empty() &&
+        !pipe->recorder.openLog(flags.events_out, flags.events_max_bytes,
+                                static_cast<int>(flags.events_max_files),
+                                &err)) {
         std::fprintf(stderr, "%s: %s\n", cmd, err.c_str());
         return 1;
     }
@@ -1602,7 +1383,7 @@ LivePipeline::build(const char *cmd)
 }
 
 obs::MonitorSample
-LivePipeline::probe(const std::string &app, const gpu::FreqConfig &cfg)
+LiveSession::probe(const std::string &app, const gpu::FreqConfig &cfg)
 {
     obs::MonitorSample s;
     s.app = app;
@@ -1678,17 +1459,17 @@ cmdMonitor(const Args &args, const CliFlags &flags)
     const auto kind = parseDevice(args[0]);
     if (!kind)
         return unknownDevice(args[0]);
-    LivePipeline live(*kind, flags);
+    LiveSession live(*kind, flags);
     if (const int rc = live.build("monitor"))
         return rc;
+    auto &pipe = *live.pipe;
     // Tracing starts after training, as in `gpupm traces`, so the
     // store behind /api/traces and every exemplar hold tick traces.
-    live.tracing.emplace(flags);
-    live.tracing->attach();
-    auto &sampler = *live.sampler;
-    auto &engine = *live.engine;
-    auto &recorder = live.recorder;
-    auto &server = live.server;
+    pipe.trace(flags.fault_seed, !flags.trace_out.empty());
+    auto &sampler = pipe.sampler;
+    auto &engine = pipe.engine;
+    auto &recorder = pipe.recorder;
+    auto &server = pipe.server;
 
     server.route("/", [](const obs::HttpRequest &) {
         return obs::HttpResponse{
@@ -1707,15 +1488,16 @@ cmdMonitor(const Args &args, const CliFlags &flags)
                 "  /alertz      alert rules + firing state "
                 "(?format=text for human output)\n"};
     });
-    serveData(server, live.tsdb, live.tracing->store, [&sampler] {
+    obs::serveData(server, pipe.tsdb, pipe.store, [&sampler] {
         const double age = sampler.lastSampleAgeSeconds();
         if (std::isfinite(age))
             obs::monitorSampleAgeSeconds().set(age);
     });
     const auto started = std::chrono::steady_clock::now();
-    server.route("/healthz", [&live, started](const obs::HttpRequest &) {
-        const bool stale = live.sampler->stale();
-        const auto firing = live.engine->firingRuleNames();
+    server.route("/healthz", [&sampler, &engine, &flags,
+                              started](const obs::HttpRequest &) {
+        const bool stale = sampler.stale();
+        const auto firing = engine.firingRuleNames();
         // Staleness outranks degradation: a wedged sampler can no
         // longer evaluate its own rules, so report the harder fault.
         const char *status = stale ? "stale"
@@ -1728,9 +1510,9 @@ cmdMonitor(const Args &args, const CliFlags &flags)
         std::ostringstream os;
         os << "{\"status\":\"" << status
            << "\",\"uptime_seconds\":" << jsonFiniteOr(uptime, "0")
-           << ",\"ticks\":" << live.sampler->ticks()
+           << ",\"ticks\":" << sampler.ticks()
            << ",\"last_sample_age_seconds\":"
-           << jsonFiniteOr(live.sampler->lastSampleAgeSeconds(), "-1")
+           << jsonFiniteOr(sampler.lastSampleAgeSeconds(), "-1")
            << ",\"firing\":[";
         for (std::size_t i = 0; i < firing.size(); ++i)
             os << (i ? "," : "") << "\"" << json::escape(firing[i])
@@ -1738,7 +1520,7 @@ cmdMonitor(const Args &args, const CliFlags &flags)
         os << "],\"provenance\":"
            << common::toJson(common::collectProvenance()) << "}\n";
         const bool degraded_503 =
-                !firing.empty() && live.flags.healthz_degraded_503;
+                !firing.empty() && flags.healthz_degraded_503;
         return obs::HttpResponse{stale || degraded_503 ? 503 : 200,
                                  kJson, os.str()};
     });
@@ -1772,7 +1554,7 @@ cmdMonitor(const Args &args, const CliFlags &flags)
         obs::ProfilerOptions popts;
         popts.wall = true;
         popts.hz = 499;
-        for (const auto &[key, val] : queryParams(req.query)) {
+        for (const auto &[key, val] : obs::queryParams(req.query)) {
             if (key == "seconds")
                 numio::parseDouble(val, seconds);
             else if (key == "json" && (val.empty() || val == "1"))
@@ -1898,12 +1680,12 @@ cmdAlerts(const Args &args, const CliFlags &flags)
     const auto kind = parseDevice(args[0]);
     if (!kind)
         return unknownDevice(args[0]);
-    LivePipeline live(*kind, flags);
+    LiveSession live(*kind, flags);
     if (const int rc = live.build("alerts"))
         return rc;
     live.tickSynchronously();
 
-    const auto &engine = *live.engine;
+    const auto &engine = live.pipe->engine;
     const std::int64_t now = engine.lastEvaluatedUs();
     if (flags.json)
         std::printf("%s\n", engine.renderJson(now).c_str());
@@ -1937,17 +1719,16 @@ cmdTraces(const Args &args, const CliFlags &flags)
     const auto kind = parseDevice(args[0]);
     if (!kind)
         return unknownDevice(args[0]);
-    LivePipeline live(*kind, flags);
+    LiveSession live(*kind, flags);
     if (const int rc = live.build("traces"))
         return rc;
     // Tracing turns on only now, after training: seedIds() inside
     // resets the ID counter, so the minted IDs are a pure function of
     // the fault seed and the (single-threaded) span order.
-    live.tracing.emplace(flags);
-    live.tracing->attach();
+    live.pipe->trace(flags.fault_seed, !flags.trace_out.empty());
     live.tickSynchronously();
 
-    const auto &store = live.tracing->store;
+    const auto &store = live.pipe->store;
     obs::TraceQuery all;
     all.limit = static_cast<std::size_t>(flags.ticks) + 16;
     auto traces = store.query(all); // newest first
